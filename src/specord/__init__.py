@@ -29,10 +29,7 @@ from .curves import (
     MortonCurve,
     OrderingCurve,
     RadialCurve,
-    curve_compare,
-    curve_eval,
     curve_for_matrix,
-    curve_min_preimage,
     curve_validate,
     parse_curve,
 )
@@ -56,15 +53,9 @@ from .projections import (
 from .spectral import (
     Decomposition,
     SpectralTable,
-    block_diagonal_expectation,
     build_table,
     decompose,
     dyadic_cells,
-    dyadic_expectation,
-    flag_projection,
-    open_set_projection,
-    pullback_mass,
-    spectral_projection,
 )
 from .ensembles import EnsembleSpec, corpus, parse_ensemble, sample
 

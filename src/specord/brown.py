@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, cluster_points, cluster_tolerance, operator_norm
+from .core import (
+    as_matrix,
+    cluster_points,
+    cluster_tolerance,
+    eigenvalue_matching_distance,
+    operator_norm,
+)
 from .regions import Region, Square, ambient_square
 
 
@@ -100,12 +106,6 @@ def region_mass(m: PointMeasure, B: Region) -> float:
     return float(sum(w for z, w in m.atoms if B.contains(z)))
 
 
-def _bottleneck_locations(a: list[complex], b: list[complex]) -> float:
-    from .core import eigenvalue_matching_distance
-
-    return eigenvalue_matching_distance(a, b)
-
-
 def measure_distance(m1: PointMeasure, m2: PointMeasure, weight_tol: float = 1e-9) -> float:
     """Optimal-matching distance between two atomic measures.
 
@@ -138,7 +138,7 @@ def measure_distance(m1: PointMeasure, m2: PointMeasure, weight_tol: float = 1e-
         if len(a) != len(b):
             return float("inf")
         if a:
-            out = max(out, _bottleneck_locations(a, b))
+            out = max(out, eigenvalue_matching_distance(a, b))
     return out
 
 

@@ -9,9 +9,10 @@ verify      run the check suite over the corpus or a single input
 curve       tabulate a curve, order a spectrum, or compare two curves
 replay      re-run a recorded config.json and reproduce its outputs
 
-Exit codes: 0 success, 1 at least one check failed, 2 invalid input or
-usage.  Every run writes a config.json into its output directory; `replay`
-reproduces the run (byte-identical report.json) from that file alone.
+Exit codes: 0 success, 1 at least one check failed, 2 invalid input, usage
+or a library failure.  Every run writes a config.json into its output
+directory; `replay` reproduces the run (byte-identical report.json) from
+that file alone.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .brown import (
     write_density_pgm,
 )
 from .core import (
+    SchurConvergenceError,
     load_matrix,
     matrix_digest,
     matrix_from_dict,
@@ -42,7 +44,7 @@ from .core import (
 from .curves import curve_for_matrix, parse_curve
 from .projections import hs_projection
 from .regions import parse_region
-from .spectral import decompose, write_bundle
+from .spectral import CoverStabilizationError, decompose, write_bundle
 from .verify import (
     KNOWN_CHECKS,
     reports_to_json,
@@ -111,7 +113,7 @@ def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
     dec = decompose(T, curve, grid_level=cfg.level)
     write_bundle(dec, outdir)
     reports = verify_decomposition(
-        T, curve, seed=cfg.seed,
+        dec, seed=cfg.seed,
         structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
     )
     (outdir / "report.json").write_text(reports_to_json(reports), encoding="ascii")
@@ -294,8 +296,7 @@ def _add_common(p: argparse.ArgumentParser, need_out: bool = True) -> None:
                    help="override the structural identity tolerance (default 1e-9)")
     p.add_argument("--tol-determinant", type=float, default=None,
                    help="override the determinant identity tolerance (default 1e-10)")
-    if need_out:
-        p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=need_out, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                         " | cells:n=3,k=1,5,9 with & | ! combinators")
 
     p = sub.add_parser("verify", help="run the check suite")
-    _add_common(p)
+    _add_common(p, need_out=False)
     p.add_argument("--curve2", help="second curve spec for the suite")
     p.add_argument("--check", action="append", default=[],
                    help=f"restrict to check ids; known: {', '.join(KNOWN_CHECKS)}")
@@ -347,6 +348,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify" and args.list_corpus:
             print(ensembles.corpus_manifest_json(), end="")
             return 0
+        if args.out is None:
+            return _fail("the following arguments are required: --out")
         outdir = Path(args.out)
         if args.command == "replay":
             return _run_replay(args.config, outdir)
@@ -381,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg.command = f"curve:{args.mode}"
             return _run_curve(cfg, outdir, args.mode)
         return _fail(f"unknown command {args.command!r}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, SchurConvergenceError,
+            CoverStabilizationError) as exc:
         return _fail(str(exc))
 
 

@@ -302,21 +302,6 @@ def curve_for_matrix(spec: str, T) -> OrderingCurve:
     return parse_curve(spec, operator_norm(T))
 
 
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-
-def curve_eval(curve: OrderingCurve, t) -> complex:
-    return curve.eval(Fraction(t))
-
-
-def curve_min_preimage(curve: OrderingCurve, z: complex) -> Fraction:
-    return curve.min_preimage(z)
-
-
-def curve_compare(curve: OrderingCurve, z1: complex, z2: complex) -> int:
-    return curve.compare(z1, z2)
-
-
 class CurveSegment(Region):
     """The image of [0, t] (or [0, t) when not inclusive) under a curve.
 

@@ -126,23 +126,6 @@ class Region:
     def __repr__(self) -> str:
         return f"Region({self.describe()})"
 
-    # conservative box classification, used by rasterize():
-    # _meets_box may overreport, _covers_box may underreport.
-    def _meets_box(self, box) -> bool:
-        return True
-
-    def _covers_box(self, box) -> bool:
-        return False
-
-    def rasterize(self, square: Square, level: int) -> frozenset[int]:
-        """Indices of level cells that may intersect the region (over-approximation)."""
-        m = 1 << level
-        hits = []
-        for k in range(1, m * m + 1):
-            if self._meets_box(cell_box(square, level, k)):
-                hits.append(k)
-        return frozenset(hits)
-
 
 class Disk(Region):
     def __init__(self, center: complex, radius: float):
@@ -156,18 +139,6 @@ class Disk(Region):
 
     def describe(self) -> str:
         return f"disk:{self.center.real:.17g},{self.center.imag:.17g},{self.radius:.17g}"
-
-    def _meets_box(self, box) -> bool:
-        x0, x1, y0, y1 = box
-        dx = max(x0 - self.center.real, 0.0, self.center.real - x1)
-        dy = max(y0 - self.center.imag, 0.0, self.center.imag - y1)
-        return (dx * dx + dy * dy) ** 0.5 <= self.radius
-
-    def _covers_box(self, box) -> bool:
-        x0, x1, y0, y1 = box
-        return all(
-            self.contains(complex(x, y)) for x in (x0, x1) for y in (y0, y1)
-        )
 
 
 class HalfPlane(Region):
@@ -183,16 +154,6 @@ class HalfPlane(Region):
 
     def describe(self) -> str:
         return f"halfplane:{self.a:.17g},{self.b:.17g},{self.c:.17g}"
-
-    def _corner_values(self, box):
-        x0, x1, y0, y1 = box
-        return [self.a * x + self.b * y for x in (x0, x1) for y in (y0, y1)]
-
-    def _meets_box(self, box) -> bool:
-        return min(self._corner_values(box)) <= self.c
-
-    def _covers_box(self, box) -> bool:
-        return max(self._corner_values(box)) <= self.c
 
 
 class CellUnion(Region):
@@ -216,25 +177,6 @@ class CellUnion(Region):
         ks = ",".join(str(k) for k in sorted(self.cells))
         return f"cells:n={self.level},k={ks}"
 
-    def _box_cells(self, box):
-        x0, x1, y0, y1 = box
-        m = 1 << self.level
-        h = self.square.side / m
-        c0 = max(0, int(math.floor((x0 - self.square.x0) / h)))
-        c1 = min(m - 1, int(math.floor((x1 - self.square.x0) / h)))
-        r0 = max(0, int(math.floor((self.square.y1 - y1) / h)))
-        r1 = min(m - 1, int(math.floor((self.square.y1 - y0) / h)))
-        return [
-            r * m + c + 1 for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)
-        ]
-
-    def _meets_box(self, box) -> bool:
-        return any(k in self.cells for k in self._box_cells(box))
-
-    def _covers_box(self, box) -> bool:
-        candidates = self._box_cells(box)
-        return bool(candidates) and all(k in self.cells for k in candidates)
-
 
 class FullPlane(Region):
     def contains(self, z: complex) -> bool:
@@ -243,12 +185,6 @@ class FullPlane(Region):
     def describe(self) -> str:
         return "all"
 
-    def _meets_box(self, box) -> bool:
-        return True
-
-    def _covers_box(self, box) -> bool:
-        return True
-
 
 class EmptyRegion(Region):
     def contains(self, z: complex) -> bool:
@@ -256,9 +192,6 @@ class EmptyRegion(Region):
 
     def describe(self) -> str:
         return "none"
-
-    def _meets_box(self, box) -> bool:
-        return False
 
 
 class _And(Region):
@@ -271,12 +204,6 @@ class _And(Region):
     def describe(self) -> str:
         return f"{self.left.describe()}&{self.right.describe()}"
 
-    def _meets_box(self, box) -> bool:
-        return self.left._meets_box(box) and self.right._meets_box(box)
-
-    def _covers_box(self, box) -> bool:
-        return self.left._covers_box(box) and self.right._covers_box(box)
-
 
 class _Or(Region):
     def __init__(self, left, right):
@@ -288,12 +215,6 @@ class _Or(Region):
     def describe(self) -> str:
         return f"{self.left.describe()}|{self.right.describe()}"
 
-    def _meets_box(self, box) -> bool:
-        return self.left._meets_box(box) or self.right._meets_box(box)
-
-    def _covers_box(self, box) -> bool:
-        return self.left._covers_box(box) or self.right._covers_box(box)
-
 
 class _Not(Region):
     def __init__(self, inner):
@@ -304,12 +225,6 @@ class _Not(Region):
 
     def describe(self) -> str:
         return f"!{self.inner.describe()}"
-
-    def _meets_box(self, box) -> bool:
-        return not self.inner._covers_box(box)
-
-    def _covers_box(self, box) -> bool:
-        return not self.inner._meets_box(box)
 
 
 def disk(cx: float, cy: float, r: float) -> Region:

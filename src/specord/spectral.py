@@ -17,6 +17,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .core import (
     cluster_tolerance,
     matrix_json_bytes,
     nearest_cluster,
+    operator_norm,
     schur_form,
     _reorder_by_keys,
 )
@@ -39,6 +41,10 @@ from .regions import CellUnion, Region, ambient_square, decide_cluster
 
 class CurveValidationError(ValueError):
     """The spectrum is not cleanly ordered by the requested curve."""
+
+
+class CoverStabilizationError(RuntimeError):
+    """Shrinking open covers never isolated a region's parameters."""
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +222,7 @@ class SpectralTable:
             last = got
             if got == want and stable >= 2:
                 return self.open_set_projection(cover)
-        raise RuntimeError(
+        raise CoverStabilizationError(
             "open covers failed to stabilize; parameters not separated at depth"
         )
 
@@ -287,6 +293,15 @@ class SpectralTable:
             B[lo:hi, lo:hi] = G[lo:hi, lo:hi]
         return self.unitary @ B @ self.unitary.conj().T
 
+    def commutes_with_cluster_projs(self) -> bool:
+        """T P = P T for every cluster projection P, to 1e-9 max(1, ||T||)."""
+        T = self.matrix
+        bound = 1e-9 * max(1.0, operator_norm(T))
+        for P in self.cluster_projs:
+            if np.linalg.norm(T @ P.matrix - P.matrix @ T) > bound:
+                return False
+        return True
+
     def to_json_dict(self) -> dict:
         bits = 2 * self.curve.depth
         return {
@@ -354,45 +369,12 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None,
     )
 
 
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-
-def pullback_mass(T, curve: OrderingCurve, intervals) -> float:
-    return build_table(T, curve).pullback_mass(intervals)
-
-
-def flag_projection(T, curve: OrderingCurve, t) -> Projection:
-    return build_table(T, curve).flag_at(t)
-
-
-def open_set_projection(T, curve: OrderingCurve, intervals) -> Projection:
-    return build_table(T, curve).open_set_projection(intervals)
-
-
-def spectral_projection(T, curve: OrderingCurve, B: Region) -> Projection:
-    return build_table(T, curve).spectral_projection(B)
-
-
 def dyadic_cells(radius: float, level: int) -> list[Region]:
     """The 4^level half-open cells partitioning the working square."""
     if level < 0:
         raise ValueError("level must be >= 0")
     square = ambient_square(radius)
     return [CellUnion(square, level, {k}) for k in range(1, (1 << (2 * level)) + 1)]
-
-
-def dyadic_expectation(T, table: SpectralTable, level: int) -> np.ndarray:
-    T = as_matrix(T)
-    if T.shape != table.matrix.shape or not np.array_equal(T, table.matrix):
-        raise ValueError("table was built for a different matrix")
-    return table.expectation(level)
-
-
-def block_diagonal_expectation(T, table: SpectralTable) -> np.ndarray:
-    T = as_matrix(T)
-    if T.shape != table.matrix.shape or not np.array_equal(T, table.matrix):
-        raise ValueError("table was built for a different matrix")
-    return table.block_diagonal_part()
 
 
 def flag_compression(T, flags: list[Projection]) -> np.ndarray:
@@ -431,6 +413,18 @@ class Decomposition:
     @property
     def T(self) -> np.ndarray:
         return self.table.matrix
+
+    @cached_property
+    def commuting_table(self) -> SpectralTable:
+        """The table of T if T commutes with its cluster projections, else of N.
+
+        N commutes with its cluster projections by construction.  Checks
+        whose bounds assume a commuting input run on this table, which is
+        built at most once per decomposition.
+        """
+        if self.table.commutes_with_cluster_projs():
+            return self.table
+        return build_table(self.N, self.table.curve)
 
 
 def decompose(T, curve: OrderingCurve, tol: float | None = None,

@@ -36,7 +36,7 @@ from .regions import (
     disk,
     halfplane,
 )
-from .spectral import SpectralTable, build_table, decompose
+from .spectral import Decomposition, SpectralTable, build_table, decompose
 
 TOL_STRUCTURAL = 1e-9
 TOL_DETERMINANT = 1e-10
@@ -235,15 +235,14 @@ def _random_param(rng: np.random.Generator, bits: int):
 # measure laws
 
 def verify_measure_laws(
-    T, curve: OrderingCurve, trials: int = 100, seed: int = 0,
+    table: SpectralTable, trials: int = 100, seed: int = 0,
     structural_tol: float = TOL_STRUCTURAL,
 ) -> list[CheckReport]:
     """Trace, intersection, and additivity laws of the spectral measure E."""
-    T = as_matrix(T)
+    T = table.matrix
     TOL = structural_tol
-    table = build_table(T, curve)
     rng = np.random.default_rng(seed)
-    digest = _context_digest(T, curve, f"measure-laws:{seed}:{trials}")
+    digest = _context_digest(T, table.curve, f"measure-laws:{seed}:{trials}")
 
     nu = empirical_brown(T, tol=table.tol)
     trace_vals: list[CheckValue] = []
@@ -345,16 +344,15 @@ def verify_measure_laws(
 # ---------------------------------------------------------------------------
 # grid convergence
 
-def _commutes_with_cluster_projs(table: SpectralTable) -> bool:
-    T = table.matrix
-    bound = 1e-9 * max(1.0, operator_norm(T))
-    for P in table.cluster_projs:
-        if _fro(T @ P.matrix - P.matrix @ T) > bound:
-            return False
-    return True
+def _commuting_input(dec: Decomposition) -> tuple[SpectralTable, str]:
+    """`dec.commuting_table` and the note a report adds when it is N's."""
+    xtable = dec.commuting_table
+    if xtable is dec.table:
+        return xtable, ""
+    return xtable, " (preconditioned to the commuting normal part)"
 
 
-def verify_convergence(T, curve: OrderingCurve, n_max: int = 8,
+def verify_convergence(dec: Decomposition, n_max: int = 8,
                        seed: int = 0) -> list[CheckReport]:
     """Grid expectation rate, residual support radii, and the power bound.
 
@@ -365,11 +363,10 @@ def verify_convergence(T, curve: OrderingCurve, n_max: int = 8,
     additionally needs the input scaled to norm 1/2, so the zero matrix
     skips it.
     """
-    T = as_matrix(T)
-    table = build_table(T, curve)
+    table = dec.table
+    T, curve, N = table.matrix, table.curve, dec.N
     digest = _context_digest(T, curve, f"convergence:{n_max}:{seed}")
     norm = operator_norm(T)
-    N = table.normal_part()
 
     rate_vals = []
     for lvl in range(1, n_max + 1):
@@ -389,13 +386,8 @@ def verify_convergence(T, curve: OrderingCurve, n_max: int = 8,
         )
     ]
 
-    if _commutes_with_cluster_projs(table):
-        X, xtable = T, table
-        precond = ""
-    else:
-        X = N
-        xtable = build_table(X, curve)
-        precond = " (preconditioned to the commuting normal part)"
+    xtable, precond = _commuting_input(dec)
+    X = xtable.matrix
     xnorm = operator_norm(X)
 
     radius_vals = []
@@ -605,16 +597,14 @@ def verify_block_split(T, p: Projection, seed: int = 0,
 # ---------------------------------------------------------------------------
 # full decomposition verification
 
-def verify_decomposition(T, curve: OrderingCurve, seed: int = 0,
+def verify_decomposition(dec: Decomposition, seed: int = 0,
                          random_t: int = 10,
                          structural_tol: float = TOL_STRUCTURAL) -> list[CheckReport]:
     """End-to-end checks of the decomposition pipeline for one input."""
-    T = as_matrix(T)
-    dec = decompose(T, curve)
     table = dec.table
-    digest = _context_digest(T, curve, f"decomposition:{seed}")
+    T = table.matrix
+    digest = _context_digest(T, table.curve, f"decomposition:{seed}")
     norm = operator_norm(T)
-    tol = table.tol
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -766,13 +756,8 @@ def verify_decomposition(T, curve: OrderingCurve, seed: int = 0,
 
     # corner compressions of a commuting input concentrate where they should;
     # a non-commuting input is preconditioned to its normal part
-    if _commutes_with_cluster_projs(table):
-        X, xtable = T, table
-        precond = ""
-    else:
-        X = dec.N
-        xtable = build_table(X, curve)
-        precond = " (preconditioned to the commuting normal part)"
+    xtable, precond = _commuting_input(dec)
+    X = xtable.matrix
     comm_vals = []
     for trial in range(5):
         B = _random_region(rng, xtable)
@@ -862,17 +847,15 @@ def run_suite(
     out: list[CheckReport] = []
     for label, T in matrices:
         for cspec in curve_specs:
-            curve = curve_for_matrix(cspec, T)
-            batch: list[CheckReport] = []
-            batch += verify_decomposition(T, curve, seed=seed,
-                                          structural_tol=structural_tol)
-            batch += verify_measure_laws(T, curve, trials=measure_trials,
+            dec = decompose(T, curve_for_matrix(cspec, T))
+            flags = dec.table.flags
+            batch = verify_decomposition(dec, seed=seed, structural_tol=structural_tol)
+            batch += verify_measure_laws(dec.table, trials=measure_trials,
                                          seed=seed, structural_tol=structural_tol)
-            batch += verify_convergence(T, curve, n_max=n_max, seed=seed)
-            table = build_table(T, curve)
-            if table.flags:
-                mid = table.flags[len(table.flags) // 2]
-                batch += verify_block_split(T, mid, seed=seed, det_tol=det_tol)
+            batch += verify_convergence(dec, n_max=n_max, seed=seed)
+            if flags:
+                batch += verify_block_split(dec.T, flags[len(flags) // 2], seed=seed,
+                                            det_tol=det_tol)
             for rep in batch:
                 tagged = CheckReport(
                     check_id=f"{rep.check_id}@{label}@{cspec}",

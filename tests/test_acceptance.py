@@ -29,7 +29,6 @@ from specord.ensembles import corpus_matrices, parse_ensemble, sample
 from specord.regions import ambient_square, cell_box
 from specord.spectral import build_table, decompose, quasinilpotence_defect
 from specord.verify import (
-    _commutes_with_cluster_projs,
     _random_param,
     _random_region,
     _snap_atoms,
@@ -129,7 +128,7 @@ def test_criterion_3_measure_laws():
     for idx, (name, T) in enumerate(corpus_items()):
         cspec = CURVES[idx % len(CURVES)]
         table = table_for(name, T, cspec)
-        reports = verify_measure_laws(T, table.curve, trials=50, seed=300 + idx)
+        reports = verify_measure_laws(table, trials=50, seed=300 + idx)
         for r in reports:
             if r.verdict != "pass":
                 failures.append((name, r.check_id))
@@ -208,7 +207,7 @@ def test_criterion_5_rate_bounds():
     bad = []
     for name, T in corpus_items():
         table = table_for(name, T, CURVES[0])
-        if not _commutes_with_cluster_projs(table):
+        if not table.commutes_with_cluster_projs():
             continue
         checked += 1
         norm = operator_norm(T)

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 
+from specord import cli
 from specord.cli import main
-from specord.core import load_matrix, save_matrix
+from specord.core import SchurConvergenceError, load_matrix, save_matrix
+from specord.spectral import SpectralTable
+from specord.verify import reports_to_json, verify_decomposition
 
 
 def test_decompose_jordan(tmp_path):
@@ -101,6 +104,11 @@ def test_verify_list_corpus(tmp_path, capsys):
     assert main(["verify", "--list-corpus", "--out", str(tmp_path / "x")]) == 0
     man = json.loads(capsys.readouterr().out)
     assert len(man) >= 40 and {"spec", "n", "digest"} <= set(man[0])
+    assert main(["verify", "--list-corpus"]) == 0
+    assert json.loads(capsys.readouterr().out) == man
+    # every run that writes files still needs --out
+    assert main(["verify", "--ensemble", "ginibre:n=4,seed=1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_replay_reproduces_report_bytes(tmp_path):
@@ -143,3 +151,34 @@ def test_usage_error_exits_2():
 def test_curve_compare_requires_second_curve(tmp_path):
     assert main(["curve", "compare", "--ensemble", "ginibre:n=4,seed=1",
                  "--out", str(tmp_path / "c")]) == 2
+
+
+def test_decompose_verifies_the_decomposition_it_wrote(tmp_path, monkeypatch):
+    decs = []
+    original = cli.decompose
+
+    def recorded(*args, **kwargs):
+        decs.append(original(*args, **kwargs))
+        return decs[-1]
+
+    monkeypatch.setattr(cli, "decompose", recorded)
+    out = tmp_path / "d"
+    assert main(["decompose", "--ensemble", "ginibre:n=6,seed=3", "--out", str(out)]) == 0
+    assert len(decs) == 1
+    assert (out / "report.json").read_text() == reports_to_json(
+        verify_decomposition(decs[0]))
+
+
+def test_library_failures_exit_2(tmp_path, monkeypatch, capsys):
+    def no_convergence(T):
+        raise SchurConvergenceError("QR iteration did not converge")
+
+    argv = ["decompose", "--ensemble", "ginibre:n=4,seed=1"]
+    with monkeypatch.context() as m:
+        m.setattr("specord.spectral.schur_form", no_convergence)
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    assert "error: QR iteration" in capsys.readouterr().err
+    # covers that never isolate the parameters fail to stabilize
+    monkeypatch.setattr(SpectralTable, "_merged_cover", staticmethod(lambda targets, rad: []))
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 2
+    assert "error: open covers failed to stabilize" in capsys.readouterr().err

@@ -8,9 +8,6 @@ from specord.curves import (
     CurveSegment,
     LexicographicCurve,
     bits_to_param,
-    curve_compare,
-    curve_eval,
-    curve_min_preimage,
     curve_validate,
     param_to_bits,
     parse_curve,
@@ -238,13 +235,6 @@ def test_curve_validate_shared_cell_is_invalid():
     c = make("hilbert", depth=3)
     rep = curve_validate(c, [0.1 + 0.1j, 0.1 + 0.100001j])
     assert not rep.valid
-
-
-def test_operation_wrappers_delegate():
-    c = make("morton", depth=8)
-    assert curve_eval(c, Fraction(1, 4)) == c.eval(Fraction(1, 4))
-    assert curve_min_preimage(c, 0.5 + 0.5j) == c.min_preimage(0.5 + 0.5j)
-    assert curve_compare(c, 0j, 0.5 + 0.5j) == c.compare(0j, 0.5 + 0.5j)
 
 
 def test_curve_segment_region():

@@ -118,21 +118,6 @@ def test_parse_region_strings():
         parse_region("cells:k=1", sq)
 
 
-def test_rasterize_is_conservative():
-    d = disk(0.3, 0.2, 0.4)
-    hit = d.rasterize(SQ, 3)
-    # every cell whose box meets the disk must be included
-    for k in range(1, 65):
-        x0, x1, y0, y1 = cell_box(SQ, 3, k)
-        cx = min(max(0.3, x0), x1)
-        cy = min(max(0.2, y0), y1)
-        if (cx - 0.3) ** 2 + (cy - 0.2) ** 2 <= 0.4**2:
-            assert k in hit
-    # and the complement's rasterization covers everything else
-    anti = (~d).rasterize(SQ, 3)
-    assert anti | hit == frozenset(range(1, 65))
-
-
 def test_decide_cluster():
     d = disk(0, 0, 1)
     assert decide_cluster(d, [0.5 + 0j, 0.5 + 1e-12j])

@@ -16,17 +16,11 @@ from specord.spectral import (
     build_table,
     decompose,
     dyadic_cells,
-    dyadic_expectation,
-    block_diagonal_expectation,
-    flag_projection,
     full_interval,
     left_segment,
     open_interval,
-    open_set_projection,
-    pullback_mass,
     quasinilpotence_defect,
     right_segment,
-    spectral_projection,
     write_bundle,
 )
 
@@ -58,27 +52,29 @@ def test_interval_semantics():
 
 def test_pullback_mass_examples():
     c = lex_curve_for(T12)
-    assert pullback_mass(T12, c, [full_interval()]) == 1.0
-    assert pullback_mass(T12, c, []) == 0.0
+    table = build_table(T12, c)
+    assert table.pullback_mass([full_interval()]) == 1.0
+    assert table.pullback_mass([]) == 0.0
     t1 = c.min_preimage(1 + 0j)
     t2 = c.min_preimage(2 + 0j)
     assert t1 < t2
     eps = Fraction(1, 4**c.depth)
     iv = Interval(t1, t1 + eps, False, True)
-    assert pullback_mass(T12, c, [iv]) == 0.5
+    assert table.pullback_mass([iv]) == 0.5
 
 
 def test_flag_projection_examples():
     c = lex_curve_for(T12)
-    assert np.allclose(flag_projection(T12, c, Fraction(1)).matrix, np.eye(2))
-    assert flag_projection(T12, c, Fraction(0)).rank == 0
+    table = build_table(T12, c)
+    assert np.allclose(table.flag_at(Fraction(1)).matrix, np.eye(2))
+    assert table.flag_at(Fraction(0)).rank == 0
     t1 = c.min_preimage(1 + 0j)
-    P = flag_projection(T12, c, t1)
+    P = table.flag_at(t1)
     assert np.allclose(P.matrix, np.diag([1.0, 0.0]), atol=1e-12)
     # right-continuity: constant between consecutive cluster parameters
     t2 = c.min_preimage(2 + 0j)
     mid = t1 + (t2 - t1) / 2
-    assert np.array_equal(flag_projection(T12, c, mid).matrix, P.matrix)
+    assert np.array_equal(table.flag_at(mid).matrix, P.matrix)
 
 
 def test_open_set_projection_examples():
@@ -198,15 +194,13 @@ def test_dyadic_expectation_examples():
     c = lex_curve_for(T)
     table = build_table(T, c)
     # level 3 separates the two eigenvalues -> expectation reproduces T
-    assert np.allclose(dyadic_expectation(T, table, 3), T, atol=1e-12)
+    assert np.allclose(table.expectation(3), T, atol=1e-12)
     # level 0 merges them -> scalar 1.5 on the identity
-    assert np.allclose(dyadic_expectation(T, table, 0), 1.5 * np.eye(2), atol=1e-12)
+    assert np.allclose(table.expectation(0), 1.5 * np.eye(2), atol=1e-12)
     # trace preserving at every level
     for lvl in range(0, 5):
-        E = dyadic_expectation(T, table, lvl)
+        E = table.expectation(lvl)
         assert abs(np.trace(E) - np.trace(T)) <= 1e-10
-    with pytest.raises(ValueError):
-        dyadic_expectation(np.eye(2), table, 1)
 
 
 def test_dyadic_expectation_converges_to_normal_part():
@@ -343,7 +337,7 @@ def test_block_diagonal_expectation():
     T = np.block([[A, C], [np.zeros((2, 2)), B]]).astype(complex)
     c = parse_curve("lex", operator_norm(T))
     table = build_table(T, c)
-    D = block_diagonal_expectation(T, table)
+    D = table.block_diagonal_part()
     # shifted determinants agree
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -356,7 +350,7 @@ def test_block_diagonal_expectation():
     # diagonal input is fixed
     T2 = np.diag([1.0, 2.0, 3.0]).astype(complex)
     t2 = build_table(T2, parse_curve("lex", 3.0))
-    assert np.allclose(block_diagonal_expectation(T2, t2), T2, atol=1e-12)
+    assert np.allclose(t2.block_diagonal_part(), T2, atol=1e-12)
     # a rank-1 invariant flag cuts the nilpotent block: the compression
     # vanishes and both determinants are 0
     from specord.projections import Projection
@@ -372,7 +366,7 @@ def test_block_diagonal_expectation():
     assert fk_determinant(J) == fk_determinant(DJ) == 0.0
     # the coarsest flag (single cluster) keeps J itself
     tj = build_table(J, parse_curve("hilbert:depth=32", 1.0))
-    assert np.array_equal(block_diagonal_expectation(J, tj), J)
+    assert np.array_equal(tj.block_diagonal_part(), J)
 
 
 def test_curve_validation_failure_raises():
@@ -395,12 +389,6 @@ def test_bundle_roundtrip(tmp_path):
     assert [c["multiplicity"] for c in doc["clusters"]] == [1, 1]
     assert all(c["param"].startswith("0.") for c in doc["clusters"])
     assert doc["clusters"][0]["flag_rank"] == 1
-
-
-def test_module_level_wrappers():
-    c = lex_curve_for(T12)
-    assert spectral_projection(T12, c, disk(2, 0, 0.3)).rank == 1
-    assert open_set_projection(T12, c, [full_interval()]).rank == 2
 
 
 def test_spectral_projection_vs_hs_projection():

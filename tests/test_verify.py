@@ -6,7 +6,7 @@ from specord.curves import parse_curve
 from specord.ensembles import EnsembleSpec, sample
 from specord.projections import Projection, hs_projection
 from specord.regions import disk
-from specord.spectral import build_table
+from specord.spectral import build_table, decompose
 from specord.verify import (
     CheckValue,
     KNOWN_CHECKS,
@@ -50,7 +50,7 @@ def test_report_json_roundtrip():
 
 def test_measure_laws_small():
     T = np.diag([1.0, 2.0]).astype(complex)
-    reports = verify_measure_laws(T, curve_for(T, "lex"), trials=50, seed=1)
+    reports = verify_measure_laws(build_table(T, curve_for(T, "lex")), trials=50, seed=1)
     assert {r.check_id for r in reports} == {
         "spectral-trace-law", "spectral-intersection-law", "spectral-additivity-law"
     }
@@ -59,25 +59,25 @@ def test_measure_laws_small():
 
 def test_measure_laws_single_cluster():
     J = np.diag(np.ones(3), 1).astype(complex)
-    reports = verify_measure_laws(J, curve_for(J), trials=20, seed=2)
+    reports = verify_measure_laws(build_table(J, curve_for(J)), trials=20, seed=2)
     assert all(r.verdict == "pass" for r in reports)
 
 
 def test_convergence_commuting_and_not():
     T = sample(EnsembleSpec("diag_perturb", 10, seed=3, params=(("eps", 0.0),)))
-    reports = verify_convergence(T, curve_for(T), n_max=6, seed=0)
+    reports = verify_convergence(decompose(T, curve_for(T)), n_max=6, seed=0)
     assert all(r.verdict == "pass" for r in reports)
     assert all("preconditioned" not in r.claim for r in reports)
 
     G = sample(EnsembleSpec("ginibre", 10, seed=4))
-    reports = verify_convergence(G, curve_for(G), n_max=5, seed=0)
+    reports = verify_convergence(decompose(G, curve_for(G)), n_max=5, seed=0)
     assert all(r.verdict == "pass" for r in reports)
     assert any("preconditioned" in r.claim for r in reports)
 
 
 def test_convergence_zero_matrix_skips_power_bound():
     Z = np.zeros((3, 3), dtype=complex)
-    reports = verify_convergence(Z, curve_for(Z), n_max=4, seed=0)
+    reports = verify_convergence(decompose(Z, curve_for(Z)), n_max=4, seed=0)
     verdicts = {r.check_id: r.verdict for r in reports}
     assert verdicts["grid-power-bound"] == "skip"
     assert verdicts["grid-expectation-rate"] == "pass"
@@ -112,7 +112,7 @@ def test_block_split_random_triangular():
 
 def test_decomposition_reports():
     T = sample(EnsembleSpec("ginibre", 8, seed=6))
-    reports = verify_decomposition(T, curve_for(T), seed=2)
+    reports = verify_decomposition(decompose(T, curve_for(T)), seed=2)
     ids = {r.check_id for r in reports}
     assert "normal-part-normality" in ids
     assert "flag-spectral-agreement" in ids
@@ -124,8 +124,8 @@ def test_decomposition_reports():
 
 def test_reports_reproducible():
     T = sample(EnsembleSpec("ginibre", 6, seed=7))
-    a = reports_to_json(verify_decomposition(T, curve_for(T), seed=9))
-    b = reports_to_json(verify_decomposition(T, curve_for(T), seed=9))
+    a = reports_to_json(verify_decomposition(decompose(T, curve_for(T)), seed=9))
+    b = reports_to_json(verify_decomposition(decompose(T, curve_for(T)), seed=9))
     assert a == b
 
 
@@ -146,3 +146,25 @@ def test_known_checks_cover_suite_ids():
     reports = run_suite(mats, curve_specs=("lex",), seed=0, measure_trials=3)
     bases = {r.check_id.split("@")[0] for r in reports}
     assert bases <= set(KNOWN_CHECKS)
+
+
+@pytest.mark.parametrize("T, builds", [
+    (np.diag([1.0, 2.0]).astype(complex), 2),  # T and T rescaled to norm 1/2
+    (sample(EnsembleSpec("ginibre", 6)), 3),    # T, N and N rescaled
+    (np.zeros((3, 3), dtype=complex), 1),       # T only: nothing to rescale
+])
+def test_run_suite_builds_each_table_once(monkeypatch, T, builds):
+    from specord import spectral, verify
+
+    calls = []
+    for module in (spectral, verify):
+        original = module.build_table
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_table", counted)
+    run_suite([("m", T)], curve_specs=("hilbert:depth=32",), seed=0, measure_trials=2,
+              n_max=2)
+    assert len(calls) == builds
