@@ -19,6 +19,7 @@ from .core import (
     cluster_points,
     cluster_tolerance,
     eigenvalue_matching_distance,
+    nearest_cluster,
     operator_norm,
 )
 from .regions import Region, Square, ambient_square
@@ -95,8 +96,7 @@ def mixture(parts: list[tuple[PointMeasure, float]], tol: float) -> PointMeasure
     centers = [c.location for c in clusters]
     sums = [0.0] * len(centers)
     for z, w in zip(locs, weights):
-        i = min(range(len(centers)), key=lambda i: abs(centers[i] - z))
-        sums[i] += w
+        sums[nearest_cluster(clusters, z)] += w
     out = tuple((centers[i], sums[i] / total) for i in range(len(centers)) if sums[i] > 0)
     return PointMeasure(atoms=out)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,13 @@ class RunConfig:
     @staticmethod
     def from_json(text: str) -> "RunConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("config.json must hold a JSON object")
+        unknown = set(doc) - {f.name for f in fields(RunConfig)}
+        if unknown:
+            raise ValueError(f"config.json has unknown keys: {sorted(unknown)}")
+        if "command" not in doc:
+            raise ValueError("config.json has no command")
         return RunConfig(**doc)
 
 
@@ -110,7 +117,7 @@ def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
     T = _resolve_matrix(cfg)
     curve = curve_for_matrix(cfg.curve, T)
     _write_config(cfg, outdir)
-    dec = decompose(T, curve, grid_level=cfg.level)
+    dec = decompose(T, curve)
     write_bundle(dec, outdir)
     reports = verify_decomposition(
         dec, seed=cfg.seed,

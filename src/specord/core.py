@@ -155,7 +155,6 @@ def _bottleneck(dist: np.ndarray) -> float:
     k = dist.shape[0]
     levels = np.unique(dist)
     lo, hi = 0, len(levels) - 1
-    # quick exit: greedy diagonal of the sorted rows often already perfect
     while lo < hi:
         mid = (lo + hi) // 2
         adj = csr_matrix(dist <= levels[mid])

@@ -16,6 +16,7 @@ eigenvectors.  The projection P satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .core import (
     as_matrix,
     cluster_points,
     cluster_tolerance,
+    nearest_cluster,
     operator_norm,
     schur_form,
     _reorder_by_keys,
@@ -34,19 +36,22 @@ from .regions import AmbiguousRegionError, Region, decide_cluster
 
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """Orthogonal projection with its rank; `basis` optionally caches an
-    orthonormal column basis of the range."""
+    """Orthogonal projection onto the span of the orthonormal columns of
+    `basis` (n x rank); the dense n x n `matrix` is built only when read."""
 
-    matrix: np.ndarray
-    rank: int
-    basis: np.ndarray | None = None
+    basis: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.shape[0]
 
-    def trace_value(self) -> float:
-        return self.rank / self.n
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
 
     def defect(self) -> float:
         """max of the idempotency and self-adjointness residuals."""
@@ -63,18 +68,8 @@ class Projection:
 
 
 def projection_from_columns(cols: np.ndarray, n: int) -> Projection:
-    """Projection onto the span of orthonormal columns."""
-    if cols.shape[1] == 0:
-        return Projection(matrix=np.zeros((n, n), dtype=np.complex128), rank=0,
-                          basis=cols)
-    return Projection(matrix=cols @ cols.conj().T, rank=cols.shape[1], basis=cols)
-
-
-def _range_basis(P: Projection) -> np.ndarray:
-    if P.basis is not None:
-        return P.basis
-    w, V = np.linalg.eigh(P.matrix)
-    return V[:, w >= 0.5]
+    """Projection onto the span of orthonormal columns in C^n (n = len(cols))."""
+    return Projection(basis=cols)
 
 
 def _membership_keys(clusters: list[Cluster], region: Region) -> dict[int, bool]:
@@ -94,13 +89,7 @@ def hs_projection(T, B: Region, tol: float | None = None) -> Projection:
     form = schur_form(T)
     clusters = cluster_points(form.diag_order, tol)
     member = _membership_keys(clusters, B)
-    centers = [c.location for c in clusters]
-
-    def key_of(z: complex) -> int:
-        ci = min(range(len(centers)), key=lambda i: abs(centers[i] - z))
-        return 0 if member[ci] else 1
-
-    keys = [key_of(z) for z in form.diag_order]
+    keys = [0 if member[nearest_cluster(clusters, z)] else 1 for z in form.diag_order]
     ordered, _ = _reorder_by_keys(form, keys, skip_tol=0.0)
     k = sum(1 for v in keys if v == 0)
     return projection_from_columns(ordered.unitary[:, :k], T.shape[0])
@@ -120,7 +109,7 @@ def compression_brown(
         raise ValueError("side must be 'inside' or 'outside'")
     if tol is None:
         tol = cluster_tolerance(T)
-    Q = _range_basis(P) if side == "inside" else P.complement_basis()
+    Q = P.basis if side == "inside" else P.complement_basis()
     if Q.shape[1] == 0:
         raise ValueError(f"{side} corner has rank zero")
     A = Q.conj().T @ T @ Q
@@ -185,7 +174,7 @@ def ball_growth_check(
 
     inside = []
     if P.rank > 0:
-        Q = _range_basis(P)
+        Q = P.basis
         for _ in range(trials):
             coeff = rng.standard_normal(P.rank) + 1j * rng.standard_normal(P.rank)
             inside.append(_vector_growth(T, Q @ coeff, m_max))
@@ -248,13 +237,9 @@ def hyperinvariance_check(
         polynomials_only = False
         Vinv = np.linalg.inv(V)
         clusters = cluster_points(w.tolist(), cluster_tolerance(T))
-        centers = [c.location for c in clusters]
+        owner = np.array([nearest_cluster(clusters, z) for z in w])
         for ci in range(len(clusters)):
-            sel = np.array(
-                [min(range(len(centers)), key=lambda i: abs(centers[i] - z)) == ci
-                 for z in w]
-            )
-            idempotents.append((V * sel[None, :]) @ Vinv)
+            idempotents.append((V * (owner == ci)[None, :]) @ Vinv)
 
     commutator_tol = 1e-9 * max(1.0, operator_norm(T))
     max_comm = 0.0

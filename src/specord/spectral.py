@@ -114,12 +114,13 @@ def _check_disjoint(intervals: list[Interval]) -> list[Interval]:
 
 @dataclass(frozen=True, eq=False)
 class SpectralTable:
-    """Eigenvalue clusters in curve order with their flag projections.
+    """Eigenvalue clusters in curve order with the ordered Schur form.
 
     `params[i]` is the minimal curve preimage of `clusters[i]`; `ranks[i]`
     counts the eigenvalues in the first i clusters, so columns
-    ranks[i-1]:ranks[i] of `unitary` span the range of `cluster_projs[i-1]`
-    and the leading ranks[i] columns span the range of `flags[i-1]`.
+    ranks[i]:ranks[i+1] of `unitary` span the range of cluster i,
+    `range_projection(i, i + 1)`, and the leading ranks[i+1] columns span
+    the range of flag i, `range_projection(0, i + 1)`.
     """
 
     matrix: np.ndarray
@@ -130,9 +131,6 @@ class SpectralTable:
     unitary: np.ndarray
     triangular: np.ndarray
     ranks: tuple[int, ...]
-    flags: tuple[Projection, ...]
-    cluster_projs: tuple[Projection, ...]
-    grid_level: int = 0
 
     @property
     def n(self) -> int:
@@ -161,22 +159,19 @@ class SpectralTable:
     def open_set_projection(self, intervals) -> Projection:
         """F(v) for a finite disjoint union v of relatively open intervals.
 
-        Each component contributes the flag difference of its endpoints;
-        the components must be pairwise disjoint and open in [0,1].
+        Each component contributes the columns of the clusters between its
+        endpoints; the components must be pairwise disjoint and open in
+        [0,1], so the concatenated columns stay orthonormal.
         """
         ivs = _check_disjoint(list(intervals))
         for iv in ivs:
             if not iv.is_relatively_open():
                 raise ValueError(f"component {iv} is not relatively open in [0,1]")
-        total = np.zeros((self.n, self.n), dtype=np.complex128)
-        rank = 0
+        blocks = [self.unitary[:, :0]]
         for iv in ivs:
             lo, hi = self._interval_cluster_range(iv)
-            if hi > lo:
-                P = self.range_projection(lo, hi)
-                total += P.matrix
-                rank += P.rank
-        return Projection(matrix=total, rank=rank)
+            blocks.append(self.unitary[:, self.ranks[lo] : self.ranks[hi]])
+        return projection_from_columns(np.concatenate(blocks, axis=1), self.n)
 
     def pullback_mass(self, intervals) -> float:
         """Mass of the ordering pullback measure on a union of intervals."""
@@ -202,9 +197,7 @@ class SpectralTable:
         """
         targets = sorted(self.params[i] for i in self.member_clusters(B))
         if not targets:
-            return Projection(
-                matrix=np.zeros((self.n, self.n), dtype=np.complex128), rank=0
-            )
+            return self.range_projection(0, 0)
         want = frozenset(targets)
         max_j = 2 * self.curve.depth + 6
         stable = 0
@@ -297,8 +290,13 @@ class SpectralTable:
         """T P = P T for every cluster projection P, to 1e-9 max(1, ||T||)."""
         T = self.matrix
         bound = 1e-9 * max(1.0, operator_norm(T))
-        for P in self.cluster_projs:
-            if np.linalg.norm(T @ P.matrix - P.matrix @ T) > bound:
+        for i in range(len(self.clusters)):
+            B = self.range_projection(i, i + 1).basis
+            TB, BT = T @ B, B.conj().T @ T
+            C = BT @ B
+            leak = np.hypot(np.linalg.norm(TB - B @ C),
+                            np.linalg.norm(BT - C @ B.conj().T))
+            if leak > bound:
                 return False
         return True
 
@@ -306,7 +304,6 @@ class SpectralTable:
         bits = 2 * self.curve.depth
         return {
             "curve": self.curve.spec_string(),
-            "grid_level": self.grid_level,
             "clusters": [
                 {
                     "re": c.location.real,
@@ -320,9 +317,8 @@ class SpectralTable:
         }
 
 
-def build_table(T, curve: OrderingCurve, tol: float | None = None,
-                grid_level: int = 0) -> SpectralTable:
-    """Order the spectrum of T along the curve and materialize the flag."""
+def build_table(T, curve: OrderingCurve, tol: float | None = None) -> SpectralTable:
+    """Order the spectrum of T along the curve in a reordered Schur form."""
     T = as_matrix(T)
     if tol is None:
         tol = cluster_tolerance(T)
@@ -343,17 +339,6 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None,
     ranks = [0]
     for c in ordered_clusters:
         ranks.append(ranks[-1] + c.multiplicity)
-    n = T.shape[0]
-    flags = tuple(
-        projection_from_columns(ordered.unitary[:, : ranks[i + 1]], n)
-        for i in range(len(ordered_clusters))
-    )
-    cluster_projs = tuple(
-        projection_from_columns(
-            ordered.unitary[:, ranks[i] : ranks[i + 1]], n
-        )
-        for i in range(len(ordered_clusters))
-    )
     return SpectralTable(
         matrix=T,
         curve=curve,
@@ -363,9 +348,6 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None,
         unitary=ordered.unitary,
         triangular=ordered.triangular,
         ranks=tuple(ranks),
-        flags=flags,
-        cluster_projs=cluster_projs,
-        grid_level=grid_level,
     )
 
 
@@ -427,8 +409,7 @@ class Decomposition:
         return build_table(self.N, self.table.curve)
 
 
-def decompose(T, curve: OrderingCurve, tol: float | None = None,
-              grid_level: int = 0) -> Decomposition:
+def decompose(T, curve: OrderingCurve, tol: float | None = None) -> Decomposition:
     """Split T into its curve-ordered normal part and the residual.
 
     N is assembled from exact cluster atoms (sum of z E({z})); Q = T - N by
@@ -437,7 +418,7 @@ def decompose(T, curve: OrderingCurve, tol: float | None = None,
     measures of N and T, and the structural quasinilpotence of Q (diagonal
     magnitude and strictly-lower residual in the joint ordered basis).
     """
-    table = build_table(T, curve, tol=tol, grid_level=grid_level)
+    table = build_table(T, curve, tol=tol)
     N = table.normal_part()
     Q = table.matrix - N
     G = table.unitary.conj().T @ Q @ table.unitary

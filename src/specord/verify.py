@@ -26,7 +26,7 @@ from .core import (
     operator_norm,
 )
 from .curves import OrderingCurve, segment_region
-from .projections import Projection, _range_basis, hyperinvariance_check
+from .projections import Projection, hyperinvariance_check
 from .regions import (
     AmbiguousRegionError,
     CellUnion,
@@ -159,6 +159,12 @@ def reports_from_json(text: str) -> list[CheckReport]:
 
 def _fro(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
+
+
+def _invariance_leak(T: np.ndarray, B: np.ndarray) -> float:
+    """||(I - P) T P||_F for P the projection onto the orthonormal columns B."""
+    TB = T @ B
+    return _fro(TB - B @ (B.conj().T @ TB))
 
 
 def _context_digest(T, curve: OrderingCurve | None = None, extra: str = "") -> str:
@@ -542,7 +548,7 @@ def verify_block_split(T, p: Projection, seed: int = 0,
     T = as_matrix(T)
     norm = operator_norm(T)
     digest = _context_digest(T, None, f"block-split:{p.rank}:{seed}")
-    leak = _fro((np.eye(p.n) - p.matrix) @ T @ p.matrix)
+    leak = _invariance_leak(T, p.basis)
     if leak > 1e-9 * max(1.0, norm):
         raise ValueError(
             f"projection is not T-invariant: ||(I-p) T p|| = {leak:.3e}"
@@ -564,7 +570,7 @@ def verify_block_split(T, p: Projection, seed: int = 0,
                         digest, meas_vals, tol, seed),
         ]
 
-    B = _range_basis(p)
+    B = p.basis
     Bc = p.complement_basis()
     A = B.conj().T @ T @ B
     C = Bc.conj().T @ T @ Bc
@@ -674,22 +680,23 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
     trace_vals, inv_vals, mono_vals = [], [], []
     inside_vals, outside_vals = [], []
     cum = 0
-    for i, P in enumerate(table.flags):
+    flags = [table.range_projection(0, i + 1) for i in range(len(table.clusters))]
+    for i, P in enumerate(flags):
         cum += table.clusters[i].multiplicity
         trace_vals.append(CheckValue(f"rank[{i}]", float(abs(P.rank - cum)), 0.0))
         inv_vals.append(
             CheckValue(
                 f"invariance[{i}]",
-                _fro((np.eye(table.n) - P.matrix) @ T @ P.matrix),
+                _invariance_leak(T, P.basis),
                 structural_tol * max(1.0, norm),
             )
         )
-        if i + 1 < len(table.flags):
-            Pn = table.flags[i + 1]
+        if i + 1 < len(flags):
+            B, Bn = P.basis, flags[i + 1].basis
             mono_vals.append(
                 CheckValue(
                     f"monotone[{i}]",
-                    _fro(P.matrix - P.matrix @ Pn.matrix),
+                    _fro(B - Bn @ (Bn.conj().T @ B)),
                     structural_tol,
                 )
             )
@@ -739,8 +746,8 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
                     digest, outside_vals, 0.0, seed))
 
     # hyperinvariance of a sampled flag
-    if table.flags:
-        mid = table.flags[len(table.flags) // 2]
+    if flags:
+        mid = flags[len(flags) // 2]
         hrep = hyperinvariance_check(T, mid, samples=12, seed=seed)
         reports.append(
             make_report(
@@ -848,14 +855,14 @@ def run_suite(
     for label, T in matrices:
         for cspec in curve_specs:
             dec = decompose(T, curve_for_matrix(cspec, T))
-            flags = dec.table.flags
+            k = len(dec.table.clusters)
             batch = verify_decomposition(dec, seed=seed, structural_tol=structural_tol)
             batch += verify_measure_laws(dec.table, trials=measure_trials,
                                          seed=seed, structural_tol=structural_tol)
             batch += verify_convergence(dec, n_max=n_max, seed=seed)
-            if flags:
-                batch += verify_block_split(dec.T, flags[len(flags) // 2], seed=seed,
-                                            det_tol=det_tol)
+            if k:
+                mid = dec.table.range_projection(0, k // 2 + 1)
+                batch += verify_block_split(dec.T, mid, seed=seed, det_tol=det_tol)
             for rep in batch:
                 tagged = CheckReport(
                     check_id=f"{rep.check_id}@{label}@{cspec}",

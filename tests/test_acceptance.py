@@ -148,7 +148,8 @@ def test_criterion_4_flag_properties():
         for cspec in CURVES:
             table = table_for(name, T, cspec)
             cum = 0
-            for i, P in enumerate(table.flags):
+            for i in range(len(table.clusters)):
+                P = table.range_projection(0, i + 1)
                 cum += table.clusters[i].multiplicity
                 if P.rank != cum:
                     bad.append((name, cspec, "trace", i))
@@ -257,10 +258,10 @@ def test_criterion_6_corner_splits():
     while pairs < 100:
         name, T = items[int(rng.integers(0, len(items)))]
         table = table_for(name, T, CURVES[pairs % len(CURVES)])
-        if not table.flags:
+        if not table.clusters:
             continue
-        i = int(rng.integers(0, len(table.flags)))
-        p = table.flags[i]
+        i = int(rng.integers(0, len(table.clusters)))
+        p = table.range_projection(0, i + 1)
         reports = verify_block_split(T, p, seed=pairs)
         for r in reports:
             if r.verdict != "pass":

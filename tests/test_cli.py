@@ -123,6 +123,14 @@ def test_replay_reproduces_report_bytes(tmp_path):
     assert (out1 / "N.json").read_bytes() == (out2 / "N.json").read_bytes()
 
 
+def test_replay_rejects_malformed_config(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    for text in ("[1,2]", '{"command":"decompose","bogus":1}', '{"seed":1}'):
+        cfg.write_text(text)
+        assert main(["replay", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_curve_tabulate(tmp_path):
     out = tmp_path / "c"
     assert main(["curve", "tabulate", "--curve", "hilbert:depth=3",

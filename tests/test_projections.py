@@ -105,13 +105,13 @@ def test_hs_independent_of_interior_ordering():
 
 
 def test_compression_examples():
-    P = Projection(matrix=np.diag([1.0, 0.0]).astype(complex), rank=1)
+    P = Projection(basis=np.eye(2, dtype=complex)[:, :1])
     inside = compression_brown(T_EXAMPLE, P, "inside")
     assert inside.atoms == ((0j, 1.0),)
     outside = compression_brown(T_EXAMPLE, P, "outside")
     assert outside.atoms == ((3 + 0j, 1.0),)
     with pytest.raises(ValueError):
-        compression_brown(T_EXAMPLE, Projection(np.zeros((2, 2), complex), 0), "inside")
+        compression_brown(T_EXAMPLE, Projection(np.zeros((2, 0), complex)), "inside")
     with pytest.raises(ValueError):
         compression_brown(T_EXAMPLE, P, "sideways")
 
@@ -157,7 +157,24 @@ def test_hyperinvariance():
 
     # invariance under T itself and the identity, via polynomial samples
     J = np.diag(np.ones(3), 1).astype(complex)  # defective: polynomials only
-    Pfull = Projection(matrix=np.eye(4, dtype=complex), rank=4)
+    Pfull = Projection(basis=np.eye(4, dtype=complex))
     rep = hyperinvariance_check(J, Pfull, samples=10, seed=4)
     assert rep.polynomials_only
     assert rep.verdict == "pass"
+
+
+def test_basis_projection_rank_zero_and_complement():
+    P0 = projection_from_columns(np.zeros((3, 0), dtype=complex), 3)
+    assert P0.rank == 0 and P0.n == 3
+    assert np.array_equal(P0.matrix, np.zeros((3, 3)))
+
+    rng = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    P = Projection(basis=Q[:, :2])
+    assert P.rank == 2 and P.n == 5
+    assert P.defect() <= 1e-12
+    C = P.complement_basis()
+    assert C.shape == (5, 3)
+    assert np.linalg.norm(C.conj().T @ C - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(P.basis.conj().T @ C) <= 1e-12
+    assert np.linalg.norm(C @ C.conj().T - (np.eye(5) - P.matrix)) <= 1e-12

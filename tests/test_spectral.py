@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_spectral_projection_equals_cluster_sum_oracle():
         B = disk(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.3, 1.5))
         members = table.member_clusters(B)
         oracle = sum(
-            (table.cluster_projs[i].matrix for i in members),
+            (table.range_projection(i, i + 1).matrix for i in members),
             np.zeros((table.n, table.n), dtype=complex),
         )
         E = table.spectral_projection(B)
@@ -317,13 +318,15 @@ def test_table_invariants():
     table = build_table(T, parse_curve("radial:depth=32", operator_norm(T)))
     assert list(table.params) == sorted(table.params)
     # flags increase
-    for P1, P2 in zip(table.flags, table.flags[1:]):
+    flags = [table.range_projection(0, i + 1) for i in range(len(table.clusters))]
+    for P1, P2 in zip(flags, flags[1:]):
         assert np.linalg.norm(P1.matrix - P1.matrix @ P2.matrix) <= 1e-9
     # cluster projections are pairwise orthogonal and sum to the identity
     total = np.zeros((10, 10), dtype=complex)
-    for i, Pi in enumerate(table.cluster_projs):
+    cluster_projs = [table.range_projection(i, i + 1) for i in range(len(table.clusters))]
+    for i, Pi in enumerate(cluster_projs):
         total += Pi.matrix
-        for Pj in table.cluster_projs[i + 1 :]:
+        for Pj in cluster_projs[i + 1 :]:
             assert np.linalg.norm(Pi.matrix @ Pj.matrix) <= 1e-9
     assert np.linalg.norm(total - np.eye(10)) <= 1e-9
     assert sum(c.multiplicity for c in table.clusters) == 10
@@ -358,8 +361,8 @@ def test_block_diagonal_expectation():
 
     J = np.array([[0, 1], [0, 0]], dtype=complex)
     flag = [
-        Projection(matrix=np.diag([1.0, 0.0]).astype(complex), rank=1),
-        Projection(matrix=np.eye(2, dtype=complex), rank=2),
+        Projection(basis=np.eye(2, dtype=complex)[:, :1]),
+        Projection(basis=np.eye(2, dtype=complex)),
     ]
     DJ = flag_compression(J, flag)
     assert np.allclose(DJ, np.zeros((2, 2)), atol=1e-12)
@@ -428,7 +431,7 @@ def test_spectral_projection_vs_hs_projection():
         P_hs = hs_projection(T, seg)
         E = table.spectral_projection(seg)
         assert np.linalg.norm(E.matrix - P_hs.matrix) <= 1e-9
-        assert np.linalg.norm(E.matrix - table.flags[i].matrix) <= 1e-9
+        assert np.linalg.norm(E.matrix - table.range_projection(0, i + 1).matrix) <= 1e-9
 
 
 def test_all_curve_kinds_handle_edge_spectra():
@@ -443,3 +446,18 @@ def test_all_curve_kinds_handle_edge_spectra():
             assert dec.report["measure_distance"] <= 1e-10, (name, kind)
             assert quasinilpotence_defect(dec) <= 1e-10, (name, kind)
             assert np.linalg.norm(dec.Q) <= 1e-10, (name, kind)  # normal inputs
+
+
+def test_decompose_memory_stays_linear_in_dense_matrices():
+    # the table keeps the ordered unitary, not a dense matrix per flag or
+    # cluster: decompose holds O(1) n x n complex arrays, not O(k)
+    n = 128
+    T = sample(EnsembleSpec("ginibre", n, seed=1))
+    curve = parse_curve("hilbert:depth=32", operator_norm(T))
+    tracemalloc.start()
+    try:
+        decompose(T, curve)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n * n * 16, peak

@@ -85,14 +85,14 @@ def test_convergence_zero_matrix_skips_power_bound():
 
 def test_block_split_examples():
     T = np.array([[1, 5], [0, 2]], dtype=complex)
-    p = Projection(matrix=np.diag([1.0, 0.0]).astype(complex), rank=1)
+    p = Projection(basis=np.eye(2, dtype=complex)[:, :1])
     reports = verify_block_split(T, p, seed=0)
     assert all(r.verdict == "pass" for r in reports)
     # p = I: degenerate identity
-    pI = Projection(matrix=np.eye(2, dtype=complex), rank=2)
+    pI = Projection(basis=np.eye(2, dtype=complex))
     assert all(r.verdict == "pass" for r in verify_block_split(T, pI, seed=0))
     # a non-invariant projection is rejected
-    bad = Projection(matrix=np.diag([0.0, 1.0]).astype(complex), rank=1)
+    bad = Projection(basis=np.eye(2, dtype=complex)[:, 1:])
     with pytest.raises(ValueError):
         verify_block_split(T, bad)
 
@@ -102,7 +102,7 @@ def test_block_split_random_triangular():
     T = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     p = hs_projection(T, disk(0, 0, operator_norm(T)))  # some flag split
     table = build_table(T, curve_for(T))
-    mid = table.flags[len(table.flags) // 2]
+    mid = table.range_projection(0, len(table.clusters) // 2 + 1)
     for proj in (p, mid):
         reports = verify_block_split(T, proj, seed=1)
         assert all(r.verdict == "pass" for r in reports), [
