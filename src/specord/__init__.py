@@ -19,7 +19,6 @@ from .core import (
     normalized_trace,
     operator_norm,
     power_growth,
-    reorder_schur,
     save_matrix,
     schur_form,
 )

@@ -62,12 +62,15 @@ def delta(location: complex = 0.0) -> PointMeasure:
     return PointMeasure(atoms=((complex(location), 1.0),), counts=(1,))
 
 
-def _measure_from_values(values, tol: float) -> PointMeasure:
-    n = len(values)
-    clusters = cluster_points(values, tol)
+def _measure_from_clusters(clusters, n: int) -> PointMeasure:
+    """Counting measure of n eigenvalues already grouped into `clusters`."""
     atoms = tuple((c.location, c.multiplicity / n) for c in clusters)
     counts = tuple(c.multiplicity for c in clusters)
     return PointMeasure(atoms=atoms, counts=counts)
+
+
+def _measure_from_values(values, tol: float) -> PointMeasure:
+    return _measure_from_clusters(cluster_points(values, tol), len(values))
 
 
 def empirical_brown(T, tol: float | None = None) -> PointMeasure:
@@ -210,7 +213,9 @@ def brown_density_grid(
 
     Evaluates the potential at the centers of a (g+2)^2 grid covering the
     working square plus one guard ring, then applies the 5-point stencil.
-    Evaluation order is fixed, so the result is reproducible bit for bit.
+    Evaluation order is fixed, so the result is reproducible bit for bit
+    only under a fixed BLAS thread count and kernel: the masses differ
+    between 1 and 2 OpenBLAS threads.
     """
     T = as_matrix(T)
     if g < 16:

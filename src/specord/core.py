@@ -1,8 +1,9 @@
 """Dense complex matrix primitives.
 
-Schur triangularization with a prescribed eigenvalue order, the normalized
-trace, the Fuglede-Kadison determinant |det T|^(1/n), and operator-norm
-power-growth sequences.  All functions are pure; returned arrays are freshly
+Schur triangularization with a prescribed eigenvalue order (LAPACK ztrexc
+exchanges of adjacent diagonal entries), the normalized trace, the
+Fuglede-Kadison determinant |det T|^(1/n), and operator-norm power-growth
+sequences.  All functions are pure; returned arrays are freshly
 allocated and inputs are never mutated.
 """
 
@@ -10,9 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cmp_to_key
 from hashlib import sha256
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -206,87 +206,30 @@ def schur_form(T) -> SchurForm:
     return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
 
 
-def _swap_adjacent(U: np.ndarray, R: np.ndarray, j: int) -> None:
-    """Exchange diagonal positions j, j+1 of a triangular R by a unitary rotation.
+def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
+    """Stably sort the diagonal into nondecreasing key order.
 
-    The rotation sends the eigenvector of the trailing eigenvalue of the
-    2x2 block to the leading position; the swapped diagonal entries are
-    written back exactly so the diagonal multiset never drifts.
+    An insertion sort: each entry moves to its slot in one LAPACK ztrexc
+    call, a chain of unitary adjacent exchanges that write the swapped
+    diagonal entries back exactly (Bai & Demmel 1993), so the output
+    diagonal is a permutation of the input's bits.  `form` is not mutated.
     """
-    a = R[j, j]
-    b = R[j, j + 1]
-    c = R[j + 1, j + 1]
-    v = np.array([b, c - a], dtype=np.complex128)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return  # identical block with zero coupling: swap is a no-op
-    G = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]]) / nv
-    R[j : j + 2, :] = G.conj().T @ R[j : j + 2, :]
-    R[:, j : j + 2] = R[:, j : j + 2] @ G
-    U[:, j : j + 2] = U[:, j : j + 2] @ G
-    R[j + 1, j] = 0.0
-    R[j, j] = c
-    R[j + 1, j + 1] = a
-
-
-def _reorder_by_keys(
-    form: SchurForm, keys: Sequence[int], skip_tol: float = 0.0
-) -> tuple[SchurForm, list[dict]]:
-    """Bubble the diagonal into nondecreasing key order via adjacent swaps.
-
-    An adjacent inversion whose diagonal entries are within `skip_tol`
-    of each other is never rotated (the swap would be ill conditioned);
-    such pairs are reported instead of silently reordered.
-    """
-    U = form.unitary.copy()
-    R = form.triangular.copy()
-    keys = list(keys)
-    n = len(keys)
-    moved = True
-    while moved:
-        moved = False
-        for j in range(n - 1):
-            if keys[j] <= keys[j + 1]:
-                continue
-            if abs(R[j, j] - R[j + 1, j + 1]) <= skip_tol:
-                continue
-            _swap_adjacent(U, R, j)
-            keys[j], keys[j + 1] = keys[j + 1], keys[j]
-            moved = True
-    skipped = [
-        {
-            "position": j,
-            "left": complex(R[j, j]),
-            "right": complex(R[j + 1, j + 1]),
-        }
-        for j in range(n - 1)
-        if keys[j] > keys[j + 1]
-    ]
-    return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R))), skipped
-
-
-def reorder_schur(
-    form: SchurForm,
-    cmp: Callable[[complex, complex], int],
-    skip_tol: float = 0.0,
-) -> tuple[SchurForm, list[dict]]:
-    """Sort the Schur diagonal nondecreasingly under a total order on C.
-
-    `cmp(z1, z2)` returns a negative, zero, or positive integer.  Entries
-    comparing equal form one class and their relative order is preserved
-    (the sort is stable).  Returns the reordered form and the list of
-    inversions that were skipped because the entries were within
-    `skip_tol` (see `_reorder_by_keys`).
-    """
-    d = list(form.diag_order)
-    order = sorted(range(len(d)), key=cmp_to_key(lambda i, j: cmp(d[i], d[j])))
-    keys = [0] * len(d)
-    cls = 0
-    for pos, idx in enumerate(order):
-        if pos > 0 and cmp(d[order[pos - 1]], d[idx]) != 0:
-            cls += 1
-        keys[idx] = cls
-    return _reorder_by_keys(form, keys, skip_tol=skip_tol)
+    # private Fortran-ordered copies, so ztrexc can update them in place
+    R = np.array(form.triangular, dtype=np.complex128, order="F")
+    U = np.array(form.unitary, dtype=np.complex128, order="F")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    at = list(range(len(keys)))  # at[p]: input position of the entry now at p
+    for p, idx in enumerate(order):
+        q = at.index(idx, p)
+        if q == p:
+            continue
+        R, U, info = scipy.linalg.lapack.ztrexc(
+            R, U, q + 1, p + 1, overwrite_a=1, overwrite_q=1
+        )
+        if info != 0:
+            raise RuntimeError(f"ztrexc failed with info={info}")
+        at.insert(p, at.pop(q))
+    return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
 
 
 # ---------------------------------------------------------------------------

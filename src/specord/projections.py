@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    Cluster,
     as_matrix,
     cluster_points,
     cluster_tolerance,
@@ -72,11 +71,6 @@ def projection_from_columns(cols: np.ndarray, n: int) -> Projection:
     return Projection(basis=cols)
 
 
-def _membership_keys(clusters: list[Cluster], region: Region) -> dict[int, bool]:
-    """Cluster index -> unanimity-decided membership; raises when ambiguous."""
-    return {i: decide_cluster(region, c.members) for i, c in enumerate(clusters)}
-
-
 def hs_projection(T, B: Region, tol: float | None = None) -> Projection:
     """Orthogonal projection onto the invariant subspace of the spectrum in B.
 
@@ -88,9 +82,9 @@ def hs_projection(T, B: Region, tol: float | None = None) -> Projection:
         tol = cluster_tolerance(T)
     form = schur_form(T)
     clusters = cluster_points(form.diag_order, tol)
-    member = _membership_keys(clusters, B)
+    member = [decide_cluster(B, c.members) for c in clusters]
     keys = [0 if member[nearest_cluster(clusters, z)] else 1 for z in form.diag_order]
-    ordered, _ = _reorder_by_keys(form, keys, skip_tol=0.0)
+    ordered = _reorder_by_keys(form, keys)
     k = sum(1 for v in keys if v == 0)
     return projection_from_columns(ordered.unitary[:, :k], T.shape[0])
 

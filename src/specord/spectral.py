@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .brown import empirical_brown, measure_distance
+from .brown import _measure_from_clusters, empirical_brown, measure_distance
 from .core import (
     Cluster,
     as_matrix,
@@ -334,7 +334,7 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None) -> SpectralTa
     ordered_clusters = [clusters[ci] for ci in order]
 
     keys = [rank_of[nearest_cluster(clusters, z)] for z in form.diag_order]
-    ordered, _ = _reorder_by_keys(form, keys, skip_tol=0.0)
+    ordered = _reorder_by_keys(form, keys)
 
     ranks = [0]
     for c in ordered_clusters:
@@ -415,7 +415,8 @@ def decompose(T, curve: OrderingCurve, tol: float | None = None) -> Decompositio
     N is assembled from exact cluster atoms (sum of z E({z})); Q = T - N by
     subtraction, so T = N + Q holds exactly.  The report records the
     normality defect of N, the matching distance between the counting
-    measures of N and T, and the structural quasinilpotence of Q (diagonal
+    measures of N (from its eigenvalues) and T (from the table's clusters of
+    its Schur spectrum), and the structural quasinilpotence of Q (diagonal
     magnitude and strictly-lower residual in the joint ordered basis).
     """
     table = build_table(T, curve, tol=tol)
@@ -429,7 +430,8 @@ def decompose(T, curve: OrderingCurve, tol: float | None = None) -> Decompositio
         "normality_defect": float(np.linalg.norm(nn)),
         "normal_fro_sq": float(np.linalg.norm(N) ** 2),
         "measure_distance": measure_distance(
-            empirical_brown(N, tol=table.tol), empirical_brown(table.matrix, tol=table.tol)
+            empirical_brown(N, tol=table.tol),
+            _measure_from_clusters(table.clusters, table.n),
         ),
         "quasinilpotent_diag": diag_mag,
         "quasinilpotent_lower": lower,

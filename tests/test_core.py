@@ -15,9 +15,10 @@ from specord.core import (
     normalized_trace,
     operator_norm,
     power_growth,
-    reorder_schur,
     save_matrix,
+    SchurForm,
     schur_form,
+    _reorder_by_keys,
 )
 from specord.ensembles import EnsembleSpec, sample
 
@@ -78,16 +79,16 @@ def test_schur_invariants_over_seeded_matrices():
         assert rel <= 1e-10
 
 
-def lex_cmp(z1, z2):
-    a = (float(z1.real), float(z1.imag))
-    b = (float(z2.real), float(z2.imag))
-    return (a > b) - (a < b)
+def lex_keys(values, descending=False):
+    """Integer keys ranking values by (real, imag); equal values share a key."""
+    pts = [(float(z.real), float(z.imag)) for z in values]
+    levels = sorted(set(pts), reverse=descending)
+    return [levels.index(p) for p in pts]
 
 
 def test_reorder_diagonal_permutation():
     S = schur_form(np.diag([2.0, 1.0]).astype(complex))
-    out, skipped = reorder_schur(S, lex_cmp)
-    assert not skipped
+    out = _reorder_by_keys(S, lex_keys(S.diag_order))
     assert out.diag_order == (1.0 + 0j, 2.0 + 0j)
     assert np.allclose(out.reconstruct(), np.diag([2.0, 1.0]), atol=1e-12)
 
@@ -96,7 +97,7 @@ def test_reorder_puts_requested_eigenvalue_first():
     # eigenvector oracle: the eigenvector of [[1,1],[0,2]] for 2 is (1,1)/sqrt(2)
     T = np.array([[1, 1], [0, 2]], dtype=complex)
     S = schur_form(T)
-    out, _ = reorder_schur(S, lambda a, b: lex_cmp(b, a))  # descending
+    out = _reorder_by_keys(S, lex_keys(S.diag_order, descending=True))
     assert abs(out.diag_order[0] - 2.0) < 1e-12
     v = out.unitary[:, 0]
     target = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -109,7 +110,7 @@ def test_reorder_puts_requested_eigenvalue_first():
 def test_reorder_sorted_input_unchanged():
     T = np.triu(np.arange(9).reshape(3, 3) + 1).astype(complex)
     S = schur_form(T)
-    out, _ = reorder_schur(S, lex_cmp)
+    out = _reorder_by_keys(S, lex_keys(S.diag_order))
     assert np.array_equal(out.triangular, S.triangular)
     assert np.array_equal(out.unitary, S.unitary)
 
@@ -120,7 +121,7 @@ def test_reorder_preserves_eigenvalue_multiset():
         n = int(rng.integers(2, 17))
         T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         S = schur_form(T)
-        out, _ = reorder_schur(S, lex_cmp)
+        out = _reorder_by_keys(S, lex_keys(S.diag_order))
         assert eigenvalue_matching_distance(out.diag_order, S.diag_order) <= 1e-8
         keys = [(z.real, z.imag) for z in out.diag_order]
         assert keys == sorted(keys)
@@ -129,11 +130,26 @@ def test_reorder_preserves_eigenvalue_multiset():
         )
 
 
-def test_reorder_skips_clustered_swaps():
-    S = schur_form(np.diag([1.0, 1.0 + 1e-12]).astype(complex))
-    out, skipped = reorder_schur(S, lambda a, b: lex_cmp(b, a), skip_tol=1e-8)
-    assert skipped and skipped[0]["position"] == 0
-    assert out.diag_order == S.diag_order
+def test_reorder_leaves_input_and_permutes_diagonal_bits():
+    T = sample(EnsembleSpec("ginibre", 24, seed=4))
+    S = schur_form(T)
+    # Fortran-ordered arrays, as scipy returns them: the layout in which an
+    # in-place LAPACK update could write through to the caller's form
+    S = SchurForm(
+        unitary=np.asfortranarray(S.unitary),
+        triangular=np.asfortranarray(S.triangular),
+        diag_order=S.diag_order,
+    )
+    U0, R0 = S.unitary.copy(), S.triangular.copy()
+    keys = [int(k) for k in np.random.default_rng(8).integers(0, 5, size=24)]
+    perm = sorted(range(24), key=keys.__getitem__)
+    for _ in range(2):
+        out = _reorder_by_keys(S, keys)
+        assert np.array_equal(S.unitary, U0)
+        assert np.array_equal(S.triangular, R0)
+        assert np.diag(out.triangular).tobytes() == np.diag(R0)[perm].tobytes()
+        assert out.diag_order == tuple(np.diag(R0)[perm])
+        assert np.linalg.norm(out.reconstruct() - T) <= 1e-13 * np.linalg.norm(T)
 
 
 def test_normalized_trace():

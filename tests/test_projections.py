@@ -99,7 +99,7 @@ def test_hs_independent_of_interior_ordering():
             inside = B.contains(complex(z))
             keys.append((0 if inside else 1) + tiebreak[z] * 1e-3)
         ranks = {k: i for i, k in enumerate(sorted(keys))}
-        out, _ = _reorder_by_keys(form, [ranks[k] for k in keys])
+        out = _reorder_by_keys(form, [ranks[k] for k in keys])
         P = projection_from_columns(out.unitary[:, : P_ref.rank], 10)
         assert np.linalg.norm(P.matrix - P_ref.matrix) <= 1e-9
 
