@@ -54,7 +54,6 @@ from .spectral import (
     SpectralTable,
     build_table,
     decompose,
-    dyadic_cells,
 )
 from .ensembles import EnsembleSpec, corpus, parse_ensemble, sample
 

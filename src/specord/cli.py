@@ -44,7 +44,7 @@ from .core import (
 from .curves import curve_for_matrix, parse_curve
 from .projections import hs_projection
 from .regions import parse_region
-from .spectral import CoverStabilizationError, decompose, write_bundle
+from .spectral import decompose, write_bundle
 from .verify import (
     KNOWN_CHECKS,
     reports_to_json,
@@ -391,8 +391,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.command = f"curve:{args.mode}"
             return _run_curve(cfg, outdir, args.mode)
         return _fail(f"unknown command {args.command!r}")
-    except (ValueError, OSError, json.JSONDecodeError, SchurConvergenceError,
-            CoverStabilizationError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, SchurConvergenceError) as exc:
         return _fail(str(exc))
 
 

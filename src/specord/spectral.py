@@ -3,9 +3,9 @@ T = N + Q.
 
 Ordering the eigenvalue clusters of T by their minimal curve preimages and
 reordering a Schur form accordingly yields an increasing flag of invariant
-projections.  Half-open pullback intervals of the parameter line map to
-differences of flags; shrinking open covers of a region's parameter set
-stabilize to the region's spectral projection E(B).  Summing z E({z}) over
+projections.  A region's spectral projection E(B) is the span of the
+clusters inside B: the curve parameters are distinct, so a narrow enough
+open cover of B's parameters holds only B's own.  Summing z E({z}) over
 the clusters produces the normal part N, and Q = T - N is quasinilpotent:
 in the joint ordered basis it is strictly upper triangular up to the cluster
 diameters.
@@ -36,77 +36,11 @@ from .core import (
 )
 from .curves import OrderingCurve, curve_validate, param_to_bits
 from .projections import Projection, projection_from_columns
-from .regions import CellUnion, Region, ambient_square, decide_cluster
+from .regions import Region, decide_cluster
 
 
 class CurveValidationError(ValueError):
     """The spectrum is not cleanly ordered by the requested curve."""
-
-
-class CoverStabilizationError(RuntimeError):
-    """Shrinking open covers never isolated a region's parameters."""
-
-
-# ---------------------------------------------------------------------------
-# parameter intervals
-
-@dataclass(frozen=True)
-class Interval:
-    """A subinterval of [0,1] with independently open or closed endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-    lo_open: bool
-    hi_open: bool
-
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi <= 1):
-            raise ValueError(f"invalid interval bounds [{self.lo}, {self.hi}]")
-
-    def contains(self, t: Fraction) -> bool:
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and self.lo_open:
-            return False
-        if t == self.hi and self.hi_open:
-            return False
-        return True
-
-    def is_relatively_open(self) -> bool:
-        """Open as a subset of [0,1]: closed endpoints only at 0 or 1."""
-        return (self.lo_open or self.lo == 0) and (self.hi_open or self.hi == 1)
-
-    def is_empty(self) -> bool:
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
-
-
-def open_interval(a, b) -> Interval:
-    return Interval(Fraction(a), Fraction(b), True, True)
-
-
-def left_segment(b, inclusive: bool = False) -> Interval:
-    """[0, b) by default, [0, b] when inclusive."""
-    return Interval(Fraction(0), Fraction(b), False, not inclusive)
-
-
-def right_segment(a) -> Interval:
-    """(a, 1]."""
-    return Interval(Fraction(a), Fraction(1), True, False)
-
-
-def full_interval() -> Interval:
-    return Interval(Fraction(0), Fraction(1), False, False)
-
-
-def _check_disjoint(intervals: list[Interval]) -> list[Interval]:
-    ivs = sorted((iv for iv in intervals if not iv.is_empty()),
-                 key=lambda iv: (iv.lo, iv.hi))
-    for a, b in zip(ivs, ivs[1:]):
-        if b.lo < a.hi:
-            raise ValueError(f"overlapping interval components at [{b.lo}, {a.hi}]")
-        if b.lo == a.hi and not (a.hi_open or b.lo_open):
-            raise ValueError(f"interval components share the endpoint {b.lo}")
-    return ivs
 
 
 # ---------------------------------------------------------------------------
@@ -149,38 +83,10 @@ class SpectralTable:
         cut = bisect_right(self.params, t) if inclusive else bisect_left(self.params, t)
         return self.range_projection(0, cut)
 
-    def _interval_cluster_range(self, iv: Interval) -> tuple[int, int]:
-        lo = (bisect_right(self.params, iv.lo) if iv.lo_open
-              else bisect_left(self.params, iv.lo))
-        hi = (bisect_left(self.params, iv.hi) if iv.hi_open
-              else bisect_right(self.params, iv.hi))
-        return lo, max(lo, hi)
-
-    def open_set_projection(self, intervals) -> Projection:
-        """F(v) for a finite disjoint union v of relatively open intervals.
-
-        Each component contributes the columns of the clusters between its
-        endpoints; the components must be pairwise disjoint and open in
-        [0,1], so the concatenated columns stay orthonormal.
-        """
-        ivs = _check_disjoint(list(intervals))
-        for iv in ivs:
-            if not iv.is_relatively_open():
-                raise ValueError(f"component {iv} is not relatively open in [0,1]")
-        blocks = [self.unitary[:, :0]]
-        for iv in ivs:
-            lo, hi = self._interval_cluster_range(iv)
-            blocks.append(self.unitary[:, self.ranks[lo] : self.ranks[hi]])
-        return projection_from_columns(np.concatenate(blocks, axis=1), self.n)
-
-    def pullback_mass(self, intervals) -> float:
-        """Mass of the ordering pullback measure on a union of intervals."""
-        ivs = _check_disjoint(list(intervals))
-        hits = 0
-        for i, t in enumerate(self.params):
-            if any(iv.contains(t) for iv in ivs):
-                hits += self.clusters[i].multiplicity
-        return hits / self.n
+    def cluster_columns(self, idxs) -> np.ndarray:
+        """The columns of clusters `idxs`, concatenated in the given order."""
+        blocks = [self.unitary[:, self.ranks[i] : self.ranks[i + 1]] for i in idxs]
+        return np.concatenate([self.unitary[:, :0], *blocks], axis=1)
 
     def member_clusters(self, B: Region) -> list[int]:
         """Indices of clusters decidably inside B (unanimous membership)."""
@@ -188,51 +94,14 @@ class SpectralTable:
                 if decide_cluster(B, c.members)]
 
     def spectral_projection(self, B: Region) -> Projection:
-        """E(B): stabilized flag mass of shrinking open covers of B's parameters.
+        """E(B): the span of the clusters inside B.
 
-        Starting from coarse dyadic radii, the open cover of the selected
-        parameters is refined until the set of clusters it captures stops
-        changing for three successive refinements (the selected set, and
-        with it the materialized projection, is then exact).
+        The cluster parameters are distinct, so an open cover of B's
+        parameters narrower than their smallest gap holds no other cluster.
         """
-        targets = sorted(self.params[i] for i in self.member_clusters(B))
-        if not targets:
-            return self.range_projection(0, 0)
-        want = frozenset(targets)
-        max_j = 2 * self.curve.depth + 6
-        stable = 0
-        last: frozenset | None = None
-        for j in range(2, max_j + 1):
-            rad = Fraction(1, 1 << j)
-            cover = self._merged_cover(targets, rad)
-            got = frozenset(
-                t for iv in cover for t in self.params if iv.contains(t)
-            )
-            if last is not None and got == last:
-                stable += 1
-            else:
-                stable = 0
-            last = got
-            if got == want and stable >= 2:
-                return self.open_set_projection(cover)
-        raise CoverStabilizationError(
-            "open covers failed to stabilize; parameters not separated at depth"
+        return projection_from_columns(
+            self.cluster_columns(self.member_clusters(B)), self.n
         )
-
-    @staticmethod
-    def _merged_cover(targets: list[Fraction], rad: Fraction) -> list[Interval]:
-        comps: list[list[Fraction]] = []
-        for s in targets:
-            lo = max(Fraction(0), s - rad)
-            hi = min(Fraction(1), s + rad)
-            if comps and lo < comps[-1][1]:
-                comps[-1][1] = max(comps[-1][1], hi)
-            else:
-                comps.append([lo, hi])
-        return [
-            Interval(lo, hi, lo_open=(lo != 0), hi_open=(hi != 1))
-            for lo, hi in comps
-        ]
 
     # -- dyadic grid machinery ----------------------------------------------
 
@@ -261,10 +130,7 @@ class SpectralTable:
         T = self.matrix
         out = np.zeros_like(T)
         for k, idxs in sorted(self.cell_assignment(level).items()):
-            cols = np.concatenate(
-                [self.unitary[:, self.ranks[i] : self.ranks[i + 1]] for i in idxs],
-                axis=1,
-            )
+            cols = self.cluster_columns(idxs)
             comp = cols.conj().T @ T @ cols
             scalar = np.trace(comp) / cols.shape[1]
             out += scalar * (cols @ cols.conj().T)
@@ -349,35 +215,6 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None) -> SpectralTa
         triangular=ordered.triangular,
         ranks=tuple(ranks),
     )
-
-
-def dyadic_cells(radius: float, level: int) -> list[Region]:
-    """The 4^level half-open cells partitioning the working square."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    square = ambient_square(radius)
-    return [CellUnion(square, level, {k}) for k in range(1, (1 << (2 * level)) + 1)]
-
-
-def flag_compression(T, flags: list[Projection]) -> np.ndarray:
-    """Block-diagonal compression of T along an arbitrary increasing flag.
-
-    `flags` lists nested orthogonal projections ending in the identity; the
-    result is the sum of (P_i - P_{i-1}) T (P_i - P_{i-1}).  When every flag
-    member is T-invariant the compression preserves all shifted
-    Fuglede-Kadison determinants of T.
-    """
-    T = as_matrix(T)
-    n = T.shape[0]
-    prev = np.zeros((n, n), dtype=np.complex128)
-    out = np.zeros_like(T)
-    for P in flags:
-        step = P.matrix - prev
-        out += step @ T @ step
-        prev = P.matrix
-    if not np.allclose(prev, np.eye(n), atol=1e-12):
-        raise ValueError("flag must end at the identity")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -653,7 +653,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         )
     )
 
-    # flags against the cover-stabilized spectral projections
+    # flags against the spectral projections of curve segments
     agree_vals = []
     ts = list(table.params)
     bits = 2 * table.curve.depth
@@ -771,13 +771,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         members = xtable.member_clusters(B)
         if not members:
             continue
-        basis = np.concatenate(
-            [
-                xtable.unitary[:, xtable.ranks[i] : xtable.ranks[i + 1]]
-                for i in members
-            ],
-            axis=1,
-        )
+        basis = xtable.cluster_columns(members)
         vals = np.linalg.eigvals(basis.conj().T @ X @ basis)
         locs = [xtable.clusters[i].location for i in members]
         snapped = _snap_atoms(vals.tolist(), locs)

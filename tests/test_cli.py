@@ -5,7 +5,6 @@ import numpy as np
 from specord import cli
 from specord.cli import main
 from specord.core import SchurConvergenceError, load_matrix, save_matrix
-from specord.spectral import SpectralTable
 from specord.verify import reports_to_json, verify_decomposition
 
 
@@ -181,12 +180,7 @@ def test_library_failures_exit_2(tmp_path, monkeypatch, capsys):
     def no_convergence(T):
         raise SchurConvergenceError("QR iteration did not converge")
 
-    argv = ["decompose", "--ensemble", "ginibre:n=4,seed=1"]
-    with monkeypatch.context() as m:
-        m.setattr("specord.spectral.schur_form", no_convergence)
-        assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    monkeypatch.setattr("specord.spectral.schur_form", no_convergence)
+    assert main(["decompose", "--ensemble", "ginibre:n=4,seed=1",
+                 "--out", str(tmp_path / "a")]) == 2
     assert "error: QR iteration" in capsys.readouterr().err
-    # covers that never isolate the parameters fail to stabilize
-    monkeypatch.setattr(SpectralTable, "_merged_cover", staticmethod(lambda targets, rad: []))
-    assert main(argv + ["--out", str(tmp_path / "b")]) == 2
-    assert "error: open covers failed to stabilize" in capsys.readouterr().err
