@@ -21,6 +21,7 @@ from .core import (
     eigenvalue_matching_distance,
     nearest_cluster,
     operator_norm,
+    write_output,
 )
 from .regions import Region, Square, ambient_square
 
@@ -265,10 +266,8 @@ def brown_density_grid(
 # file output
 
 def write_atoms_csv(m: PointMeasure, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("re,im,weight\n")
-        for z, w in m.atoms:
-            fh.write(f"{z.real:.17g},{z.imag:.17g},{w:.17g}\n")
+    rows = "".join(f"{z.real:.17g},{z.imag:.17g},{w:.17g}\n" for z, w in m.atoms)
+    write_output(path, ("re,im,weight\n" + rows).encode("ascii"))
 
 
 def read_atoms_csv(path) -> PointMeasure:
@@ -284,10 +283,10 @@ def read_atoms_csv(path) -> PointMeasure:
 
 
 def write_density_csv(grid: DensityGrid, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for row in grid.masses:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    rows, cols = grid.masses.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
+    text = (line * rows) % tuple(grid.masses.ravel().tolist())
+    write_output(path, text.encode("ascii"))
 
 
 def write_density_pgm(grid: DensityGrid, path) -> None:
@@ -298,6 +297,4 @@ def write_density_pgm(grid: DensityGrid, path) -> None:
         img = img / peak
     pix = np.round(255.0 * img).astype(np.uint8)
     g = grid.resolution
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{g} {g}\n255\n".encode("ascii"))
-        fh.write(pix.tobytes())
+    write_output(path, f"P5\n{g} {g}\n255\n".encode("ascii") + pix.tobytes())

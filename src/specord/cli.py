@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from .core import (
     matrix_from_dict,
     matrix_json_bytes,
     operator_norm,
+    write_output,
 )
 from .curves import curve_for_matrix, parse_curve
 from .projections import hs_projection
@@ -73,7 +74,8 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1, sort_keys=True) + "\n"
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
@@ -106,9 +108,14 @@ def _resolve_matrix(cfg: RunConfig) -> np.ndarray:
     raise ValueError("no input: pass --matrix or --ensemble")
 
 
+def _write_json(path: Path, doc) -> None:
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    write_output(path, text.encode("ascii"))
+
+
 def _write_config(cfg: RunConfig, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.json").write_text(cfg.to_json(), encoding="ascii")
+    write_output(outdir / "config.json", cfg.to_json().encode("ascii"))
 
 
 def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
@@ -123,7 +130,7 @@ def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
         dec, seed=cfg.seed,
         structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
     )
-    (outdir / "report.json").write_text(reports_to_json(reports), encoding="ascii")
+    write_output(outdir / "report.json", reports_to_json(reports).encode("ascii"))
     summary = suite_summary(reports)
     print(f"decompose: {summary['passed']} passed, {summary['failed']} failed, "
           f"{summary['skipped']} skipped -> {outdir}")
@@ -147,9 +154,7 @@ def _run_brown(cfg: RunConfig, outdir: Path) -> int:
         "min_mass": grid.min_mass,
         "negative_mass": grid.negative_mass,
     }
-    (outdir / "report.json").write_text(
-        json.dumps(info, indent=1, sort_keys=True) + "\n", encoding="ascii"
-    )
+    _write_json(outdir / "report.json", info)
     print(f"brown: {len(measure.atoms)} atoms, grid mass "
           f"{grid.total_mass():.6f} -> {outdir}")
     return 0
@@ -178,9 +183,7 @@ def _run_project(cfg: RunConfig, outdir: Path) -> int:
             "invariance_leak": leak,
             "file": f"P{i}.json",
         })
-    (outdir / "report.json").write_text(
-        json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="ascii"
-    )
+    _write_json(outdir / "report.json", results)
     print(f"project: {len(results)} projection(s) -> {outdir}")
     return 0
 
@@ -207,7 +210,7 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
         structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
         det_tol=float(cfg.tolerances.get("determinant", TOL_DETERMINANT)),
     )
-    (outdir / "report.json").write_text(reports_to_json(reports), encoding="ascii")
+    write_output(outdir / "report.json", reports_to_json(reports).encode("ascii"))
     summary = suite_summary(reports)
     print(f"verify: {summary['passed']} passed, {summary['failed']} failed, "
           f"{summary['skipped']} skipped -> {outdir}")
@@ -226,7 +229,7 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
             t = Fraction(i, count)
             z = curve.eval(t)
             lines.append(f"{float(t):.17g},{z.real:.17g},{z.imag:.17g}")
-        (outdir / "curve.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+        write_output(outdir / "curve.csv", ("\n".join(lines) + "\n").encode("ascii"))
         print(f"curve tabulate: {count + 1} samples -> {outdir}")
         return 0
     T = _resolve_matrix(cfg)
@@ -237,9 +240,7 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
 
         table = build_table(T, curve)
         doc = table.to_json_dict()
-        (outdir / "order.json").write_text(
-            json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii"
-        )
+        _write_json(outdir / "order.json", doc)
         locs = ", ".join(f"{c.location:.4g}" for c in table.clusters)
         print(f"curve order ({cfg.curve}): {locs}")
         return 0
@@ -266,9 +267,7 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
             "order_b": [f"{c.location.real:.17g}{c.location.imag:+.17g}j"
                         for c in db.table.clusters],
         }
-        (outdir / "compare.json").write_text(
-            json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii"
-        )
+        _write_json(outdir / "compare.json", doc)
         print(f"curve compare: measure distance {dist:.3e}, operator "
               f"difference {doc['normal_part_difference']:.3e} -> {outdir}")
         return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from hashlib import sha256
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -239,14 +240,28 @@ def matrix_json_bytes(T) -> bytes:
     """Serialize to the repo-wide JSON format with 17 significant digits."""
     T = as_matrix(T)
     n = T.shape[0]
-    cells = ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in T.ravel())
+    # ravel() first: it makes the row-major copy that .view needs
+    parts = T.ravel().view(np.float64).tolist()
+    cells = ",".join(["[%.17g,%.17g]"] * (n * n)) % tuple(parts)
     return f'{{"n":{n},"entries":[{cells}]}}'.encode("ascii")
 
 
+def write_output(path, data: bytes) -> None:
+    """Replace the file at `path` with `data`.
+
+    Any existing file (or symlink) is unlinked first and `data` goes to a
+    newly created file, so a symlink is never followed.  Truncating a file
+    that holds data and rewriting it in place can stall for tens of
+    milliseconds on ext4 (its auto_da_alloc flush); unlink-and-create does
+    not.  Nothing is fsynced.
+    """
+    Path(path).unlink(missing_ok=True)
+    with open(path, "xb") as fh:
+        fh.write(data)
+
+
 def save_matrix(T, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(matrix_json_bytes(T))
-        fh.write(b"\n")
+    write_output(path, matrix_json_bytes(T) + b"\n")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -258,12 +273,27 @@ def load_matrix(path) -> np.ndarray:
 def matrix_from_dict(doc: dict) -> np.ndarray:
     if not isinstance(doc, dict) or "n" not in doc or "entries" not in doc:
         raise ValueError("matrix document must carry 'n' and 'entries'")
-    n = int(doc["n"])
+    try:
+        n = int(doc["n"])
+    except (TypeError, ValueError):
+        raise ValueError(f"matrix 'n' must be an integer, got {doc['n']!r}") from None
     entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise ValueError("matrix 'entries' must be a list")
     if n < 1 or len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries for n={n}, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return as_matrix(flat.reshape(n, n))
+    values = []
+    for k, e in enumerate(entries):
+        # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+        if (type(e) is list and len(e) == 2
+                and type(e[0]) in (int, float) and type(e[1]) in (int, float)):
+            try:
+                values.append(complex(e[0], e[1]))
+                continue
+            except OverflowError:  # an integer literal beyond the float range
+                pass
+        raise ValueError(f"matrix entry {k} is not a pair of numbers: {e!r:.60}")
+    return as_matrix(np.array(values, dtype=np.complex128).reshape(n, n))
 
 
 def matrix_digest(T) -> str:

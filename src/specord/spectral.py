@@ -32,6 +32,7 @@ from .core import (
     nearest_cluster,
     operator_norm,
     schur_form,
+    write_output,
     _reorder_by_keys,
 )
 from .curves import OrderingCurve, curve_validate, param_to_bits
@@ -287,12 +288,13 @@ def write_bundle(dec: Decomposition, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for name, M in (("T", dec.T), ("N", dec.N), ("Q", dec.Q)):
-        (out / f"{name}.json").write_bytes(matrix_json_bytes(M) + b"\n")
+        write_output(out / f"{name}.json", matrix_json_bytes(M) + b"\n")
     doc = dec.table.to_json_dict()
     doc["report"] = {
         k: (v if not isinstance(v, float) else float(f"{v:.17g}"))
         for k, v in dec.report.items()
     }
-    (out / "table.json").write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="ascii"
+    write_output(
+        out / "table.json",
+        (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("ascii"),
     )

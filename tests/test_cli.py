@@ -41,6 +41,43 @@ def test_decompose_nan_matrix_exits_2(tmp_path):
     assert code == 2
 
 
+def test_malformed_matrix_entries_exit_2(tmp_path, capsys):
+    for i, entries in enumerate(('[["1","0"]]', "[1]", f"[[1{'0' * 400},0]]")):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(f'{{"n":1,"entries":{entries}}}')
+        code = main(["decompose", "--matrix", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: matrix entry 0 ")
+    for i, text in enumerate(('{"n":[1],"entries":[[1,0]]}', '{"n":1,"entries":5}')):
+        bad = tmp_path / f"shape{i}.json"
+        bad.write_text(text)
+        code = main(["decompose", "--matrix", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: matrix ")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"command": "decompose", "matrix_data": {
+        "n": 2, "entries": [[1, 0], [0, 0], [0, 0], [True, 0]]}}))
+    assert main(["replay", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("error: matrix entry 3 ")
+
+
+def test_decompose_replaces_existing_outputs(tmp_path):
+    names = ("T.json", "N.json", "Q.json", "table.json", "report.json", "config.json")
+    args = ["decompose", "--ensemble", "ginibre:n=6,seed=3", "--out"]
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(args + [str(fresh)]) == 0
+    outside = tmp_path / "outside.json"
+    outside.write_bytes(b"keep me\n")
+    out.mkdir()
+    (out / "T.json").symlink_to(outside)
+    for _ in range(2):
+        assert main(args + [str(out)]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert not (out / "T.json").is_symlink()
+    assert outside.read_bytes() == b"keep me\n"
+
+
 def test_missing_input_exits_2(tmp_path):
     assert main(["decompose", "--out", str(tmp_path / "o")]) == 2
 

@@ -251,6 +251,37 @@ def test_matrix_json_17_digits():
     assert "0.33333333333333331" in text
 
 
+def per_entry_matrix_json_bytes(T) -> bytes:
+    """Reference: the serialization written one f-string per entry."""
+    T = as_matrix(T)
+    n = T.shape[0]
+    cells = ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in T.ravel())
+    return f'{{"n":{n},"entries":[{cells}]}}'.encode("ascii")
+
+
+def test_matrix_json_bytes_matches_per_entry_format_in_every_layout():
+    vals = np.array([-0.0, 5e-324, 1e308, -1e-300, 0.1, 1.0, -3.0, 2.5e-7, -1e308])
+    rng = np.random.default_rng(11)
+    re = rng.choice(vals, (8, 8)) * rng.choice([-1.0, 1.0], (8, 8))
+    im = rng.choice(vals, (8, 8)) * rng.choice([-1.0, 1.0], (8, 8))
+    base = np.empty((8, 8), dtype=np.complex128)
+    base.real, base.imag = re, im  # re + 1j * im would turn a real -0.0 into 0.0
+    layouts = {
+        "C-ordered": base,
+        "Fortran-ordered": np.asfortranarray(base),
+        "transposed view": base.T,
+        "strided slice": base[::2, 1::2],
+        "real float64": re,
+        "1x1": np.array([[complex(-0.0, 5e-324)]]),
+    }
+    assert not as_matrix(layouts["Fortran-ordered"]).flags.c_contiguous
+    for name, M in layouts.items():
+        assert matrix_json_bytes(M) == per_entry_matrix_json_bytes(M), name
+    assert matrix_json_bytes(np.array([[complex(1.0, -0.0)]])) == (
+        b'{"n":1,"entries":[[1,-0]]}'
+    )
+
+
 def test_cluster_tolerance_scales_with_norm():
     assert cluster_tolerance(np.eye(2)) == 1e-8
     assert np.isclose(cluster_tolerance(10 * np.eye(2)), 1e-7)
