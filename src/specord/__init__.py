@@ -38,14 +38,11 @@ from .brown import (
     PointMeasure,
     brown_density_grid,
     empirical_brown,
-    log_potential,
     measure_distance,
     region_mass,
 )
 from .projections import (
     Projection,
-    ball_growth_check,
-    compression_brown,
     hs_projection,
     hyperinvariance_check,
 )

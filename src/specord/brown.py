@@ -149,24 +149,6 @@ def measure_distance(m1: PointMeasure, m2: PointMeasure, weight_tol: float = 1e-
 # ---------------------------------------------------------------------------
 # log potential and density grids
 
-def log_potential(T, lam: complex, eps: float) -> float:
-    """(1/2) tau log((T-lam)*(T-lam) + eps^2 I).
-
-    With eps = 0 this is log of the Fuglede-Kadison determinant of T-lam;
-    a singular shift then yields -inf.
-    """
-    T = as_matrix(T)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    n = T.shape[0]
-    sv = np.linalg.svd(T - complex(lam) * np.eye(n), compute_uv=False)
-    if eps == 0.0:
-        if np.any(sv == 0.0):
-            return float("-inf")
-        return float(np.log(sv).mean())
-    return float(0.5 * np.log(sv**2 + eps * eps).mean())
-
-
 @dataclass(frozen=True, eq=False)
 class DensityGrid:
     """Cell masses of the discrete Laplacian of the log potential.
@@ -268,18 +250,6 @@ def brown_density_grid(
 def write_atoms_csv(m: PointMeasure, path) -> None:
     rows = "".join(f"{z.real:.17g},{z.imag:.17g},{w:.17g}\n" for z, w in m.atoms)
     write_output(path, ("re,im,weight\n" + rows).encode("ascii"))
-
-
-def read_atoms_csv(path) -> PointMeasure:
-    atoms = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if header.strip() != "re,im,weight":
-            raise ValueError("unexpected atoms CSV header")
-        for line in fh:
-            re_, im_, w = (float(v) for v in line.strip().split(","))
-            atoms.append((complex(re_, im_), w))
-    return PointMeasure(atoms=tuple(atoms))
 
 
 def write_density_csv(grid: DensityGrid, path) -> None:

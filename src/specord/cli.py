@@ -218,17 +218,15 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
-    from fractions import Fraction
-
     if mode == "tabulate":
         curve = parse_curve(cfg.curve, radius=1.0)
         _write_config(cfg, outdir)
         lines = ["t,re,im"]
         count = max(2, cfg.count)
+        cells = 1 << (2 * curve.depth)
         for i in range(count + 1):
-            t = Fraction(i, count)
-            z = curve.eval(t)
-            lines.append(f"{float(t):.17g},{z.real:.17g},{z.imag:.17g}")
+            z = curve.eval(min(i * cells // count, cells - 1))
+            lines.append(f"{i / count:.17g},{z.real:.17g},{z.imag:.17g}")
         write_output(outdir / "curve.csv", ("\n".join(lines) + "\n").encode("ascii"))
         print(f"curve tabulate: {count + 1} samples -> {outdir}")
         return 0

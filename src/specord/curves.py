@@ -1,10 +1,10 @@
 """Measurable orderings of the plane via parameterized curves.
 
-Each curve maps the dyadic parameters of [0,1] onto a grid of 4^depth cells
-and induces a total preorder on points: z1 precedes z2 when the smallest
-parameter hitting z1's cell is smaller than the one hitting z2's.  Parameters
-are exact dyadic rationals (`fractions.Fraction` with power-of-two
-denominator); no floating point enters the parameter arithmetic.
+Each curve visits the 4^depth cells of a grid in a fixed order and induces a
+total preorder on points: z1 precedes z2 when the first visit to z1's cell
+comes before the first visit to z2's.  A parameter is the integer
+cell-visit index k in [0, 4^depth), standing for the dyadic t = k/4^depth
+of [0,1]; no floating point enters the parameter arithmetic.
 
 Conventions, fixed once and for all:
 
@@ -12,8 +12,8 @@ Conventions, fixed once and for all:
   bottom-right corner; continuous (consecutive parameters land in edge
   adjacent cells).
 * Morton: bit interleaving with the y bits at the odd fractional positions
-  of t and the x bits at the even positions, so t = .01 lands at the
-  unit-square point (1/2, 0).
+  of t and the x bits at the even positions, so t = .01 (k = 4^(depth-1))
+  lands at the unit-square point (1/2, 0).
 * Lexicographic: column sweep; x-cell index is the major key, y-cell index
   the minor key, t = 0 at the bottom-left.
 * Radial: covers the closed ball inscribed in the square; radius bits sit
@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .regions import Region, Square, ambient_square
 
@@ -40,45 +39,13 @@ class CurveDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dyadic parameter helpers
+# parameters
 
-def param_to_bits(t: Fraction, bits: int) -> str:
-    """Exact binary expansion '0.b1b2...' of a dyadic t in [0,1] using `bits` digits."""
-    if t < 0 or t > 1:
-        raise ValueError("parameter out of [0,1]")
-    if t == 1:
-        return "1."
-    num = t.numerator * (1 << bits)
-    if num % t.denominator:
-        raise ValueError(f"{t} is not dyadic at {bits} bits")
-    return "0." + format(num // t.denominator, f"0{bits}b")
-
-
-def bits_to_param(s: str) -> Fraction:
-    """Inverse of `param_to_bits`."""
-    s = s.strip()
-    if s in ("1", "1.", "1.0"):
-        return Fraction(1)
-    if not s.startswith("0."):
-        raise ValueError(f"expected '0.<bits>' or '1.', got {s!r}")
-    frac_bits = s[2:] or "0"
-    if any(c not in "01" for c in frac_bits):
-        raise ValueError(f"non-binary digit in {s!r}")
-    return Fraction(int(frac_bits, 2), 1 << len(frac_bits))
-
-
-def _param_to_index(t: Fraction, depth: int) -> int:
-    """Map a dyadic t with at most 2*depth bits to its cell-visit index."""
-    scale = 1 << (2 * depth)
-    num = t.numerator * scale
-    if num % t.denominator:
-        raise CurveDomainError(
-            f"parameter {t} needs more than {2 * depth} fractional bits"
-        )
-    i = num // t.denominator
-    if not 0 <= i <= scale:
-        raise CurveDomainError(f"parameter {t} outside [0,1]")
-    return min(i, scale - 1)  # t = 1 falls in the final cell
+def param_to_bits(k: int, bits: int) -> str:
+    """Binary expansion '0.b1b2...' of t = k/2^bits, a parameter of `bits` bits."""
+    if not 0 <= k < 1 << bits:
+        raise ValueError(f"parameter {k} outside [0, 2^{bits})")
+    return "0." + format(k, f"0{bits}b")
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +146,20 @@ class OrderingCurve:
 
     # -- public operations ----------------------------------------------------
 
-    def eval(self, t: Fraction) -> complex:
-        """Point visited at parameter t (anchor corner of the cell)."""
-        i = _param_to_index(Fraction(t), self.depth)
-        ix, iy = self._index_to_cell(i)
+    def _check_index(self, k: int) -> int:
+        if not 0 <= k < 1 << (2 * self.depth):
+            raise CurveDomainError(f"parameter {k} outside [0, 4^{self.depth})")
+        return k
+
+    def eval(self, k: int) -> complex:
+        """Point visited at cell-visit index k (anchor corner of the cell)."""
+        ix, iy = self._index_to_cell(self._check_index(k))
         return self._cell_anchor(ix, iy)
 
-    def min_preimage(self, z: complex) -> Fraction:
-        """Smallest parameter whose cell contains z, as an exact dyadic."""
+    def min_preimage(self, z: complex) -> int:
+        """Index of the first visit to the cell containing z."""
         ix, iy = self._quantize(complex(z))
-        return Fraction(self._cell_to_index(ix, iy), 1 << (2 * self.depth))
+        return self._cell_to_index(ix, iy)
 
     def compare(self, z1: complex, z2: complex) -> int:
         """-1, 0, +1 by minimal preimage; 0 exactly when both share a cell."""
@@ -256,17 +227,16 @@ class RadialCurve(OrderingCurve):
         ti = int(math.floor(ang / (2.0 * math.pi) * m))
         return max(ri, 0), min(max(ti, 0), m - 1)
 
-    def eval(self, t: Fraction) -> complex:
-        i = _param_to_index(Fraction(t), self.depth)
-        ri, ti = _deinterleave(i, self.depth)
+    def eval(self, k: int) -> complex:
+        ri, ti = _deinterleave(self._check_index(k), self.depth)
         m = 1 << self.depth
         r = self.radius * ri / m
         ang = 2.0 * math.pi * ti / m
         return complex(r * math.cos(ang), r * math.sin(ang))
 
-    def min_preimage(self, z: complex) -> Fraction:
+    def min_preimage(self, z: complex) -> int:
         ri, ti = self._polar_quantize(complex(z))
-        return Fraction(_interleave(ri, ti, self.depth), 1 << (2 * self.depth))
+        return _interleave(ri, ti, self.depth)
 
 
 _KINDS = {
@@ -303,32 +273,26 @@ def curve_for_matrix(spec: str, T) -> OrderingCurve:
 
 
 class CurveSegment(Region):
-    """The image of [0, t] (or [0, t) when not inclusive) under a curve.
+    """The image of the cells visited up to index k under a curve.
 
     Membership of z is decided through the minimal preimage: z belongs to
-    the segment when the first parameter hitting z's cell is at most t.
-    Points outside the curve domain are not in any segment.
+    the segment when the first visit to z's cell comes at index k or
+    earlier.  Points outside the curve domain are not in any segment.
     """
 
-    def __init__(self, curve: OrderingCurve, t, inclusive: bool = True):
+    def __init__(self, curve: OrderingCurve, k: int):
         self.curve = curve
-        self.t = Fraction(t)
-        self.inclusive = inclusive
+        self.k = k
 
     def contains(self, z: complex) -> bool:
         try:
-            tm = self.curve.min_preimage(complex(z))
+            return self.curve.min_preimage(complex(z)) <= self.k
         except CurveDomainError:
             return False
-        return tm <= self.t if self.inclusive else tm < self.t
 
     def describe(self) -> str:
-        tag = "segment" if self.inclusive else "segment<"
-        return f"{tag}:{self.curve.spec_string()},t={float(self.t):.17g}"
-
-
-def segment_region(curve: OrderingCurve, t, inclusive: bool = True) -> CurveSegment:
-    return CurveSegment(curve, t, inclusive)
+        t = self.k / (1 << (2 * self.curve.depth))
+        return f"segment:{self.curve.spec_string()},t={t:.17g}"
 
 
 @dataclass(frozen=True)
@@ -337,7 +301,7 @@ class CurveReport:
 
     valid: bool
     locations: tuple[complex, ...]          # cluster representatives, curve order
-    params: tuple[Fraction, ...]            # their minimal preimages, sorted
+    params: tuple[int, ...]                 # their cell-visit indices, sorted
     problems: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -358,20 +322,20 @@ def curve_validate(curve: OrderingCurve, spectrum, tol: float = 0.0) -> CurveRep
     entries = []
     for c in clusters:
         try:
-            t = curve.min_preimage(c.location)
+            k = curve.min_preimage(c.location)
         except CurveDomainError as exc:
             problems.append(str(exc))
             continue
-        entries.append((t, c.location))
+        entries.append((k, c.location))
     entries.sort(key=lambda e: e[0])
-    for (t1, z1), (t2, z2) in zip(entries, entries[1:]):
-        if t1 == t2:
+    for (k1, z1), (k2, z2) in zip(entries, entries[1:]):
+        if k1 == k2:
             problems.append(
-                f"clusters at {z1} and {z2} share the parameter cell at t={t1}"
+                f"clusters at {z1} and {z2} share the parameter cell k={k1}"
             )
     return CurveReport(
         valid=not problems,
         locations=tuple(z for _, z in entries),
-        params=tuple(t for t, _ in entries),
+        params=tuple(k for k, _ in entries),
         problems=tuple(problems),
     )

@@ -29,8 +29,7 @@ from .core import (
     schur_form,
     _reorder_by_keys,
 )
-from .brown import PointMeasure, _measure_from_values
-from .regions import AmbiguousRegionError, Region, decide_cluster
+from .regions import Region, decide_cluster
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,14 +50,6 @@ class Projection:
     @cached_property
     def matrix(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
-
-    def defect(self) -> float:
-        """max of the idempotency and self-adjointness residuals."""
-        P = self.matrix
-        return max(
-            float(np.linalg.norm(P @ P - P)),
-            float(np.linalg.norm(P.conj().T - P)),
-        )
 
     def complement_basis(self) -> np.ndarray:
         """Orthonormal basis of range(I - P)."""
@@ -89,114 +80,8 @@ def hs_projection(T, B: Region, tol: float | None = None) -> Projection:
     return projection_from_columns(ordered.unitary[:, :k], T.shape[0])
 
 
-def compression_brown(
-    T, P: Projection, side: str = "inside", tol: float | None = None
-) -> PointMeasure:
-    """Counting measure of T compressed to range(P) or its complement.
-
-    `side='inside'` uses an orthonormal basis Q of range(P) and returns the
-    measure of Q* T Q; `side='outside'` does the same on range(I-P).  The
-    selected corner must have positive rank.
-    """
-    T = as_matrix(T)
-    if side not in ("inside", "outside"):
-        raise ValueError("side must be 'inside' or 'outside'")
-    if tol is None:
-        tol = cluster_tolerance(T)
-    Q = P.basis if side == "inside" else P.complement_basis()
-    if Q.shape[1] == 0:
-        raise ValueError(f"{side} corner has rank zero")
-    A = Q.conj().T @ T @ Q
-    return _measure_from_values(np.linalg.eigvals(A).tolist(), tol)
-
-
 # ---------------------------------------------------------------------------
-# growth and commutant diagnostics
-
-@dataclass(frozen=True)
-class GrowthReport:
-    radius: float
-    m_max: int
-    inside_growth: tuple[float, ...]    # ||T^m xi||^(1/m) at m = m_max, per trial
-    outside_growth: tuple[float, ...]
-    separation: float                   # min |eigenvalue| outside minus r
-    verdict: str                        # "pass" | "fail" | "skipped"
-    note: str = ""
-
-
-def _vector_growth(T: np.ndarray, xi: np.ndarray, m_max: int) -> float:
-    """||T^m xi||^(1/m) at m = m_max, via normalized iteration."""
-    v = xi / np.linalg.norm(xi)
-    log_acc = 0.0
-    for _ in range(m_max):
-        v = T @ v
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return 0.0
-        log_acc += np.log(nv)
-        v /= nv
-    return float(np.exp(log_acc / m_max))
-
-
-def ball_growth_check(
-    T, r: float, trials: int = 8, m_max: int = 200, seed: int = 0
-) -> GrowthReport:
-    """Power growth of vectors in / out of the closed-ball projection.
-
-    Vectors from range(P) for the ball |z| <= r grow at most like r; vectors
-    with a component outside grow at least past r plus half the spectral gap,
-    provided the spectrum splits across the circle |z| = r.  Cases with
-    eigenvalues on (or numerically touching) the circle are reported as
-    skipped rather than judged.
-    """
-    from .regions import disk
-
-    T = as_matrix(T)
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    tol = cluster_tolerance(T)
-    eigs = np.linalg.eigvals(T)
-    on_circle = bool(np.any(np.abs(np.abs(eigs) - r) <= 10 * tol))
-    splits_outside = bool(np.any(np.abs(eigs) > r + 10 * tol))
-    if on_circle and splits_outside:
-        # the outside-growth margin degenerates when spectrum sits on the circle
-        return GrowthReport(r, m_max, (), (), 0.0, "skipped",
-                            "spectrum touches the circle |z| = r")
-    P = hs_projection(T, disk(0.0, 0.0, r), tol=tol)
-    rng = np.random.default_rng(seed)
-    n = T.shape[0]
-
-    inside = []
-    if P.rank > 0:
-        Q = P.basis
-        for _ in range(trials):
-            coeff = rng.standard_normal(P.rank) + 1j * rng.standard_normal(P.rank)
-            inside.append(_vector_growth(T, Q @ coeff, m_max))
-    outside = []
-    sep = 0.0
-    splits = 0 < P.rank < n
-    if splits:
-        sep = float(np.min(np.abs(eigs[np.abs(eigs) > r]))) - r
-        Qc = P.complement_basis()
-        for _ in range(trials):
-            coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            xi = coeff / np.linalg.norm(coeff)
-            if np.linalg.norm(Qc.conj().T @ xi) < 1e-6:
-                xi = Qc[:, 0]
-            outside.append(_vector_growth(T, xi, m_max))
-
-    ok = all(g <= r + 0.1 for g in inside)
-    if splits:
-        ok = ok and all(g > r + sep / 2 for g in outside)
-    return GrowthReport(
-        radius=r,
-        m_max=m_max,
-        inside_growth=tuple(inside),
-        outside_growth=tuple(outside),
-        separation=sep,
-        verdict="pass" if ok else "fail",
-    )
-
+# commutant diagnostics
 
 @dataclass(frozen=True)
 class HyperinvarianceReport:

@@ -14,9 +14,8 @@ diameters.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -51,7 +50,7 @@ class CurveValidationError(ValueError):
 class SpectralTable:
     """Eigenvalue clusters in curve order with the ordered Schur form.
 
-    `params[i]` is the minimal curve preimage of `clusters[i]`; `ranks[i]`
+    `params[i]` is the cell-visit index of `clusters[i]`; `ranks[i]`
     counts the eigenvalues in the first i clusters, so columns
     ranks[i]:ranks[i+1] of `unitary` span the range of cluster i,
     `range_projection(i, i + 1)`, and the leading ranks[i+1] columns span
@@ -62,7 +61,7 @@ class SpectralTable:
     curve: OrderingCurve
     tol: float
     clusters: tuple[Cluster, ...]
-    params: tuple[Fraction, ...]
+    params: tuple[int, ...]
     unitary: np.ndarray
     triangular: np.ndarray
     ranks: tuple[int, ...]
@@ -78,11 +77,9 @@ class SpectralTable:
         cols = self.unitary[:, self.ranks[lo] : self.ranks[hi]]
         return projection_from_columns(cols, self.n)
 
-    def flag_at(self, t, inclusive: bool = True) -> Projection:
-        """P_T of the curve segment up to t; right-continuous in t."""
-        t = Fraction(t)
-        cut = bisect_right(self.params, t) if inclusive else bisect_left(self.params, t)
-        return self.range_projection(0, cut)
+    def flag_at(self, k: int) -> Projection:
+        """P_T of the curve segment up to cell-visit index k."""
+        return self.range_projection(0, bisect_right(self.params, k))
 
     def cluster_columns(self, idxs) -> np.ndarray:
         """The columns of clusters `idxs`, concatenated in the given order."""

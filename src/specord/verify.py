@@ -25,7 +25,7 @@ from .core import (
     fk_determinant,
     operator_norm,
 )
-from .curves import OrderingCurve, segment_region
+from .curves import CurveSegment, OrderingCurve
 from .projections import Projection, hyperinvariance_check
 from .regions import (
     AmbiguousRegionError,
@@ -182,17 +182,17 @@ def _context_digest(T, curve: OrderingCurve | None = None, extra: str = "") -> s
 # ---------------------------------------------------------------------------
 # random region machinery
 
-def _random_region(rng: np.random.Generator, table: SpectralTable) -> Region:
-    """A boundary-decidable random region for the table's spectrum."""
+def _random_region(rng: np.random.Generator,
+                   table: SpectralTable) -> tuple[Region, list[int]]:
+    """A boundary-decidable random region and the clusters inside it."""
     square = table.curve.square
     for _ in range(60):
         B = _candidate_region(rng, square)
         try:
-            table.member_clusters(B)
+            return B, table.member_clusters(B)
         except AmbiguousRegionError:
             continue
-        return B
-    return FullPlane()
+    return FullPlane(), list(range(len(table.clusters)))
 
 
 def _candidate_region(rng: np.random.Generator, square) -> Region:
@@ -220,21 +220,15 @@ def _candidate_region(rng: np.random.Generator, square) -> Region:
     return _candidate_region(rng, square) | _candidate_region(rng, square)
 
 
-def _exact_mass_count(table: SpectralTable, B: Region) -> int:
-    return sum(table.clusters[i].multiplicity for i in table.member_clusters(B))
-
-
-def _random_param(rng: np.random.Generator, bits: int):
-    """Uniform dyadic parameter with the given number of fractional bits."""
-    from fractions import Fraction
-
-    num = 0
+def _random_param(rng: np.random.Generator, bits: int) -> int:
+    """Uniform parameter in [0, 2^bits), drawn in chunks of at most 32 bits."""
+    k = 0
     remaining = bits
     while remaining > 0:
         take = min(remaining, 32)
-        num = (num << take) | int(rng.integers(0, 1 << take))
+        k = (k << take) | int(rng.integers(0, 1 << take))
         remaining -= take
-    return Fraction(num, 1 << bits)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +252,13 @@ def verify_measure_laws(
     eye = np.eye(n, dtype=np.complex128)
 
     for t in range(trials):
-        B1 = _random_region(rng, table)
-        B2 = _random_region(rng, table)
+        B1, members1 = _random_region(rng, table)
+        B2, members2 = _random_region(rng, table)
         E1 = table.spectral_projection(B1)
         E2 = table.spectral_projection(B2)
         # trace law, exact rank arithmetic against the counting measure
-        for tag, B, E in (("a", B1, E1), ("b", B2, E2)):
-            count = _exact_mass_count(table, B)
+        for tag, B, E, members in (("a", B1, E1, members1), ("b", B2, E2, members2)):
+            count = sum(table.clusters[i].multiplicity for i in members)
             mass = region_mass(nu, B)
             trace_vals.append(
                 CheckValue(f"rank-vs-count[{t}{tag}]", float(abs(E.rank - count)), 0.0)
@@ -655,13 +649,13 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
 
     # flags against the spectral projections of curve segments
     agree_vals = []
-    ts = list(table.params)
+    ks = list(table.params)
     bits = 2 * table.curve.depth
     for _ in range(random_t):
-        ts.append(_random_param(rng, bits))
-    for i, t in enumerate(ts):
-        E = table.spectral_projection(segment_region(table.curve, t))
-        P = table.flag_at(t)
+        ks.append(_random_param(rng, bits))
+    for i, k in enumerate(ks):
+        E = table.spectral_projection(CurveSegment(table.curve, k))
+        P = table.flag_at(k)
         agree_vals.append(
             CheckValue(f"agreement[{i}]", _fro(E.matrix - P.matrix), structural_tol)
         )
@@ -767,8 +761,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
     X = xtable.matrix
     comm_vals = []
     for trial in range(5):
-        B = _random_region(rng, xtable)
-        members = xtable.member_clusters(B)
+        B, members = _random_region(rng, xtable)
         if not members:
             continue
         basis = xtable.cluster_columns(members)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -173,6 +174,26 @@ def test_curve_tabulate(tmp_path):
                  "--count", "8", "--out", str(out)]) == 0
     lines = (out / "curve.csv").read_text().strip().split("\n")
     assert lines[0] == "t,re,im" and len(lines) == 10
+
+
+def test_curve_tabulate_any_count(tmp_path):
+    # sample i visits cell min(i 4^depth // count, 4^depth - 1); t is i/count
+    def tabulate(count, depth=4):
+        out = tmp_path / f"c{depth}-{count}"
+        assert main(["curve", "tabulate", "--curve", f"hilbert:depth={depth}",
+                     "--count", str(count), "--out", str(out)]) == 0
+        return (out / "curve.csv").read_bytes()
+
+    rows = tabulate(10).decode().splitlines()
+    assert len(rows) == 1 + 11
+    assert rows[1] == "0,-1.5,-1.5"
+    assert rows[4] == "0.29999999999999999,-1.3125,0.5625"  # cell 76 of 256
+    assert rows[-1] == "1,1.3125,-1.5"  # the last cell, bottom right
+    assert len(tabulate(1000).splitlines()) == 1 + 1001  # more samples than cells
+    assert len(tabulate(3, depth=1).splitlines()) == 1 + 4
+    # power-of-two counts keep their bytes
+    digest = hashlib.sha256(tabulate(64)).hexdigest()
+    assert digest == "2bbc673e5163cd1052957524035dac7b4d1832c1933175988c317c95daf63d10"
 
 
 def test_curve_order_and_compare(tmp_path):

@@ -1,17 +1,19 @@
-from fractions import Fraction
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specord
 from specord.curves import (
     CurveDomainError,
     CurveSegment,
     LexicographicCurve,
-    bits_to_param,
     curve_validate,
     param_to_bits,
     parse_curve,
-    segment_region,
 )
 
 KINDS = ("hilbert", "morton", "lex", "radial")
@@ -21,56 +23,54 @@ def make(kind, depth=32, radius=1.0):
     return parse_curve(f"{kind}:depth={depth}", radius)
 
 
-def morton_oracle_t(x_bits: str, y_bits: str) -> Fraction:
+def morton_oracle_k(x_bits: str, y_bits: str) -> int:
     """Independent interleave oracle: y bits at odd fractional positions."""
     out = ""
     for yb, xb in zip(y_bits, x_bits):
         out += yb + xb
-    return Fraction(int(out, 2), 1 << len(out))
+    return int(out, 2)
 
 
 def test_param_bits_roundtrip():
-    t = Fraction(5, 16)
-    s = param_to_bits(t, 8)
+    k = 5 * 2**4  # t = 5/16 at 8 bits
+    s = param_to_bits(k, 8)
     assert s == "0.01010000"
-    assert bits_to_param(s) == t
-    assert bits_to_param("1.") == 1
+    assert int(s[2:], 2) == k
     with pytest.raises(ValueError):
-        param_to_bits(Fraction(1, 3), 8)
+        param_to_bits(2**8, 8)
 
 
 def test_hilbert_starts_bottom_left_ends_bottom_right():
     c = make("hilbert", depth=6)
-    z0 = c.eval(Fraction(0))
+    z0 = c.eval(0)
     assert z0 == complex(-1.5, -1.5)
-    z1 = c.eval(Fraction(1))
+    z1 = c.eval(4**6 - 1)
     h = 3.0 / 2**6
     assert abs(z1.real - (1.5 - h)) < 1e-12 and abs(z1.imag + 1.5) < 1e-12
 
 
 def test_hilbert_adjacent_parameters_adjacent_cells():
     c = make("hilbert", depth=5)
-    step = Fraction(1, 4**5)
     for i in range(4**5 - 1):
-        a = c.eval(i * step)
-        b = c.eval((i + 1) * step)
+        a = c.eval(i)
+        b = c.eval(i + 1)
         d = abs(b - a)
         assert abs(d - 3.0 / 2**5) < 1e-12  # exactly one cell side apart
 
 
 def test_hilbert_covers_all_cells():
     c = make("hilbert", depth=4)
-    cells = {c.eval(Fraction(i, 4**4)) for i in range(4**4)}
+    cells = {c.eval(i) for i in range(4**4)}
     assert len(cells) == 4**4
 
 
 def test_morton_example_against_interleave_oracle():
     c = make("morton")
     # t = .01 in binary -> unit square (1/2, 0) -> lower-left area of our square
-    z = c.eval(Fraction(1, 4))
+    z = c.eval(4**31)
     assert z == complex(0.0, -1.5)
-    assert c.min_preimage(complex(0.0, -1.5)) == Fraction(1, 4)
-    assert c.min_preimage(z) == morton_oracle_t("1" + "0" * 31, "0" * 32)
+    assert c.min_preimage(complex(0.0, -1.5)) == 4**31
+    assert c.min_preimage(z) == morton_oracle_k("1" + "0" * 31, "0" * 32)
 
 
 def test_morton_random_points_match_oracle():
@@ -81,12 +81,12 @@ def test_morton_random_points_match_oracle():
         iy = int(rng.integers(0, 2**10))
         h = 3.0 / 2**10
         z = complex(-1.5 + (ix + 0.5) * h, -1.5 + (iy + 0.5) * h)
-        want = morton_oracle_t(format(ix, "010b"), format(iy, "010b"))
+        want = morton_oracle_k(format(ix, "010b"), format(iy, "010b"))
         assert c.min_preimage(z) == want
 
 
 def test_morton_cell_parameter_mass_is_exact():
-    # the parameter mass of a level-d cell is exactly 4^(-d)
+    # the parameter mass of a level-d cell is exactly 4^(-d): 4^(6-d) indices
     c = make("morton", depth=6)
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -105,14 +105,14 @@ def test_morton_cell_parameter_mass_is_exact():
             for sy in range(scale)
         ]
         lo = min(params)
-        assert max(params) - lo < Fraction(1, 4**d)
-        assert lo.denominator <= 4**6
+        assert max(params) - lo < 4 ** (6 - d)
+        assert 0 <= lo < 4**6
         assert len(set(params)) == 4 ** (6 - d)
 
 
 def test_lexicographic_conventions():
     c = make("lex", depth=8, radius=2.0)
-    assert c.eval(Fraction(0)) == complex(-3.0, -3.0)
+    assert c.eval(0) == complex(-3.0, -3.0)
     assert c.compare(1 + 0j, 2 + 0j) == -1
     # x-major: any increase in the x cell dominates y
     assert c.compare(complex(-1.0, 2.9), complex(1.0, -2.9)) == -1
@@ -120,7 +120,7 @@ def test_lexicographic_conventions():
 
 def test_radial_orders_by_modulus_then_angle():
     c = make("radial", depth=16)
-    assert c.eval(Fraction(0)) == 0j
+    assert c.eval(0) == 0j
     assert c.compare(0.2 + 0j, 0.5 + 0j) == -1
     assert c.compare(0.5 + 0j, -0.5 + 0j) == -1  # same ring, smaller angle first
     with pytest.raises(CurveDomainError):
@@ -129,12 +129,10 @@ def test_radial_orders_by_modulus_then_angle():
 
 def test_curve_eval_rejects_bad_parameters():
     c = make("hilbert", depth=4)
-    with pytest.raises(CurveDomainError):
-        c.eval(Fraction(1, 3 * 4**4))  # not dyadic
     with pytest.raises((CurveDomainError, ValueError)):
-        c.eval(Fraction(-1, 4))
+        c.eval(-(4**3))  # t = -1/4
     with pytest.raises(CurveDomainError):
-        c.eval(Fraction(1, 4**5))  # finer than 2*depth bits
+        c.eval(4**4)  # one past the last cell
 
 
 def test_min_preimage_outside_square_rejected():
@@ -180,9 +178,9 @@ def test_min_preimage_refines_by_truncation():
         deep = make(kind, depth=20)
         for _ in range(100):
             z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-            ts = shallow.min_preimage(z)
-            td = deep.min_preimage(z)
-            assert ts <= td < ts + Fraction(1, 4**12)
+            ks = shallow.min_preimage(z)
+            kd = deep.min_preimage(z)
+            assert ks * 4**8 <= kd < (ks + 1) * 4**8
 
 
 def test_lex_refines_in_the_major_coordinate():
@@ -193,9 +191,9 @@ def test_lex_refines_in_the_major_coordinate():
     deep = make("lex", depth=20)
     for _ in range(100):
         z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-        ts = shallow.min_preimage(z)
-        td = deep.min_preimage(z)
-        assert int(ts * 2**12) == int(td * 2**12)
+        ks = shallow.min_preimage(z)
+        kd = deep.min_preimage(z)
+        assert ks >> 12 == kd >> 28  # t * 2^12 truncated
 
 
 def test_hilbert_holder_locality():
@@ -206,10 +204,8 @@ def test_hilbert_holder_locality():
     for _ in range(10**4):
         n1 = int(rng.integers(0, 1 << bits))
         n2 = int(rng.integers(0, 1 << bits))
-        t1 = Fraction(n1, 1 << bits)
-        t2 = Fraction(n2, 1 << bits)
-        lhs = abs(c.eval(t1) - c.eval(t2))
-        assert lhs <= 4.0 * side * float(abs(t1 - t2)) ** 0.5 + 1e-12
+        lhs = abs(c.eval(n1) - c.eval(n2))
+        assert lhs <= 4.0 * side * (abs(n1 - n2) / (1 << bits)) ** 0.5 + 1e-12
 
 
 def test_distinct_points_get_distinct_parameters():
@@ -239,11 +235,11 @@ def test_curve_validate_shared_cell_is_invalid():
 
 def test_curve_segment_region():
     c = make("lex", radius=2.0)
-    t1 = c.min_preimage(1 + 0j)
-    seg = segment_region(c, t1)
+    k1 = c.min_preimage(1 + 0j)
+    seg = CurveSegment(c, k1)
     assert seg.contains(1 + 0j)
     assert not seg.contains(2 + 0j)
-    half = CurveSegment(c, t1, inclusive=False)
+    half = CurveSegment(c, k1 - 1)  # the half-open segment [0, k1)
     assert not half.contains(1 + 0j)
     assert not seg.contains(100 + 0j)  # outside the domain square
 
@@ -255,3 +251,13 @@ def test_parse_curve_errors():
         parse_curve("hilbert:width=3", 1.0)
     c = parse_curve("lexicographic:depth=8", 1.0)
     assert isinstance(c, LexicographicCurve) and c.depth == 8
+
+
+def test_library_does_not_import_fractions():
+    # parameters are integer cell indices; numpy and scipy alone leave
+    # `fractions` unimported, so its presence would come from specord
+    src = str(Path(specord.__file__).resolve().parent.parent)
+    code = "import sys, specord; print('fractions' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -6,8 +6,6 @@ from specord.core import schur_form, _reorder_by_keys
 from specord.ensembles import EnsembleSpec, sample
 from specord.projections import (
     Projection,
-    ball_growth_check,
-    compression_brown,
     hs_projection,
     hyperinvariance_check,
     projection_from_columns,
@@ -37,7 +35,7 @@ def test_projection_invariants():
     rng = np.random.default_rng(0)
     T = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     P = hs_projection(T, halfplane(1, 0, 0))
-    assert P.defect() <= 1e-10
+    assert np.linalg.norm(P.basis.conj().T @ P.basis - np.eye(P.rank)) <= 1e-10
     assert np.isclose(np.trace(P.matrix).real, P.rank)
     # invariance: (I - P) T P = 0
     n = T.shape[0]
@@ -104,49 +102,6 @@ def test_hs_independent_of_interior_ordering():
         assert np.linalg.norm(P.matrix - P_ref.matrix) <= 1e-9
 
 
-def test_compression_examples():
-    P = Projection(basis=np.eye(2, dtype=complex)[:, :1])
-    inside = compression_brown(T_EXAMPLE, P, "inside")
-    assert inside.atoms == ((0j, 1.0),)
-    outside = compression_brown(T_EXAMPLE, P, "outside")
-    assert outside.atoms == ((3 + 0j, 1.0),)
-    with pytest.raises(ValueError):
-        compression_brown(T_EXAMPLE, Projection(np.zeros((2, 0), complex)), "inside")
-    with pytest.raises(ValueError):
-        compression_brown(T_EXAMPLE, P, "sideways")
-
-
-def test_compression_normal_exact_split():
-    T = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    P = hs_projection(T, disk(1.5, 0, 1.0))  # {1, 2}
-    inside = compression_brown(T, P, "inside")
-    outside = compression_brown(T, P, "outside")
-    assert sorted(z.real for z in inside.locations) == [1.0, 2.0]
-    assert sorted(z.real for z in outside.locations) == [3.0, 4.0]
-
-
-def test_ball_growth_examples():
-    rep = ball_growth_check(np.diag([0.5, 2.0]).astype(complex), 1.0, trials=4,
-                            m_max=200, seed=0)
-    assert rep.verdict == "pass"
-    assert all(abs(g - 0.5) < 0.05 for g in rep.inside_growth)
-    assert all(abs(g - 2.0) < 0.1 for g in rep.outside_growth)
-
-    rep = ball_growth_check(np.array([[0, 1], [0, 0]], dtype=complex), 0.0,
-                            trials=3, m_max=50, seed=1)
-    assert rep.verdict == "pass"
-    assert all(g == 0.0 for g in rep.inside_growth)
-
-    rep = ball_growth_check(T_EXAMPLE, 1.0, trials=4, m_max=200, seed=2)
-    assert rep.verdict == "pass"
-    assert all(g <= 1.1 for g in rep.inside_growth)
-
-
-def test_ball_growth_skips_touching_spectrum():
-    rep = ball_growth_check(np.diag([1.0, 2.0]).astype(complex), 1.0, seed=0)
-    assert rep.verdict == "skipped"
-
-
 def test_hyperinvariance():
     T = sample(EnsembleSpec("ginibre", 8, seed=20))
     P = hs_projection(T, halfplane(1, 0, 0))
@@ -172,7 +127,7 @@ def test_basis_projection_rank_zero_and_complement():
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     P = Projection(basis=Q[:, :2])
     assert P.rank == 2 and P.n == 5
-    assert P.defect() <= 1e-12
+    assert np.linalg.norm(P.basis.conj().T @ P.basis - np.eye(2)) <= 1e-12
     C = P.complement_basis()
     assert C.shape == (5, 3)
     assert np.linalg.norm(C.conj().T @ C - np.eye(3)) <= 1e-12

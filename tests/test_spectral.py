@@ -1,14 +1,13 @@
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from specord.brown import empirical_brown, measure_distance
 from specord.core import fk_determinant, operator_norm
-from specord.curves import LexicographicCurve, parse_curve, segment_region
+from specord.curves import CurveSegment, LexicographicCurve, parse_curve
 from specord.ensembles import EnsembleSpec, sample
 from specord.regions import CellUnion, EmptyRegion, FullPlane, ambient_square, disk
 from specord.spectral import (
@@ -31,28 +30,31 @@ class ReversedLex(LexicographicCurve):
     rightmost spectral point first."""
 
     def min_preimage(self, z):
-        return Fraction(1) - super().min_preimage(z)
+        return (1 << 2 * self.depth) - 1 - super().min_preimage(z)
 
 
 class CrowdedLex(LexicographicCurve):
-    """Lex ordering squeezed into [0, 2^-80]: injective and measurable, with
-    parameters far closer together than the curve's dyadic resolution."""
+    """Lex ordering with the cell of 2 moved next to the cell of 1: a
+    transposition of two cell indices, so injective and measurable, with
+    the eigenvalues of T12 on adjacent keys, as close as parameters get."""
 
     def min_preimage(self, z):
-        return super().min_preimage(z) / 2**80
+        k = super().min_preimage(z)
+        k1, k2 = super().min_preimage(1), super().min_preimage(2)
+        return {k2: k1 + 1, k1 + 1: k2}.get(k, k)
 
 
 def test_flag_projection_examples():
     c = lex_curve_for(T12)
     table = build_table(T12, c)
-    assert np.allclose(table.flag_at(Fraction(1)).matrix, np.eye(2))
-    assert table.flag_at(Fraction(0)).rank == 0
+    assert np.allclose(table.flag_at((1 << 2 * c.depth) - 1).matrix, np.eye(2))
+    assert table.flag_at(0).rank == 0
     t1 = c.min_preimage(1 + 0j)
     P = table.flag_at(t1)
     assert np.allclose(P.matrix, np.diag([1.0, 0.0]), atol=1e-12)
     # right-continuity: constant between consecutive cluster parameters
     t2 = c.min_preimage(2 + 0j)
-    mid = t1 + (t2 - t1) / 2
+    mid = t1 + (t2 - t1) // 2
     assert np.array_equal(table.flag_at(mid).matrix, P.matrix)
 
 
@@ -68,7 +70,7 @@ def test_spectral_projection_examples():
 def test_spectral_projection_with_crowded_parameters():
     c = CrowdedLex(square=ambient_square(operator_norm(T12)), depth=32)
     table = build_table(T12, c)
-    assert table.params[1] - table.params[0] < Fraction(1, 2**80)
+    assert table.params[1] - table.params[0] == 1
     E = table.spectral_projection(disk(1, 0, 0.25))
     assert E.rank == 1 and np.allclose(E.matrix, np.diag([1, 0]), atol=1e-12)
 
@@ -82,9 +84,9 @@ def test_spectral_projection_matches_flags_at_random_params():
     ts = list(table.params)
     for _ in range(20):
         num = (int(rng.integers(0, 1 << 32)) << 32) | int(rng.integers(0, 1 << 32))
-        ts.append(Fraction(num, 1 << bits))
+        ts.append(num)
     for t in ts:
-        E = table.spectral_projection(segment_region(c, t))
+        E = table.spectral_projection(CurveSegment(c, t))
         P = table.flag_at(t)
         assert np.linalg.norm(E.matrix - P.matrix) <= 1e-9
 
@@ -354,7 +356,7 @@ def test_spectral_projection_vs_hs_projection():
     # on curve segments the two routes compute the same object through
     # independent code paths (table columns vs membership reorder)
     for i in range(len(table.params)):
-        seg = segment_region(curve, table.params[i])
+        seg = CurveSegment(curve, table.params[i])
         P_hs = hs_projection(T, seg)
         E = table.spectral_projection(seg)
         assert np.linalg.norm(E.matrix - P_hs.matrix) <= 1e-9
