@@ -10,6 +10,8 @@ identity with a 5-point stencil over the working square.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ from .core import (
     eigenvalue_matching_distance,
     nearest_cluster,
     operator_norm,
+    single_thread_blas,
     write_output,
 )
 from .regions import Region, Square, ambient_square
@@ -186,44 +189,25 @@ def default_epsilon(T) -> float:
     return 1e-3 * max(1.0, operator_norm(T))
 
 
-def brown_density_grid(
-    T,
-    g: int = 256,
-    eps: float | None = None,
-    square: Square | None = None,
-) -> DensityGrid:
-    """Discrete-Laplacian density of the regularized log potential.
+# grid points per batch: M, tmp and the Cholesky factor (2 MB each at
+# n = 64) stay in cache
+_CHUNK = 32
 
-    Evaluates the potential at the centers of a (g+2)^2 grid covering the
-    working square plus one guard ring, then applies the 5-point stencil.
-    Evaluation order is fixed, so the result is reproducible bit for bit
-    only under a fixed BLAS thread count and kernel: the masses differ
-    between 1 and 2 OpenBLAS threads.
-    """
-    T = as_matrix(T)
-    if g < 16:
-        raise ValueError("grid resolution must be >= 16")
-    if eps is None:
-        eps = default_epsilon(T)
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if square is None:
-        square = ambient_square(operator_norm(T))
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _log_potential(phi, lam, starts, T, Th, ThT, eps) -> None:
+    """phi[s : s + _CHUNK] for every s in `starts`, with buffers of its own."""
     n = T.shape[0]
-    h = square.side / g
-    xs = square.x0 + (np.arange(-1, g + 1) + 0.5) * h
-    ys = square.y1 - (np.arange(-1, g + 1) + 0.5) * h  # row 0 on top
-    lam = (xs[None, :] + 1j * ys[:, None]).ravel()
-
-    I = np.eye(n, dtype=np.complex128)
-    Th = T.conj().T
-    ThT = Th @ T
-    phi = np.empty(lam.size, dtype=np.float64)
-    chunk = max(1, min(512, lam.size))
-    M = np.empty((chunk, n, n), dtype=np.complex128)
-    tmp = np.empty((chunk, n, n), dtype=np.complex128)
-    for s in range(0, lam.size, chunk):
-        ls = lam[s : s + chunk]
+    M = np.empty((_CHUNK, n, n), dtype=np.complex128)
+    tmp = np.empty((_CHUNK, n, n), dtype=np.complex128)
+    for s in starts:
+        ls = lam[s : s + _CHUNK]
         b = ls.size
         Mb, tb = M[:b], tmp[:b]
         Mb[:] = ThT
@@ -236,6 +220,52 @@ def brown_density_grid(
         L = np.linalg.cholesky(Mb)
         d = np.einsum("bii->bi", L).real
         phi[s : s + b] = np.log(d).mean(axis=1)
+
+
+def brown_density_grid(
+    T,
+    g: int = 256,
+    eps: float | None = None,
+    square: Square | None = None,
+) -> DensityGrid:
+    """Discrete-Laplacian density of the regularized log potential.
+
+    Evaluates the potential at the centers of a (g+2)^2 grid covering the
+    working square plus one guard ring, then applies the 5-point stencil.
+    The points go in batches of 32, split into one contiguous range of
+    batches per available CPU, with every OpenBLAS library pinned to one
+    thread (`core.single_thread_blas`; one range if none can be pinned).
+    Each point's arithmetic is fixed, so the masses depend only on the
+    OpenBLAS kernel (`OPENBLAS_CORETYPE`), not on the thread or core count.
+    """
+    T = as_matrix(T)
+    if g < 16:
+        raise ValueError("grid resolution must be >= 16")
+    if eps is None:
+        eps = default_epsilon(T)
+    if eps <= 0:
+        raise ValueError("eps must be > 0")
+    if square is None:
+        square = ambient_square(operator_norm(T))
+    h = square.side / g
+    xs = square.x0 + (np.arange(-1, g + 1) + 0.5) * h
+    ys = square.y1 - (np.arange(-1, g + 1) + 0.5) * h  # row 0 on top
+    lam = (xs[None, :] + 1j * ys[:, None]).ravel()
+
+    phi = np.empty(lam.size, dtype=np.float64)
+    starts = range(0, lam.size, _CHUNK)
+    with single_thread_blas() as pinned:
+        Th = T.conj().T
+        ThT = Th @ T
+        workers = min(_cpu_count(), len(starts)) if pinned else 1
+        cuts = [len(starts) * w // workers for w in range(workers + 1)]
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [
+                pool.submit(_log_potential, phi, lam, starts[lo:hi], T, Th, ThT, eps)
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+            for f in futures:
+                f.result()
     phi = phi.reshape(g + 2, g + 2)
     masses = (
         phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:]

@@ -4,12 +4,17 @@ Schur triangularization with a prescribed eigenvalue order (LAPACK ztrexc
 exchanges of adjacent diagonal entries), the normalized trace, the
 Fuglede-Kadison determinant |det T|^(1/n), and operator-norm power-growth
 sequences.  All functions are pure; returned arrays are freshly
-allocated and inputs are never mutated.
+allocated and inputs are never mutated.  The one exception is
+`single_thread_blas`, which sets the process-wide OpenBLAS thread counts
+for the duration of a block.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -299,3 +304,67 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
 def matrix_digest(T) -> str:
     """sha256 hex digest of the canonical serialization."""
     return sha256(matrix_json_bytes(T)).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS threads
+
+# (get, set) thread-count symbols: a plain OpenBLAS build, numpy's wheel
+# (64-bit integer interface) and scipy's wheel
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+# the thread count is process-wide, so pinned blocks must not interleave
+_BLAS_PIN = threading.RLock()
+
+
+def _openblas_libraries() -> dict:
+    """File name -> (get, set) thread-count functions of every OpenBLAS
+    library loaded in this process; empty without /proc/self/maps."""
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return {}
+    out = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone or not a library
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                out[Path(path).name] = (get, put)
+                break
+    return out
+
+
+def openblas_threads() -> dict[str, int]:
+    """Thread count of every OpenBLAS library loaded in this process."""
+    return {name: int(get()) for name, (get, _) in _openblas_libraries().items()}
+
+
+@contextmanager
+def single_thread_blas():
+    """Run the block with every loaded OpenBLAS library on one thread.
+
+    Yields whether any library was pinned; where none was, BLAS may still
+    run its own threads.  The previous counts are restored on exit, also
+    when the block raises.  Blocks entered from concurrent threads run one
+    at a time, so no block restores the counts while another one runs.
+    """
+    with _BLAS_PIN:
+        saved = [(put, int(get())) for get, put in _openblas_libraries().values()]
+        try:
+            for put, _ in saved:
+                put(1)
+            yield bool(saved)
+        finally:
+            for put, count in saved:
+                put(count)

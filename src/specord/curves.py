@@ -305,6 +305,33 @@ class CurveReport:
     problems: tuple[str, ...] = field(default_factory=tuple)
 
 
+def ordered_preimages(
+    curve: OrderingCurve, locations
+) -> tuple[list[tuple[int, int]], list[str]]:
+    """Order distinct points by their minimal preimages.
+
+    Returns the pairs (k, i) of `k = curve.min_preimage(locations[i])`,
+    sorted by k and then i, for every point inside the curve domain, and the
+    problems that keep the points from being ordered: one per point outside
+    the domain, then one per pair of consecutive points sharing a cell.
+    """
+    problems: list[str] = []
+    entries = []
+    for i, z in enumerate(locations):
+        try:
+            entries.append((curve.min_preimage(z), i))
+        except CurveDomainError as exc:
+            problems.append(str(exc))
+    entries.sort()
+    for (k1, i1), (k2, i2) in zip(entries, entries[1:]):
+        if k1 == k2:
+            z1, z2 = locations[i1], locations[i2]
+            problems.append(
+                f"clusters at {z1} and {z2} share the parameter cell k={k1}"
+            )
+    return entries, problems
+
+
 def curve_validate(curve: OrderingCurve, spectrum, tol: float = 0.0) -> CurveReport:
     """Check that every spectral point is ordered by the curve.
 
@@ -317,25 +344,11 @@ def curve_validate(curve: OrderingCurve, spectrum, tol: float = 0.0) -> CurveRep
     pts = [complex(z) for z in spectrum]
     if not pts:
         return CurveReport(valid=True, locations=(), params=())
-    clusters = cluster_points(pts, tol)
-    problems: list[str] = []
-    entries = []
-    for c in clusters:
-        try:
-            k = curve.min_preimage(c.location)
-        except CurveDomainError as exc:
-            problems.append(str(exc))
-            continue
-        entries.append((k, c.location))
-    entries.sort(key=lambda e: e[0])
-    for (k1, z1), (k2, z2) in zip(entries, entries[1:]):
-        if k1 == k2:
-            problems.append(
-                f"clusters at {z1} and {z2} share the parameter cell k={k1}"
-            )
+    locations = [c.location for c in cluster_points(pts, tol)]
+    entries, problems = ordered_preimages(curve, locations)
     return CurveReport(
         valid=not problems,
-        locations=tuple(z for _, z in entries),
+        locations=tuple(locations[i] for _, i in entries),
         params=tuple(k for k, _ in entries),
         problems=tuple(problems),
     )

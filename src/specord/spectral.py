@@ -34,7 +34,7 @@ from .core import (
     write_output,
     _reorder_by_keys,
 )
-from .curves import OrderingCurve, curve_validate, param_to_bits
+from .curves import OrderingCurve, ordered_preimages, param_to_bits
 from .projections import Projection, projection_from_columns
 from .regions import Region, decide_cluster
 
@@ -188,12 +188,11 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None) -> SpectralTa
         tol = cluster_tolerance(T)
     form = schur_form(T)
     clusters = cluster_points(form.diag_order, tol)
-    report = curve_validate(curve, [c.location for c in clusters], tol=0.0)
-    if not report.valid:
-        raise CurveValidationError("; ".join(report.problems))
+    entries, problems = ordered_preimages(curve, [c.location for c in clusters])
+    if problems:
+        raise CurveValidationError("; ".join(problems))
 
-    param_of = [curve.min_preimage(c.location) for c in clusters]
-    order = sorted(range(len(clusters)), key=lambda i: param_of[i])
+    order = [ci for _, ci in entries]
     rank_of = {ci: pos for pos, ci in enumerate(order)}
     ordered_clusters = [clusters[ci] for ci in order]
 
@@ -208,7 +207,7 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None) -> SpectralTa
         curve=curve,
         tol=tol,
         clusters=tuple(ordered_clusters),
-        params=tuple(param_of[ci] for ci in order),
+        params=tuple(k for k, _ in entries),
         unitary=ordered.unitary,
         triangular=ordered.triangular,
         ranks=tuple(ranks),

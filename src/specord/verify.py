@@ -42,10 +42,13 @@ TOL_STRUCTURAL = 1e-9
 TOL_DETERMINANT = 1e-10
 TOL_GROWTH = 0.1
 
-KNOWN_CHECKS = (
+# check ids by the family that emits them
+_MEASURE_LAW_CHECKS = (
     "spectral-trace-law",
     "spectral-intersection-law",
     "spectral-additivity-law",
+)
+_DECOMPOSITION_CHECKS = (
     "flag-spectral-agreement",
     "flag-trace-law",
     "flag-invariance",
@@ -58,13 +61,19 @@ KNOWN_CHECKS = (
     "normal-part-normality",
     "normal-part-measure",
     "residual-quasinilpotence",
+)
+_CONVERGENCE_CHECKS = (
     "grid-expectation-rate",
     "grid-residual-radius",
     "grid-power-bound",
     "grid-residual-squared-radius",
+)
+_BLOCK_SPLIT_CHECKS = (
     "corner-determinant-product",
     "corner-measure-split",
 )
+KNOWN_CHECKS = (_MEASURE_LAW_CHECKS + _DECOMPOSITION_CHECKS + _CONVERGENCE_CHECKS
+                + _BLOCK_SPLIT_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -831,27 +840,42 @@ def run_suite(
     structural_tol: float = TOL_STRUCTURAL,
     det_tol: float = TOL_DETERMINANT,
 ) -> list[CheckReport]:
-    """Run every requested check over labeled matrices and curves."""
+    """Run every requested check over labeled matrices and curves.
+
+    Only the families that emit a requested id run.  Each family seeds its
+    own generator, so skipping one changes no other family's values.
+    """
     from .curves import curve_for_matrix
 
-    if checks is not None:
-        unknown = set(checks) - set(KNOWN_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    wanted = set(KNOWN_CHECKS if checks is None else checks)
+    unknown = wanted - set(KNOWN_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown check ids: {sorted(unknown)}")
+
+    def wants(family_checks) -> bool:
+        return not wanted.isdisjoint(family_checks)
+
     out: list[CheckReport] = []
     for label, T in matrices:
         for cspec in curve_specs:
             dec = decompose(T, curve_for_matrix(cspec, T))
             k = len(dec.table.clusters)
-            batch = verify_decomposition(dec, seed=seed, structural_tol=structural_tol)
-            batch += verify_measure_laws(dec.table, trials=measure_trials,
-                                         seed=seed, structural_tol=structural_tol)
-            batch += verify_convergence(dec, n_max=n_max, seed=seed)
-            if k:
+            batch = []
+            if wants(_DECOMPOSITION_CHECKS):
+                batch += verify_decomposition(dec, seed=seed,
+                                              structural_tol=structural_tol)
+            if wants(_MEASURE_LAW_CHECKS):
+                batch += verify_measure_laws(dec.table, trials=measure_trials,
+                                             seed=seed, structural_tol=structural_tol)
+            if wants(_CONVERGENCE_CHECKS):
+                batch += verify_convergence(dec, n_max=n_max, seed=seed)
+            if k and wants(_BLOCK_SPLIT_CHECKS):
                 mid = dec.table.range_projection(0, k // 2 + 1)
                 batch += verify_block_split(dec.T, mid, seed=seed, det_tol=det_tol)
             for rep in batch:
-                tagged = CheckReport(
+                if rep.check_id not in wanted:
+                    continue
+                out.append(CheckReport(
                     check_id=f"{rep.check_id}@{label}@{cspec}",
                     claim=rep.claim,
                     inputs_digest=rep.inputs_digest,
@@ -860,9 +884,7 @@ def run_suite(
                     values=rep.values,
                     verdict=rep.verdict,
                     note=rep.note,
-                )
-                if checks is None or rep.check_id in checks:
-                    out.append(tagged)
+                ))
     return sorted(out, key=lambda r: r.check_id)
 
 

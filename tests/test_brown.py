@@ -1,6 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import specord
 from specord.brown import (
     PointMeasure,
     brown_density_grid,
@@ -13,6 +21,7 @@ from specord.brown import (
     write_density_csv,
     write_density_pgm,
 )
+from specord.core import openblas_threads
 from specord.ensembles import EnsembleSpec, sample
 from specord.regions import EmptyRegion, FullPlane, disk
 
@@ -163,3 +172,78 @@ def test_density_outputs(tmp_path):
     blob = (tmp_path / "d.pgm").read_bytes()
     assert blob.startswith(b"P5\n16 16\n255\n")
     assert len(blob) == len(b"P5\n16 16\n255\n") + 16 * 16
+
+
+GRID_CHILD = """
+import hashlib, os, sys
+if sys.argv[1] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from specord import brown_density_grid, parse_ensemble, sample
+T = sample(parse_ensemble("ginibre:n=64,seed=1"))
+print(hashlib.sha256(brown_density_grid(T, g=32).masses.tobytes()).hexdigest())
+"""
+
+
+def test_density_grid_bits_independent_of_threads_and_cpus():
+    # each setting applies to a child process only: the BLAS thread count,
+    # and the CPU affinity, which OpenBLAS reads at load time and the grid
+    # reads for its worker count
+    settings = [({"OPENBLAS_NUM_THREADS": "1"}, "all"),
+                ({"OPENBLAS_NUM_THREADS": "2"}, "all")]
+    if hasattr(os, "sched_setaffinity"):
+        settings += [({}, str(min(os.sched_getaffinity(0)))), ({}, "all")]
+    src = str(Path(specord.__file__).resolve().parent.parent)
+    digests = {}
+    for setting, cpus in settings:
+        path = [src] + [os.environ["PYTHONPATH"]] * bool(os.environ.get("PYTHONPATH"))
+        env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run([sys.executable, "-c", GRID_CHILD, cpus], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (setting, cpus, proc.stderr[-2000:])
+        digests[f"{setting} cpus={cpus}"] = proc.stdout.split()[-1]
+    assert len(set(digests.values())) == 1, digests
+
+
+def test_density_grid_restores_blas_threads(monkeypatch):
+    T = sample(EnsembleSpec("ginibre", 8, seed=1))
+    before = openblas_threads()
+    brown_density_grid(T, g=16)
+    assert openblas_threads() == before
+
+    inside = []
+
+    def failing_cholesky(a):
+        inside.append(openblas_threads())
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        brown_density_grid(T, g=16)
+    assert inside and all(v == 1 for counts in inside for v in counts.values())
+    assert openblas_threads() == before
+
+
+def test_concurrent_density_grids_match_serial():
+    # more callers than cores, switching often: pinned blocks must not
+    # interleave, and each grid's workers write only their own rows
+    T = sample(EnsembleSpec("ginibre", 16, seed=2))
+    want = hashlib.sha256(brown_density_grid(T, g=24).masses.tobytes()).hexdigest()
+    before = openblas_threads()
+    got = []
+
+    def run():
+        got.append(hashlib.sha256(brown_density_grid(T, g=24).masses.tobytes()).hexdigest())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * len(threads)
+    assert openblas_threads() == before

@@ -132,6 +132,30 @@ def test_verify_single_check_filter(tmp_path):
     )
 
 
+def test_verify_check_equals_filtered_full_run(tmp_path, monkeypatch):
+    from specord import verify
+
+    args = ["verify", "--ensemble", "ginibre:n=6,seed=2"]
+    assert main(args + ["--out", str(tmp_path / "all")]) == 0
+    full = verify.reports_from_json((tmp_path / "all" / "report.json").read_text())
+    ran = []
+    for name in ("verify_decomposition", "verify_measure_laws",
+                 "verify_convergence", "verify_block_split"):
+        def spy(*a, _name=name, _fn=getattr(verify, name), **kw):
+            ran.append(_name)
+            return _fn(*a, **kw)
+
+        monkeypatch.setattr(verify, name, spy)
+    ids = ("spectral-trace-law", "corner-measure-split")
+    checks = [arg for c in ids for arg in ("--check", c)]
+    assert main(args + checks + ["--out", str(tmp_path / "some")]) == 0
+    want = [r for r in full if r.check_id.split("@")[0] in ids]
+    assert want
+    assert (tmp_path / "some" / "report.json").read_bytes() == \
+        reports_to_json(want).encode("ascii")
+    assert sorted(set(ran)) == ["verify_block_split", "verify_measure_laws"]
+
+
 def test_verify_unknown_check_exits_2(tmp_path):
     assert main(["verify", "--ensemble", "ginibre:n=4,seed=1",
                  "--check", "bogus", "--out", str(tmp_path / "v")]) == 2
