@@ -9,18 +9,21 @@ identity with a 5-point stencil over the working square.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cython_lapack
 
 from .core import (
     as_matrix,
     cluster_points,
     cluster_tolerance,
     eigenvalue_matching_distance,
+    matrix_digest,
     nearest_cluster,
     operator_norm,
     single_thread_blas,
@@ -57,13 +60,6 @@ class PointMeasure:
     @property
     def weights(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.atoms)
-
-    def support_radius(self) -> float:
-        return max((abs(z) for z, _ in self.atoms), default=0.0)
-
-
-def delta(location: complex = 0.0) -> PointMeasure:
-    return PointMeasure(atoms=((complex(location), 1.0),), counts=(1,))
 
 
 def _measure_from_clusters(clusters, n: int) -> PointMeasure:
@@ -189,9 +185,29 @@ def default_epsilon(T) -> float:
     return 1e-3 * max(1.0, operator_norm(T))
 
 
-# grid points per batch: M, tmp and the Cholesky factor (2 MB each at
-# n = 64) stay in cache
+# grid points per batch: M and tmp (2 MB each at n = 64) stay in cache
 _CHUNK = 32
+
+
+def _cython_lapack_zpotrf():
+    """zpotrf(uplo, n, a, lda, info) of scipy's `cython_lapack`, through ctypes.
+
+    The capsule name is the C signature, so a scipy whose zpotrf has other
+    argument types fails here instead of in the call.  A ctypes call
+    releases the GIL while the routine runs, so the grid's workers factor
+    their batches in parallel.
+    """
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(cython_lapack.__pyx_capi__["zpotrf"],
+                          b"void (char *, int *, __pyx_t_double_complex *, int *, int *)")
+    int_p = ctypes.POINTER(ctypes.c_int)
+    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, int_p, ctypes.c_void_p, int_p, int_p)(
+        address)
+
+
+# Cholesky factor of a Fortran-ordered matrix, in place
+_zpotrf = _cython_lapack_zpotrf()
 
 
 def _cpu_count() -> int:
@@ -201,25 +217,34 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _log_potential(phi, lam, starts, T, Th, ThT, eps) -> None:
-    """phi[s : s + _CHUNK] for every s in `starts`, with buffers of its own."""
-    n = T.shape[0]
+def _log_potential(phi, lam, starts, T_t, Th_t, ThT_t, eps) -> None:
+    """phi[s : s + _CHUNK] for every s in `starts`, with buffers of its own.
+
+    T_t, Th_t and ThT_t are the transposes of T, T* and T*T, so each
+    C-ordered slice of M holds (T - l)*(T - l) + eps^2 in Fortran order,
+    which zpotrf factors in place.
+    """
+    n = T_t.shape[0]
     M = np.empty((_CHUNK, n, n), dtype=np.complex128)
     tmp = np.empty((_CHUNK, n, n), dtype=np.complex128)
+    diag = np.einsum("bii->bi", M)
+    order, info = ctypes.c_int(n), ctypes.c_int(0)
+    base, stride = M.ctypes.data, M.strides[0]
     for s in starts:
         ls = lam[s : s + _CHUNK]
         b = ls.size
         Mb, tb = M[:b], tmp[:b]
-        Mb[:] = ThT
-        np.multiply(np.conj(ls)[:, None, None], T[None, :, :], out=tb)
+        Mb[:] = ThT_t
+        np.multiply(np.conj(ls)[:, None, None], T_t[None, :, :], out=tb)
         Mb -= tb
-        np.multiply(ls[:, None, None], Th[None, :, :], out=tb)
+        np.multiply(ls[:, None, None], Th_t[None, :, :], out=tb)
         Mb -= tb
-        diag = np.einsum("bii->bi", Mb)
-        diag += (np.abs(ls) ** 2 + eps * eps)[:, None]
-        L = np.linalg.cholesky(Mb)
-        d = np.einsum("bii->bi", L).real
-        phi[s : s + b] = np.log(d).mean(axis=1)
+        diag[:b] += (np.abs(ls) ** 2 + eps * eps)[:, None]
+        for k in range(b):
+            _zpotrf(b"L", order, base + k * stride, order, info)
+            if info.value != 0:  # a pivot <= 0: no factor, no potential
+                diag[k, 0] = np.nan
+        phi[s : s + b] = np.log(diag[:b].real).mean(axis=1)
 
 
 def brown_density_grid(
@@ -235,8 +260,12 @@ def brown_density_grid(
     The points go in batches of 32, split into one contiguous range of
     batches per available CPU, with every OpenBLAS library pinned to one
     thread (`core.single_thread_blas`; one range if none can be pinned).
-    Each point's arithmetic is fixed, so the masses depend only on the
-    OpenBLAS kernel (`OPENBLAS_CORETYPE`), not on the thread or core count.
+    Each point's matrix is factored in place by the LAPACK zpotrf of
+    scipy's `cython_lapack`.  Each point's arithmetic is fixed, so the
+    masses depend only on the kernel (`OPENBLAS_CORETYPE`) of the OpenBLAS
+    behind scipy, not on numpy's BLAS or on the thread or core count.
+    Raises ValueError when the potential is not finite at some point,
+    e.g. when (T - l)*(T - l) overflows.
     """
     T = as_matrix(T)
     if g < 16:
@@ -255,17 +284,22 @@ def brown_density_grid(
     phi = np.empty(lam.size, dtype=np.float64)
     starts = range(0, lam.size, _CHUNK)
     with single_thread_blas() as pinned:
-        Th = T.conj().T
-        ThT = Th @ T
+        ThT_t = np.ascontiguousarray((T.conj().T @ T).T)
+        T_t, Th_t = np.ascontiguousarray(T.T), T.conj()
         workers = min(_cpu_count(), len(starts)) if pinned else 1
         cuts = [len(starts) * w // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(workers) as pool:
             futures = [
-                pool.submit(_log_potential, phi, lam, starts[lo:hi], T, Th, ThT, eps)
+                pool.submit(_log_potential, phi, lam, starts[lo:hi], T_t, Th_t, ThT_t, eps)
                 for lo, hi in zip(cuts, cuts[1:])
             ]
             for f in futures:
                 f.result()
+    # zpotrf passes NaN pivots with info = 0, so the values themselves are checked
+    bad = np.count_nonzero(~np.isfinite(phi))
+    if bad:
+        raise ValueError(f"density grid: the log potential is not finite at {bad} of "
+                         f"{phi.size} points (input digest {matrix_digest(T)})")
     phi = phi.reshape(g + 2, g + 2)
     masses = (
         phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:]

@@ -150,6 +150,11 @@ def eigenvalue_matching_distance(a: Sequence[complex], b: Sequence[complex]) -> 
     if not a:
         return 0.0
     dist = np.abs(np.subtract.outer(np.array(a), np.array(b)))
+    # every bijection gives each a_i a partner at least its nearest distance
+    # away, so when the nearest partners are all distinct they are optimal
+    nearest = dist.argmin(axis=1)
+    if np.unique(nearest).size == len(a):
+        return float(dist[np.arange(len(a)), nearest].max())
     return _bottleneck(dist)
 
 

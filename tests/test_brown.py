@@ -12,7 +12,6 @@ import specord
 from specord.brown import (
     PointMeasure,
     brown_density_grid,
-    delta,
     empirical_brown,
     measure_distance,
     mixture,
@@ -32,7 +31,7 @@ def test_point_measure_invariants():
     with pytest.raises(ValueError):
         PointMeasure(atoms=((0j, 1.5), (1j, -0.5)))
     m = PointMeasure(atoms=((0j, 0.5), (1j, 0.5)))
-    assert m.support_radius() == 1.0
+    assert m.locations == (0j, 1j) and m.weights == (0.5, 0.5)
 
 
 def test_empirical_examples():
@@ -99,6 +98,39 @@ def test_density_argument_validation():
         brown_density_grid(np.eye(2), g=32, eps=0.0)
 
 
+def test_density_grid_matches_per_point_cholesky():
+    # reference: each point's potential from its own np.linalg.cholesky
+    T = sample(EnsembleSpec("ginibre", 16, seed=4))
+    g = 16
+    grid = brown_density_grid(T, g=g)
+    sq, eps = grid.square, grid.eps
+    h = sq.side / g
+    phi = np.empty((g + 2, g + 2))
+    for i in range(g + 2):
+        for j in range(g + 2):
+            lam = complex(sq.x0 + (j - 0.5) * h, sq.y1 - (i - 0.5) * h)
+            A = T - lam * np.eye(16)
+            L = np.linalg.cholesky(A.conj().T @ A + eps**2 * np.eye(16))
+            phi[i, j] = np.log(np.diag(L).real).mean()
+    masses = (phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:]
+              - 4.0 * phi[1:-1, 1:-1]) / (2.0 * np.pi)
+    np.testing.assert_allclose(grid.masses, masses, rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_density_grid_rejects_non_finite_potential(monkeypatch):
+    T = sample(EnsembleSpec("ginibre", 8, seed=1)) * 2.0**600
+    with pytest.raises(ValueError, match="density grid: the log potential is not finite"):
+        brown_density_grid(T, g=16)
+
+    def not_positive_definite(uplo, n, a, lda, info):
+        info.value = 2
+
+    monkeypatch.setattr("specord.brown._zpotrf", not_positive_definite)
+    with pytest.raises(ValueError, match="not finite at 324 of 324 points"):
+        brown_density_grid(np.eye(4), g=16)
+
+
 def test_region_mass():
     m = empirical_brown(np.diag([1.0, 2.0]))
     assert region_mass(m, disk(1, 0, 0.1)) == 0.5
@@ -125,12 +157,12 @@ def test_measure_distance_bottleneck_not_greedy():
 
 
 def test_mixture():
-    m1 = delta(1.0)
-    m2 = delta(2.0)
+    m1 = PointMeasure(atoms=((1 + 0j, 1.0),))
+    m2 = PointMeasure(atoms=((2 + 0j, 1.0),))
     mix = mixture([(m1, 0.5), (m2, 0.5)], tol=1e-8)
     assert mix.weights == (0.5, 0.5)
     # coincident atoms merge
-    mix2 = mixture([(m1, 0.25), (delta(1.0), 0.75)], tol=1e-8)
+    mix2 = mixture([(m1, 0.25), (m1, 0.75)], tol=1e-8)
     assert mix2.atoms == ((1 + 0j, 1.0),)
     with pytest.raises(ValueError):
         mixture([(m1, 0.4)], tol=1e-8)
@@ -212,11 +244,11 @@ def test_density_grid_restores_blas_threads(monkeypatch):
 
     inside = []
 
-    def failing_cholesky(a):
+    def failing_zpotrf(*args):
         inside.append(openblas_threads())
         raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    monkeypatch.setattr("specord.brown._zpotrf", failing_zpotrf)
     with pytest.raises(np.linalg.LinAlgError, match="injected"):
         brown_density_grid(T, g=16)
     assert inside and all(v == 1 for counts in inside for v in counts.values())

@@ -2,10 +2,12 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from specord import cli
 from specord.cli import main
 from specord.core import SchurConvergenceError, load_matrix, save_matrix
+from specord.ensembles import parse_ensemble, sample
 from specord.verify import reports_to_json, verify_decomposition
 
 
@@ -105,6 +107,18 @@ def test_brown_single_entry(tmp_path):
                  "--out", str(out)]) == 0
     lines = (out / "atoms.csv").read_text().strip().split("\n")
     assert len(lines) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_brown_non_finite_potential_exits_2(tmp_path, capsys):
+    # (T - l)*(T - l) overflows, so the log potential is not finite
+    src = tmp_path / "big.json"
+    save_matrix(sample(parse_ensemble("ginibre:n=8,seed=1")) * 2.0**600, src)
+    out = tmp_path / "b"
+    assert main(["brown", "--matrix", str(src), "--grid", "16",
+                 "--out", str(out)]) == 2
+    assert "log potential is not finite" in capsys.readouterr().err
+    assert not (out / "density.csv").exists() and not (out / "report.json").exists()
 
 
 def test_project_command(tmp_path):

@@ -18,6 +18,7 @@ from specord.core import (
     save_matrix,
     SchurForm,
     schur_form,
+    _bottleneck,
     _reorder_by_keys,
 )
 from specord.ensembles import EnsembleSpec, sample
@@ -231,6 +232,39 @@ def test_cluster_points():
     cl = cluster_points(pts, 1e-8)
     assert [c.multiplicity for c in cl] == [1, 2, 2]
     assert abs(cl[1].location - (1.0 + 5e-11)) < 1e-12
+
+
+def test_matching_distance_fast_path_equals_bottleneck(monkeypatch):
+    # when the nearest partners form a bijection the distance is read off
+    # without `_bottleneck`; either way it is the same entry of `dist`
+    calls = []
+
+    def counted(dist):
+        calls.append(1)
+        return _bottleneck(dist)
+
+    monkeypatch.setattr("specord.core._bottleneck", counted)
+    rng = np.random.default_rng(5)
+    cases = [
+        ([0, 3, 10], [-1, 1, 10], True),  # row 0 ties; the first minimum serves
+        ([0, 2], [1, 3], False),  # row 1 ties and takes row 0's partner
+        ([1, 1, 2], [1, 2, 2], False),  # repeated values
+        (np.arange(8), np.arange(8) + 0.5, False),  # every row ties
+    ]
+    for _ in range(200):
+        a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        cases += [(a, b, None), (a, rng.permutation(a) + 0.01 * b, True)]
+    paths = set()
+    for a, b, fast in cases:
+        dist = np.abs(np.subtract.outer(np.asarray(a, complex), np.asarray(b, complex)))
+        calls.clear()
+        got = eigenvalue_matching_distance(a, b)
+        assert got == _bottleneck(dist), (a, b)
+        took_fast = not calls
+        assert fast is None or took_fast == fast, (a, b)
+        paths.add(took_fast)
+    assert paths == {True, False}
 
 
 def test_matrix_io_roundtrip(tmp_path):
