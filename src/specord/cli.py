@@ -139,10 +139,11 @@ def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
 
 def _run_brown(cfg: RunConfig, outdir: Path) -> int:
     T = _resolve_matrix(cfg)
-    _write_config(cfg, outdir)
+    # compute before writing, so a grid that raises leaves no partial bundle
     measure = empirical_brown(T)
-    write_atoms_csv(measure, outdir / "atoms.csv")
     grid = brown_density_grid(T, g=cfg.grid)
+    _write_config(cfg, outdir)
+    write_atoms_csv(measure, outdir / "atoms.csv")
     write_density_csv(grid, outdir / "density.csv")
     write_density_pgm(grid, outdir / "density.pgm")
     info = {

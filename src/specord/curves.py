@@ -71,19 +71,62 @@ def _hilbert_index_to_xy(order: int, d: int) -> tuple[int, int]:
     return x, y
 
 
+def _hilbert_step(state: int, bx: int, by: int) -> tuple[int, int]:
+    """One Hilbert level: the base-4 digit of raw bits (bx, by), next state.
+
+    The state is the orientation that the levels above put on the lower
+    bits: bit 1 swaps x and y, bit 0 complements both.  The two commute,
+    so four states cover every orientation.
+    """
+    if state & 2:
+        bx, by = by, bx
+    bx ^= state & 1
+    by ^= state & 1
+    if by == 0:
+        state ^= 2 | bx
+    return (3 * bx) ^ by, state
+
+
+def _hilbert_nibble_table() -> list[int]:
+    """Four Hilbert levels at once: entry (state, x nibble, y nibble)."""
+    table = []
+    for state0 in range(4):
+        for xn in range(16):
+            for yn in range(16):
+                digits, state = 0, state0
+                for shift in (3, 2, 1, 0):
+                    digit, state = _hilbert_step(state, (xn >> shift) & 1, (yn >> shift) & 1)
+                    digits = (digits << 2) | digit
+                table.append((digits << 2) | state)
+    return table
+
+
+_HILBERT_NIBBLES = _hilbert_nibble_table()
+
+
 def _hilbert_xy_to_index(order: int, x: int, y: int) -> int:
+    """Hilbert index of cell (x, y), read from the top bit down.
+
+    Each level emits the base-4 digit (3 rx) ^ ry of its orientation-adjusted
+    bits and moves to one of four orientation states (swap x and y,
+    complement both; see `_hilbert_step`).  `_HILBERT_NIBBLES` holds, for
+    each state and each (x nibble, y nibble), the 8 bits of four digits and
+    the state after them, so the levels below the first `order % 4` are
+    read four at a time.  The integers equal the level-by-level walk.
+    """
     d = 0
-    s = (1 << order) >> 1
-    while s > 0:
-        rx = 1 if (x & s) > 0 else 0
-        ry = 1 if (y & s) > 0 else 0
-        d += s * s * ((3 * rx) ^ ry)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        s >>= 1
+    state = 0
+    shift = order
+    for _ in range(order % 4):
+        shift -= 1
+        digit, state = _hilbert_step(state, (x >> shift) & 1, (y >> shift) & 1)
+        d = (d << 2) | digit
+    table = _HILBERT_NIBBLES
+    while shift:
+        shift -= 4
+        e = table[(state << 8) | (((x >> shift) & 15) << 4) | ((y >> shift) & 15)]
+        d = (d << 8) | (e >> 2)
+        state = e & 3
     return d
 
 

@@ -120,7 +120,7 @@ def hyperinvariance_check(
         for ci in range(len(clusters)):
             idempotents.append((V * (owner == ci)[None, :]) @ Vinv)
 
-    commutator_tol = 1e-9 * max(1.0, operator_norm(T))
+    commutator_tol = 1e-9 * norm_T
     max_comm = 0.0
     max_leak = 0.0
     used = 0

@@ -86,12 +86,19 @@ def locate_cell(square: Square, level: int, z: complex) -> int | None:
 
     The arithmetic candidate from floor division is corrected against the
     half-open membership rule, so points lying exactly on shared edges are
-    assigned consistently with `cell_contains`.
+    assigned consistently with `cell_contains`.  The candidate is tested
+    first with `cell_box`'s float operations written out; the 3x3
+    neighbourhood is searched only when it misses.
     """
     m = 1 << level
     h = square.side / m
     col = int(math.floor((z.real - square.x0) / h)) if h > 0 else 0
     row = int(math.floor((square.y1 - z.imag) / h)) if h > 0 else 0
+    if 0 <= row < m and 0 <= col < m:
+        x0 = square.x0 + col * h
+        y1 = square.y1 - row * h
+        if x0 <= z.real < x0 + h and y1 - h < z.imag <= y1:
+            return row * m + col + 1
     for r in (row, row - 1, row + 1):
         for c in (col, col - 1, col + 1):
             if 0 <= r < m and 0 <= c < m:

@@ -442,25 +442,33 @@ def verify_convergence(dec: Decomposition, n_max: int = 8,
     rng = np.random.default_rng(seed)
     power_vals = []
     n_dim = S.shape[0]
+    trials, steps = 20, 20
     for lvl in range(1, min(n_max, 6) + 1):
         delta = 3.0 * math.sqrt(2.0) * ns / (1 << lvl)
         En = stable.expectation(lvl)
         Dn = S - En
-        for trial in range(20):
+        # the trials of a level as the columns of one block, eta drawn in turn
+        V = np.empty((n_dim, trials), dtype=np.complex128)
+        for trial in range(trials):
             eta = rng.standard_normal(n_dim) + 1j * rng.standard_normal(n_dim)
-            eta /= np.linalg.norm(eta)
-            v = eta.copy()
-            w = eta.copy()
-            for m in range(1, 21):
-                v = Qs @ (Qs @ v)     # (S - N)^{2m} eta
-                w = Dn @ w            # (S - E_n)^m eta
-                lhs = float(np.linalg.norm(v))
-                rhs = (4.0**m) * max(delta**m, float(np.linalg.norm(w)))
+            V[:, trial] = eta / np.linalg.norm(eta)
+        W = V.copy()
+        lhs = np.empty((steps, trials))
+        rhs = np.empty((steps, trials))
+        for m in range(steps):
+            V = Qs @ (Qs @ V)     # (S - N)^{2m} eta
+            W = Dn @ W            # (S - E_n)^m eta
+            lhs[m] = np.linalg.norm(V, axis=0)
+            rhs[m] = np.linalg.norm(W, axis=0)
+        lhs_t, rhs_t = lhs.T.tolist(), rhs.T.tolist()
+        for trial in range(trials):
+            for m, (left, w) in enumerate(zip(lhs_t[trial], rhs_t[trial]), start=1):
+                bound = (4.0**m) * max(delta**m, w)
                 power_vals.append(
                     CheckValue(
                         f"power[n={lvl},trial={trial},m={m}]",
-                        lhs,
-                        rhs * (1.0 + 1e-9) + 1e-300,
+                        left,
+                        bound * (1.0 + 1e-9) + 1e-300,
                     )
                 )
     reports.append(
@@ -511,22 +519,25 @@ def _snap_atoms(values: list[complex], targets: list[complex]) -> list[complex] 
     can scatter around the true (multiple) eigenvalue; each computed value
     is assigned to the nearest reference atom, provided that assignment is
     unambiguous (closer than half the reference separation when there are
-    several atoms).
+    several atoms).  Ties go to the first nearest target.
+
+    Distances are `np.hypot` of the real and imaginary differences, which
+    gives the bits of Python's `abs(v - t)` (both are C `hypot`).  `np.abs`
+    of a complex array does not: its loop is CPU-dispatched and rounds
+    differently on some CPUs.
     """
     if not targets:
         return None
     if len(targets) == 1:
         return [targets[0]] * len(values)
-    sep = min(
-        abs(a - b) for i, a in enumerate(targets) for b in targets[i + 1 :]
-    )
-    out = []
-    for v in values:
-        d, z = min(((abs(v - t), t) for t in targets), key=lambda p: p[0])
-        if d > sep / 2:
-            return None
-        out.append(z)
-    return out
+    t = np.array(targets, dtype=np.complex128)
+    pair = np.hypot(t.real[:, None] - t.real, t.imag[:, None] - t.imag)
+    sep = float(pair[np.triu_indices(len(targets), 1)].min())
+    v = np.array(values, dtype=np.complex128).reshape(-1, 1)
+    dist = np.hypot(v.real - t.real, v.imag - t.imag)
+    if (dist.min(axis=1) > sep / 2).any():
+        return None
+    return [targets[i] for i in dist.argmin(axis=1).tolist()]
 
 
 def _corner_measure(T: np.ndarray, basis: np.ndarray,

@@ -118,7 +118,9 @@ def test_brown_non_finite_potential_exits_2(tmp_path, capsys):
     assert main(["brown", "--matrix", str(src), "--grid", "16",
                  "--out", str(out)]) == 2
     assert "log potential is not finite" in capsys.readouterr().err
-    assert not (out / "density.csv").exists() and not (out / "report.json").exists()
+    # the grid fails before anything is written: no partial bundle
+    for name in ("config.json", "atoms.csv", "density.csv", "report.json"):
+        assert not (out / name).exists()
 
 
 def test_project_command(tmp_path):

@@ -9,6 +9,8 @@ import pytest
 import specord
 from specord.curves import (
     CurveDomainError,
+    _hilbert_index_to_xy,
+    _hilbert_xy_to_index,
     CurveSegment,
     LexicographicCurve,
     curve_validate,
@@ -62,6 +64,42 @@ def test_hilbert_covers_all_cells():
     c = make("hilbert", depth=4)
     cells = {c.eval(i) for i in range(4**4)}
     assert len(cells) == 4**4
+
+
+def hilbert_index_oracle(order: int, x: int, y: int) -> int:
+    """The level-by-level walk that the nibble table replaced."""
+    d = 0
+    s = (1 << order) >> 1
+    while s > 0:
+        rx = 1 if (x & s) > 0 else 0
+        ry = 1 if (y & s) > 0 else 0
+        d += s * s * ((3 * rx) ^ ry)
+        if ry == 0:
+            if rx == 1:
+                x = s - 1 - x
+                y = s - 1 - y
+            x, y = y, x
+        s >>= 1
+    return d
+
+
+def test_hilbert_index_matches_walk_on_small_orders():
+    for order in range(1, 8):
+        m = 1 << order
+        for x in range(m):
+            for y in range(m):
+                d = _hilbert_xy_to_index(order, x, y)
+                assert d == hilbert_index_oracle(order, x, y)
+                assert _hilbert_index_to_xy(order, d) == (x, y)
+
+
+def test_hilbert_index_matches_walk_at_order_32():
+    m = 1 << 32
+    rng = np.random.default_rng(5)
+    pts = [(0, 0), (0, m - 1), (m - 1, 0), (m - 1, m - 1)]
+    pts += [(int(x), int(y)) for x, y in rng.integers(0, m, size=(20000, 2))]
+    for x, y in pts:
+        assert _hilbert_xy_to_index(32, x, y) == hilbert_index_oracle(32, x, y)
 
 
 def test_morton_example_against_interleave_oracle():

@@ -78,6 +78,40 @@ def test_locate_cell_interior_points():
         assert cell_contains(cell_box(SQ, 3, k), z)
 
 
+def locate_cell_oracle(square, level, z):
+    """The 3x3 search around the arithmetic candidate, without a fast path."""
+    m = 1 << level
+    h = square.side / m
+    col = int(np.floor((z.real - square.x0) / h))
+    row = int(np.floor((square.y1 - z.imag) / h))
+    for r in (row, row - 1, row + 1):
+        for c in (col, col - 1, col + 1):
+            if 0 <= r < m and 0 <= c < m:
+                k = r * m + c + 1
+                if cell_contains(cell_box(square, level, k), z):
+                    return k
+    return None
+
+
+@pytest.mark.parametrize("square", [SQ, Square(0.3, -0.7, 0.1), Square(0.0, 0.0, 6e-7)])
+def test_locate_cell_matches_search_on_edges_corners_and_outside(square):
+    rng = np.random.default_rng(2)
+    for level in (0, 1, 3, 7):
+        m = 1 << level
+        h = square.side / m
+        xs = [square.x0 + i * h for i in range(m + 1)]
+        ys = [square.y0 + i * h for i in range(m + 1)]
+        pts = [complex(x, y) for x in xs for y in ys]               # corners
+        pts += [complex(x, rng.uniform(square.y0, square.y1)) for x in xs]
+        pts += [complex(rng.uniform(square.x0, square.x1), y) for y in ys]
+        pts += [complex(np.nextafter(x, d), np.nextafter(y, e))       # one ulp off
+                for x in xs[:3] for y in ys[-3:] for d in (-1e9, 1e9) for e in (-1e9, 1e9)]
+        pts += [complex(*rng.uniform(-2.0 * square.side, 2.0 * square.side, 2))
+                for _ in range(200)]                                  # mostly outside
+        for z in pts:
+            assert locate_cell(square, level, z) == locate_cell_oracle(square, level, z)
+
+
 def test_region_combinators():
     d = disk(0, 0, 1)
     h = halfplane(1, 0, 0)  # x <= 0

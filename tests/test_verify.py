@@ -1,6 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import specord
 from specord.core import operator_norm
 from specord.curves import parse_curve
 from specord.ensembles import EnsembleSpec, sample
@@ -10,6 +17,9 @@ from specord.spectral import build_table, decompose
 from specord.verify import (
     CheckValue,
     KNOWN_CHECKS,
+    _commuting_input,
+    _scaled_square,
+    _snap_atoms,
     make_report,
     reports_from_json,
     reports_to_json,
@@ -168,3 +178,146 @@ def test_run_suite_builds_each_table_once(monkeypatch, T, builds):
     run_suite([("m", T)], curve_specs=("hilbert:depth=32",), seed=0, measure_trials=2,
               n_max=2)
     assert len(calls) == builds
+
+
+def power_bound_oracle(dec, n_max, seed):
+    """(name, measured, bound) of grid-power-bound, one eta at a time."""
+    xtable, _ = _commuting_input(dec)
+    X, curve = xtable.matrix, dec.table.curve
+    xnorm = operator_norm(X)
+    S = X / (2.0 * xnorm)
+    stable = build_table(S, type(curve)(square=_scaled_square(curve, 0.5 / xnorm),
+                                        depth=curve.depth))
+    Qs = S - stable.normal_part()
+    rng = np.random.default_rng(seed)
+    out = []
+    for lvl in range(1, min(n_max, 6) + 1):
+        delta = 3.0 * math.sqrt(2.0) * 0.5 / (1 << lvl)
+        Dn = S - stable.expectation(lvl)
+        for trial in range(20):
+            eta = rng.standard_normal(S.shape[0]) + 1j * rng.standard_normal(S.shape[0])
+            eta /= np.linalg.norm(eta)
+            v = eta.copy()
+            w = eta.copy()
+            for m in range(1, 21):
+                v = Qs @ (Qs @ v)
+                w = Dn @ w
+                rhs = (4.0**m) * max(delta**m, float(np.linalg.norm(w)))
+                out.append((f"power[n={lvl},trial={trial},m={m}]",
+                            float(np.linalg.norm(v)), rhs * (1.0 + 1e-9) + 1e-300))
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    EnsembleSpec("ginibre", 12, seed=5),
+    EnsembleSpec("strict_upper", 16, seed=22),
+    EnsembleSpec("jordan", 6, seed=0, params=(("lam", 0.5), ("lam_im", -0.5))),
+])
+def test_power_bound_block_matches_one_vector_at_a_time(spec):
+    T = sample(spec)
+    dec = decompose(T, curve_for(T))
+    reports = verify_convergence(dec, n_max=4, seed=3)
+    (power,) = [r for r in reports if r.check_id == "grid-power-bound"]
+    expected = power_bound_oracle(dec, n_max=4, seed=3)
+    assert [v.name for v in power.values] == [name for name, _, _ in expected]
+    for v, (_, measured, bound) in zip(power.values, expected):
+        assert v.measured == pytest.approx(measured, rel=1e-13, abs=1e-300)
+        assert v.bound == pytest.approx(bound, rel=1e-13, abs=1e-300)
+
+
+def snap_atoms_oracle(values, targets):
+    """Nearest target by Python's abs, one value and one target at a time."""
+    if not targets:
+        return None
+    if len(targets) == 1:
+        return [targets[0]] * len(values)
+    sep = min(abs(a - b) for i, a in enumerate(targets) for b in targets[i + 1:])
+    out = []
+    for v in values:
+        d, z = min(((abs(v - t), t) for t in targets), key=lambda p: p[0])
+        if d > sep / 2:
+            return None
+        out.append(z)
+    return out
+
+
+def test_snap_atoms_matches_python_abs_on_random_inputs():
+    rng = np.random.default_rng(11)
+    snapped = 0
+    for scale in (1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300):
+        for _ in range(200):
+            k = int(rng.integers(2, 6))
+            targets = (scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))).tolist()
+            near = rng.choice(targets, size=int(rng.integers(0, 8)))
+            jitter = rng.standard_normal(near.size) + 1j * rng.standard_normal(near.size)
+            values = (near + scale * 10.0 ** rng.uniform(-16, 0) * jitter).tolist()
+            got = _snap_atoms(values, targets)
+            assert got == snap_atoms_oracle(values, targets)
+            snapped += got is not None
+    assert snapped > 100  # both outcomes are exercised
+
+
+def test_snap_atoms_ties_duplicates_and_degenerate_inputs():
+    cases = [
+        ([1 + 0j, 1.5 + 0j], [0j, 2 + 0j, 10j]),        # 1 is equidistant: first wins
+        ([1 + 0j], [2 + 0j, 0j, 10j]),
+        ([1 + 0j, 0.5 + 0j], [1 + 0j, 1 + 0j, 3 + 0j]),  # duplicate target: sep = 0
+        ([1 + 0j, 1 + 0j], [1 + 0j, 1 + 0j, 3 + 0j]),
+        ([0.3 + 0.1j, 7 - 2j], [5 + 5j]),                # one target
+        ([], [0j, 1 + 0j]),                              # no values
+        ([0j], []),                                      # no targets
+        ([], []),
+    ]
+    for values, targets in cases:
+        assert _snap_atoms(values, targets) == snap_atoms_oracle(values, targets), (
+            values, targets)
+    assert _snap_atoms([1 + 0j], [2 + 0j, 0j, 10j]) == [2 + 0j]
+    # midpoints of two targets: the last bit of each distance decides
+    rng = np.random.default_rng(3)
+    for scale in (1e-200, 1.0, 1e200):
+        for _ in range(500):
+            targets = (scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))).tolist()
+            values = [(targets[0] + targets[1]) / 2]
+            assert _snap_atoms(values, targets) == snap_atoms_oracle(values, targets)
+
+
+def test_hypot_gives_the_bits_of_python_abs():
+    # the premise of `_snap_atoms`; numpy's complex abs does not hold it on
+    # every CPU
+    rng = np.random.default_rng(4)
+    for scale in (1e-300, 1e-100, 1.0, 1e100, 1e300):
+        a = scale * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+        b = scale * (rng.standard_normal(2000) + 1j * rng.standard_normal(2000))
+        python = [abs(x - y) for x, y in zip(a.tolist(), b.tolist())]
+        assert np.hypot(a.real - b.real, a.imag - b.imag).tolist() == python
+
+
+DETERMINISM_CHILD = """
+import hashlib, sys
+from specord.ensembles import corpus_matrices
+from specord.verify import reports_to_json, run_suite
+names = sys.argv[1:]
+mats = [(name, M) for name, M in corpus_matrices() if name in names]
+assert len(mats) == len(names)
+reports = run_suite(mats, curve_specs=("hilbert:depth=32",), seed=0, n_max=3,
+                    measure_trials=20)
+print(hashlib.sha256(reports_to_json(reports).encode("ascii")).hexdigest())
+"""
+
+
+def test_corpus_reports_independent_of_blas_threads():
+    # the `specord verify` defaults on corpus entries up to n = 64; each
+    # thread count applies to a child process only
+    names = ["ginibre:n=64,seed=7", "strict_upper:n=64,seed=24",
+             "jordan:n=8,lam=1,lam_im=1,seed=0", "stress:edge_axis"]
+    src = str(Path(specord.__file__).resolve().parent.parent)
+    digests = {}
+    for threads in ("1", "2"):
+        path = [src] + [os.environ["PYTHONPATH"]] * bool(os.environ.get("PYTHONPATH"))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run([sys.executable, "-c", DETERMINISM_CHILD, *names], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (threads, proc.stderr[-2000:])
+        digests[threads] = proc.stdout.split()[-1]
+    assert digests["1"] == digests["2"], digests
