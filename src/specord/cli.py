@@ -11,14 +11,15 @@ replay      re-run a recorded config.json and reproduce its outputs
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input, usage
 or a library failure.  Every run writes a config.json into its output
-directory; `replay` reproduces the run (byte-identical report.json) from
-that file alone.
+directory; `replay` reproduces the run (byte-identical output files,
+config.json included) from that file alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -35,11 +36,14 @@ from .brown import (
 )
 from .core import (
     SchurConvergenceError,
+    cluster_tolerance,
+    json_int,
     load_matrix,
     matrix_digest,
     matrix_from_dict,
     matrix_json_bytes,
     operator_norm,
+    schur_form,
     write_output,
 )
 from .curves import curve_for_matrix, parse_curve
@@ -53,6 +57,11 @@ from .verify import (
     suite_summary,
     verify_decomposition,
 )
+
+# stands in for the inlined matrix while json lays out the rest of a config
+_MATRIX_SLOT = "@matrix@"
+# the integer literal -0: followed by a delimiter, not by a fraction or exponent
+_NEG_ZERO_INT = re.compile(r"-0[\s,\]}]")
 
 
 @dataclass
@@ -73,9 +82,19 @@ class RunConfig:
     count: int = 16
     tolerances: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_json(self, T: np.ndarray | None = None) -> str:
+        """Indented, key-sorted JSON.  `T`, when given, is inlined as
+        `matrix_data` in its canonical one-line form, `matrix_json_bytes(T)`."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        if T is None:
+            return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        # json indents in pure Python, slowly for n*n pairs, so the matrix
+        # replaces a slot after dumps; a JSON string holds no unescaped
+        # quote, so the slot's key-value text occurs only as the key's value
+        doc["matrix_data"] = _MATRIX_SLOT
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        return text.replace(f'"matrix_data": "{_MATRIX_SLOT}"',
+                            '"matrix_data": ' + matrix_json_bytes(T).decode("ascii"), 1)
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
@@ -87,6 +106,10 @@ class RunConfig:
             raise ValueError(f"config.json has unknown keys: {sorted(unknown)}")
         if "command" not in doc:
             raise ValueError("config.json has no command")
+        if isinstance(doc.get("matrix_data"), dict) and _NEG_ZERO_INT.search(text):
+            # json reads -0 as the integer 0: re-read the matrix so that its
+            # -0.0 entries keep their sign, and only the matrix
+            doc["matrix_data"] = json.loads(text, parse_int=json_int)["matrix_data"]
         return RunConfig(**doc)
 
 
@@ -99,9 +122,7 @@ def _resolve_matrix(cfg: RunConfig) -> np.ndarray:
     if cfg.matrix_data is not None:
         return matrix_from_dict(cfg.matrix_data)
     if cfg.matrix_path is not None:
-        T = load_matrix(cfg.matrix_path)
-        cfg.matrix_data = json.loads(matrix_json_bytes(T))
-        return T
+        return load_matrix(cfg.matrix_path)
     if cfg.ensemble is not None:
         spec = ensembles.parse_ensemble(cfg.ensemble)
         return ensembles.sample(spec)
@@ -113,9 +134,13 @@ def _write_json(path: Path, doc) -> None:
     write_output(path, text.encode("ascii"))
 
 
-def _write_config(cfg: RunConfig, outdir: Path) -> None:
+def _write_config(cfg: RunConfig, outdir: Path, T: np.ndarray | None = None) -> None:
+    """Write config.json; the input T is inlined when it came from a matrix
+    file or from a config's matrix_data."""
     outdir.mkdir(parents=True, exist_ok=True)
-    write_output(outdir / "config.json", cfg.to_json().encode("ascii"))
+    inline = cfg.matrix_data is not None or cfg.matrix_path is not None
+    write_output(outdir / "config.json",
+                 cfg.to_json(T if inline else None).encode("ascii"))
 
 
 def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
@@ -123,7 +148,7 @@ def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
 
     T = _resolve_matrix(cfg)
     curve = curve_for_matrix(cfg.curve, T)
-    _write_config(cfg, outdir)
+    _write_config(cfg, outdir, T)
     dec = decompose(T, curve)
     write_bundle(dec, outdir)
     reports = verify_decomposition(
@@ -142,7 +167,7 @@ def _run_brown(cfg: RunConfig, outdir: Path) -> int:
     # compute before writing, so a grid that raises leaves no partial bundle
     measure = empirical_brown(T)
     grid = brown_density_grid(T, g=cfg.grid)
-    _write_config(cfg, outdir)
+    _write_config(cfg, outdir, T)
     write_atoms_csv(measure, outdir / "atoms.csv")
     write_density_csv(grid, outdir / "density.csv")
     write_density_pgm(grid, outdir / "density.pgm")
@@ -168,11 +193,13 @@ def _run_project(cfg: RunConfig, outdir: Path) -> int:
     from .regions import ambient_square
 
     square = ambient_square(operator_norm(T))
-    _write_config(cfg, outdir)
+    _write_config(cfg, outdir, T)
+    # one Schur form and tolerance serve every region
+    form, tol = schur_form(T), cluster_tolerance(T)
     results = []
     for i, spec in enumerate(cfg.regions):
         B = parse_region(spec, square)
-        P = hs_projection(T, B)
+        P = hs_projection(T, B, tol=tol, form=form)
         from .core import save_matrix
 
         save_matrix(P.matrix, outdir / f"P{i}.json")
@@ -194,12 +221,13 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
         unknown = set(cfg.checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    T = None
     if cfg.matrix_data is not None or cfg.matrix_path is not None or cfg.ensemble:
         T = _resolve_matrix(cfg)
         matrices = [("input", T)]
     else:
         matrices = ensembles.corpus_matrices()
-    _write_config(cfg, outdir)
+    _write_config(cfg, outdir, T)
     from .verify import TOL_DETERMINANT, TOL_STRUCTURAL
 
     reports = run_suite(
@@ -233,7 +261,7 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
         return 0
     T = _resolve_matrix(cfg)
     curve = curve_for_matrix(cfg.curve, T)
-    _write_config(cfg, outdir)
+    _write_config(cfg, outdir, T)
     if mode == "order":
         from .spectral import build_table
 
@@ -250,12 +278,10 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
         from .spectral import decompose as _dec
 
         curve_b = curve_for_matrix(cfg.curve2, T)
-        da = _dec(T, curve)
-        db = _dec(T, curve_b)
-        dist = measure_distance(
-            empirical_brown(da.N, tol=da.table.tol),
-            empirical_brown(db.N, tol=db.table.tol),
-        )
+        form = schur_form(T)
+        da = _dec(T, curve, form=form)
+        db = _dec(T, curve_b, form=form)
+        dist = measure_distance(da.normal_measure, db.normal_measure)
         doc = {
             "curve_a": cfg.curve,
             "curve_b": cfg.curve2,

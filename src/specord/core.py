@@ -274,9 +274,18 @@ def save_matrix(T, path) -> None:
     write_output(path, matrix_json_bytes(T) + b"\n")
 
 
+def json_int(literal: str):
+    """`parse_int` hook for json: the literal -0 reads as the float -0.0.
+
+    `matrix_json_bytes` writes a -0.0 entry as `-0`, which json would read
+    as the integer 0; every other integer literal reads as an int.
+    """
+    return -0.0 if literal == "-0" else int(literal)
+
+
 def load_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=json_int)
     return matrix_from_dict(doc)
 
 

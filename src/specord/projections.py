@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    SchurForm,
     as_matrix,
     cluster_points,
     cluster_tolerance,
@@ -62,16 +63,20 @@ def projection_from_columns(cols: np.ndarray, n: int) -> Projection:
     return Projection(basis=cols)
 
 
-def hs_projection(T, B: Region, tol: float | None = None) -> Projection:
+def hs_projection(T, B: Region, tol: float | None = None, *,
+                  form: SchurForm | None = None) -> Projection:
     """Orthogonal projection onto the invariant subspace of the spectrum in B.
 
     Eigenvalue clusters must be decidably inside or outside B; a straddling
     cluster raises AmbiguousRegionError naming the offending eigenvalue.
+    `form`, when given, must be `schur_form(T)`; a caller projecting onto
+    several regions of one matrix factors it once.  It is not mutated.
     """
     T = as_matrix(T)
     if tol is None:
         tol = cluster_tolerance(T)
-    form = schur_form(T)
+    if form is None:
+        form = schur_form(T)
     clusters = cluster_points(form.diag_order, tol)
     member = [decide_cluster(B, c.members) for c in clusters]
     keys = [0 if member[nearest_cluster(clusters, z)] else 1 for z in form.diag_order]

@@ -21,9 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .brown import _measure_from_clusters, empirical_brown, measure_distance
+from .brown import (
+    PointMeasure,
+    _measure_from_clusters,
+    empirical_brown,
+    measure_distance,
+)
 from .core import (
     Cluster,
+    SchurForm,
     as_matrix,
     cluster_points,
     cluster_tolerance,
@@ -181,12 +187,18 @@ class SpectralTable:
         }
 
 
-def build_table(T, curve: OrderingCurve, tol: float | None = None) -> SpectralTable:
-    """Order the spectrum of T along the curve in a reordered Schur form."""
+def build_table(T, curve: OrderingCurve, tol: float | None = None, *,
+                form: SchurForm | None = None) -> SpectralTable:
+    """Order the spectrum of T along the curve in a reordered Schur form.
+
+    `form`, when given, must be `schur_form(T)`; a caller that orders one
+    matrix along several curves factors it once.  It is not mutated.
+    """
     T = as_matrix(T)
     if tol is None:
         tol = cluster_tolerance(T)
-    form = schur_form(T)
+    if form is None:
+        form = schur_form(T)
     clusters = cluster_points(form.diag_order, tol)
     entries, problems = ordered_preimages(curve, [c.location for c in clusters])
     if problems:
@@ -225,6 +237,7 @@ class Decomposition:
     Q: np.ndarray
     table: SpectralTable
     report: dict
+    normal_measure: PointMeasure  # counting measure of N's eigenvalues, at table.tol
 
     @property
     def T(self) -> np.ndarray:
@@ -243,7 +256,8 @@ class Decomposition:
         return build_table(self.N, self.table.curve)
 
 
-def decompose(T, curve: OrderingCurve, tol: float | None = None) -> Decomposition:
+def decompose(T, curve: OrderingCurve, tol: float | None = None, *,
+              form: SchurForm | None = None) -> Decomposition:
     """Split T into its curve-ordered normal part and the residual.
 
     N is assembled from exact cluster atoms (sum of z E({z})); Q = T - N by
@@ -252,26 +266,30 @@ def decompose(T, curve: OrderingCurve, tol: float | None = None) -> Decompositio
     measures of N (from its eigenvalues) and T (from the table's clusters of
     its Schur spectrum), and the structural quasinilpotence of Q (diagonal
     magnitude and strictly-lower residual in the joint ordered basis).
+
+    `form`, when given, must be `schur_form(T)` and is passed to
+    `build_table`.
     """
-    table = build_table(T, curve, tol=tol)
+    table = build_table(T, curve, tol=tol, form=form)
     N = table.normal_part()
     Q = table.matrix - N
     G = table.unitary.conj().T @ Q @ table.unitary
     diag_mag = float(np.abs(np.diag(G)).max()) if table.n else 0.0
     lower = float(np.linalg.norm(np.tril(G, -1)))
     nn = N @ N.conj().T - N.conj().T @ N
+    normal_measure = empirical_brown(N, tol=table.tol)
     report = {
         "normality_defect": float(np.linalg.norm(nn)),
         "normal_fro_sq": float(np.linalg.norm(N) ** 2),
         "measure_distance": measure_distance(
-            empirical_brown(N, tol=table.tol),
-            _measure_from_clusters(table.clusters, table.n),
+            normal_measure, _measure_from_clusters(table.clusters, table.n),
         ),
         "quasinilpotent_diag": diag_mag,
         "quasinilpotent_lower": lower,
         "cluster_count": len(table.clusters),
     }
-    return Decomposition(N=N, Q=Q, table=table, report=report)
+    return Decomposition(N=N, Q=Q, table=table, report=report,
+                         normal_measure=normal_measure)
 
 
 def quasinilpotence_defect(dec: Decomposition) -> float:

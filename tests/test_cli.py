@@ -1,14 +1,37 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from specord import cli
-from specord.cli import main
-from specord.core import SchurConvergenceError, load_matrix, save_matrix
+from specord.brown import empirical_brown, measure_distance
+from specord.cli import RunConfig, main
+from specord.core import (
+    SchurConvergenceError,
+    json_int,
+    load_matrix,
+    matrix_json_bytes,
+    save_matrix,
+)
+from specord.curves import curve_for_matrix
 from specord.ensembles import parse_ensemble, sample
+from specord.spectral import decompose
 from specord.verify import reports_to_json, verify_decomposition
+
+# every command that reads --matrix, with the rest of its arguments
+MATRIX_COMMANDS = {
+    "decompose": ["decompose"],
+    "brown": ["brown", "--grid", "16"],
+    "project": ["project", "--region", "disk:0,0,0.5", "--region", "halfplane:1,0,0"],
+    "curve order": ["curve", "order"],
+    "curve compare": ["curve", "compare", "--curve2", "morton:depth=32"],
+    "verify": ["verify", "--level", "2"],
+}
+# json reads the literal -0.0 as a float and `-0`, which the writer puts, as 0
+NEGATIVE_ZERO_FILE = '{"n":2,"entries":[[-0.0,1.0],[0.5,-0.0],[0,0],[1,-0.25]]}'
 
 
 def test_decompose_jordan(tmp_path):
@@ -282,3 +305,92 @@ def test_library_failures_exit_2(tmp_path, monkeypatch, capsys):
     assert main(["decompose", "--ensemble", "ginibre:n=4,seed=1",
                  "--out", str(tmp_path / "a")]) == 2
     assert "error: QR iteration" in capsys.readouterr().err
+
+
+def write_input(path, kind):
+    if kind == "negative-zero":
+        path.write_text(NEGATIVE_ZERO_FILE)
+    else:
+        save_matrix(sample(parse_ensemble("ginibre:n=6,seed=3")), path)
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kind", ["ginibre", "negative-zero"])
+@pytest.mark.parametrize("command", sorted(MATRIX_COMMANDS))
+def test_replay_reproduces_every_matrix_command(tmp_path, command, kind):
+    src = tmp_path / "T.json"
+    write_input(src, kind)
+    run = tmp_path / "run"
+    assert main(MATRIX_COMMANDS[command] + ["--matrix", str(src), "--out", str(run)]) == 0
+    # the matrix is inlined as its canonical one-line document
+    text = (run / "config.json").read_text()
+    inlined = matrix_json_bytes(load_matrix(src)).decode()
+    assert f'\n "matrix_data": {inlined},\n' in text
+    again = tmp_path / "again"
+    assert main(["replay", str(run / "config.json"), "--out", str(again)]) == 0
+    assert_same_files(run, again)
+    # a config with the matrix indented like every other field (the layout
+    # of earlier versions) replays to the same outputs and config.json
+    indented = tmp_path / "indented.json"
+    indented.write_text(
+        json.dumps(json.loads(text, parse_int=json_int), indent=1, sort_keys=True) + "\n")
+    assert main(["replay", str(indented), "--out", str(tmp_path / "old")]) == 0
+    assert_same_files(run, tmp_path / "old")
+
+
+def test_config_reads_negative_zero_only_in_the_matrix():
+    cfg = RunConfig.from_json(
+        '{"command":"brown","seed":-0,"matrix_data":{"n":1,"entries":[[-0,0]]}}')
+    assert type(cfg.seed) is int and cfg.seed == 0
+    z = cli._resolve_matrix(cfg)[0, 0]
+    assert np.signbit(z.real) and not np.signbit(z.imag)
+    # "-0.5" and "-0e1" are not the integer literal -0
+    cfg = RunConfig.from_json('{"command":"brown","seed":3,"matrix_data":'
+                              '{"n":1,"entries":[[-0.5,-0e1]]}}')
+    assert cfg.matrix_data == {"n": 1, "entries": [[-0.5, -0.0]]}
+
+
+def test_curve_compare_distance_equals_measures_of_both_normal_parts(tmp_path):
+    src = tmp_path / "T.json"
+    T = sample(parse_ensemble("normal_plus_nilpotent:n=10,scale=0.5,seed=3"))
+    save_matrix(T, src)
+    out = tmp_path / "c"
+    assert main(["curve", "compare", "--matrix", str(src), "--curve", "hilbert:depth=32",
+                 "--curve2", "lex", "--out", str(out)]) == 0
+    doc = json.loads((out / "compare.json").read_text())
+    # reference: recompute the counting measure of each N from its eigenvalues
+    da, db = (decompose(T, curve_for_matrix(spec, T))
+              for spec in ("hilbert:depth=32", "lex"))
+    want = measure_distance(empirical_brown(da.N, tol=da.table.tol),
+                            empirical_brown(db.N, tol=db.table.tol))
+    assert repr(doc["normal_parts_equal_measure"]) == repr(want)
+
+
+def test_project_and_compare_factor_the_matrix_once(tmp_path, monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    src = tmp_path / "T.json"
+    save_matrix(sample(parse_ensemble("ginibre:n=12,seed=4")), src)
+    assert main(["project", "--matrix", str(src), "--region", "disk:0,0,0.5",
+                 "--region", "halfplane:1,0,0", "--region", "disk:0,0,1&!disk:0,0,0.5",
+                 "--out", str(tmp_path / "p")]) == 0
+    assert counts == {"schur": 1}
+    counts.clear()
+    assert main(["curve", "compare", "--matrix", str(src), "--curve", "hilbert:depth=32",
+                 "--curve2", "morton:depth=32", "--out", str(tmp_path / "c")]) == 0
+    # one form for both curves; one eigvals(N) per decomposition, for its report
+    assert counts == {"schur": 1, "eigvals": 2}

@@ -279,6 +279,23 @@ def test_matrix_io_roundtrip(tmp_path):
     assert matrix_digest(back) == matrix_digest(T)
 
 
+def test_matrix_io_keeps_negative_zero(tmp_path):
+    # the writer puts -0.0 as `-0`, which json alone reads as the integer 0
+    T = np.empty((2, 2), dtype=np.complex128)
+    T.real = [[-0.0, 0.5], [0.0, 1.0]]
+    T.imag = [[1.0, -0.0], [0.0, -0.25]]
+    path = tmp_path / "m.json"
+    save_matrix(T, path)
+    assert b"[-0,1]" in path.read_bytes()
+    back = load_matrix(path)
+    assert np.array_equal(np.signbit(back.real), np.signbit(T.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(T.imag))
+    assert matrix_json_bytes(back) == matrix_json_bytes(T)
+    # other integer literals still read as ints, and -0.0 stays a float
+    path.write_text('{"n":1,"entries":[[-0.0,3]]}')
+    assert matrix_json_bytes(load_matrix(path)) == b'{"n":1,"entries":[[-0,3]]}'
+
+
 def test_matrix_json_17_digits():
     T = np.array([[1.0 / 3.0]], dtype=complex)
     text = matrix_json_bytes(T).decode()

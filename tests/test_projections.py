@@ -102,6 +102,18 @@ def test_hs_independent_of_interior_ordering():
         assert np.linalg.norm(P.matrix - P_ref.matrix) <= 1e-9
 
 
+def test_hs_projection_with_shared_form_keeps_bits():
+    T = sample(EnsembleSpec("ginibre", 16, seed=9))
+    form = schur_form(T)
+    before = (form.unitary.tobytes(), form.triangular.tobytes())
+    for B in (disk(0, 0, 0.5), halfplane(1, 0, 0), halfplane(0, 1, 0),
+              EmptyRegion(), FullPlane()):
+        want, got = hs_projection(T, B), hs_projection(T, B, form=form)
+        assert got.basis.shape == want.basis.shape
+        assert got.basis.tobytes() == want.basis.tobytes()
+    assert (form.unitary.tobytes(), form.triangular.tobytes()) == before
+
+
 def test_hyperinvariance():
     T = sample(EnsembleSpec("ginibre", 8, seed=20))
     P = hs_projection(T, halfplane(1, 0, 0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specord.brown import empirical_brown, measure_distance
-from specord.core import fk_determinant, operator_norm
+from specord.core import fk_determinant, operator_norm, schur_form
 from specord.curves import CurveSegment, LexicographicCurve, parse_curve
 from specord.ensembles import EnsembleSpec, sample
 from specord.regions import CellUnion, EmptyRegion, FullPlane, ambient_square, disk
@@ -252,6 +252,29 @@ def test_decompose_properties_on_samples():
         assert dec.report["normality_defect"] <= 1e-9 * max(nfro2, 1e-30)
         assert dec.report["measure_distance"] <= 1e-8
         assert quasinilpotence_defect(dec) <= 1e-8 * max(1.0, operator_norm(T))
+
+
+def test_decompose_with_shared_form_keeps_bits():
+    # one form passed to several decompositions gives the bits each one
+    # computes from its own form, and is left as it was
+    for spec in (EnsembleSpec("ginibre", 24, seed=4),
+                 EnsembleSpec("normal_plus_nilpotent", 12, seed=3,
+                              params=(("scale", 0.5),)),
+                 EnsembleSpec("jordan", 4, params=(("lam", 2.0),))):
+        T = sample(spec)
+        form = schur_form(T)
+        before = (form.unitary.tobytes(), form.triangular.tobytes(), form.diag_order)
+        for curve_spec in ("hilbert:depth=32", "morton:depth=32", "lex"):
+            c = parse_curve(curve_spec, operator_norm(T))
+            want, got = decompose(T, c), decompose(T, c, form=form)
+            for name in ("N", "Q"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.table.unitary.tobytes() == want.table.unitary.tobytes()
+            assert got.table.triangular.tobytes() == want.table.triangular.tobytes()
+            assert repr(got.report) == repr(want.report)
+            assert got.normal_measure == empirical_brown(want.N, tol=want.table.tol)
+        assert (form.unitary.tobytes(), form.triangular.tobytes(),
+                form.diag_order) == before
 
 
 def test_table_invariants():
