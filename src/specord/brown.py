@@ -16,15 +16,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_lapack
+from scipy.linalg import cython_blas, cython_lapack
+from scipy.linalg.blas import zgemm
 
 from .core import (
     as_matrix,
+    cluster_labels,
     cluster_points,
     cluster_tolerance,
     eigenvalue_matching_distance,
     matrix_digest,
-    nearest_cluster,
     operator_norm,
     single_thread_blas,
     write_output,
@@ -94,13 +95,11 @@ def mixture(parts: list[tuple[PointMeasure, float]], tol: float) -> PointMeasure
     total = sum(weights)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"mixture coefficients must sum to 1, got {total}")
-    clusters = cluster_points(locs, tol)
-    # accumulate weights per cluster by nearest-center assignment
-    centers = [c.location for c in clusters]
-    sums = [0.0] * len(centers)
-    for z, w in zip(locs, weights):
-        sums[nearest_cluster(clusters, z)] += w
-    out = tuple((centers[i], sums[i] / total) for i in range(len(centers)) if sums[i] > 0)
+    clusters, labels = cluster_labels(locs, tol)
+    sums = [0.0] * len(clusters)
+    for ci, w in zip(labels, weights):
+        sums[ci] += w
+    out = tuple((c.location, s / total) for c, s in zip(clusters, sums) if s > 0)
     return PointMeasure(atoms=out)
 
 
@@ -185,29 +184,44 @@ def default_epsilon(T) -> float:
     return 1e-3 * max(1.0, operator_norm(T))
 
 
-# grid points per batch: M and tmp (2 MB each at n = 64) stay in cache
-_CHUNK = 32
+# grid points per batch, formed by one dgemm: M (1 MB at n = 64) stays in L2
+# next to the 256 KB basis.  Batches start at multiples of _CHUNK whatever the
+# worker count, so a point's bits depend only on the OpenBLAS kernel behind
+# scipy and on numpy's dispatch of `np.log` (see `brown_density_grid`)
+_CHUNK = 16
+
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def _cython_lapack_zpotrf():
-    """zpotrf(uplo, n, a, lda, info) of scipy's `cython_lapack`, through ctypes.
+def _bind(module, name: str, signature: bytes, *argtypes):
+    """Routine `name` of a scipy `cython_blas`/`cython_lapack` module, through ctypes.
 
-    The capsule name is the C signature, so a scipy whose zpotrf has other
-    argument types fails here instead of in the call.  A ctypes call
-    releases the GIL while the routine runs, so the grid's workers factor
-    their batches in parallel.
+    The capsule name is the routine's C signature, and a capsule read under
+    another name raises ValueError, so a scipy whose routine has other
+    argument types fails here, at import, instead of inside a call.  A
+    ctypes call releases the GIL while the routine runs, so the grid's
+    workers run their batches in parallel.
     """
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(cython_lapack.__pyx_capi__["zpotrf"],
-                          b"void (char *, int *, __pyx_t_double_complex *, int *, int *)")
-    int_p = ctypes.POINTER(ctypes.c_int)
-    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, int_p, ctypes.c_void_p, int_p, int_p)(
-        address)
+    address = _capsule_pointer(module.__pyx_capi__[name], signature)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
+
+_int_p = ctypes.POINTER(ctypes.c_int)
+_double_p = ctypes.POINTER(ctypes.c_double)
+_d_ptr = "__pyx_t_5scipy_6linalg_11cython_blas_d *"  # cython_blas's double *
 
 # Cholesky factor of a Fortran-ordered matrix, in place
-_zpotrf = _cython_lapack_zpotrf()
+_zpotrf = _bind(cython_lapack, "zpotrf",
+                b"void (char *, int *, __pyx_t_double_complex *, int *, int *)",
+                ctypes.c_char_p, _int_p, ctypes.c_void_p, _int_p, _int_p)
+# C = alpha op(A) op(B) + beta C on column-major float64 matrices
+_dgemm = _bind(cython_blas, "dgemm",
+               f"void (char *, char *, int *, int *, int *, {_d_ptr}, {_d_ptr}, int *, {_d_ptr}, "
+               f"int *, {_d_ptr}, {_d_ptr}, int *)".encode("ascii"),
+               ctypes.c_char_p, ctypes.c_char_p, _int_p, _int_p, _int_p, _double_p,
+               ctypes.c_void_p, _int_p, ctypes.c_void_p, _int_p, _double_p,
+               ctypes.c_void_p, _int_p)
 
 
 def _cpu_count() -> int:
@@ -217,29 +231,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _log_potential(phi, lam, starts, T_t, Th_t, ThT_t, eps) -> None:
-    """phi[s : s + _CHUNK] for every s in `starts`, with buffers of its own.
+def _log_potential(phi, coef, starts, basis) -> None:
+    """phi[s : s + _CHUNK] for every s in `starts`, with a buffer of its own.
 
-    T_t, Th_t and ThT_t are the transposes of T, T* and T*T, so each
-    C-ordered slice of M holds (T - l)*(T - l) + eps^2 in Fortran order,
-    which zpotrf factors in place.
+    Row p of `coef` holds point p's coefficients [1, -x, -y, x*x + y*y + eps^2]
+    over the four n x n slices of `basis`, the transposes of T*T, T + T*,
+    i(T* - T) and I.  Read as float64, a batch's coefficients are a b x 4
+    matrix and the basis is 4 x 2n^2, so one dgemm writes every C-ordered
+    slice of M as (T - l)*(T - l) + eps^2 in Fortran order, which zpotrf
+    factors in place.
     """
-    n = T_t.shape[0]
+    n = basis.shape[1]
     M = np.empty((_CHUNK, n, n), dtype=np.complex128)
-    tmp = np.empty((_CHUNK, n, n), dtype=np.complex128)
     diag = np.einsum("bii->bi", M)
     order, info = ctypes.c_int(n), ctypes.c_int(0)
+    size, terms = ctypes.c_int(2 * n * n), ctypes.c_int(4)
+    one, zero = ctypes.c_double(1.0), ctypes.c_double(0.0)
     base, stride = M.ctypes.data, M.strides[0]
+    basis_p, coef_p, coef_stride = basis.ctypes.data, coef.ctypes.data, coef.strides[0]
     for s in starts:
-        ls = lam[s : s + _CHUNK]
-        b = ls.size
-        Mb, tb = M[:b], tmp[:b]
-        Mb[:] = ThT_t
-        np.multiply(np.conj(ls)[:, None, None], T_t[None, :, :], out=tb)
-        Mb -= tb
-        np.multiply(ls[:, None, None], Th_t[None, :, :], out=tb)
-        Mb -= tb
-        diag[:b] += (np.abs(ls) ** 2 + eps * eps)[:, None]
+        b = min(_CHUNK, phi.size - s)
+        # column-major, M[:b] is (2n^2 x b) = basis (2n^2 x 4) @ coef[s : s + b] (4 x b)
+        _dgemm(b"N", b"N", size, ctypes.c_int(b), terms, one, basis_p, size,
+               coef_p + s * coef_stride, terms, zero, base, size)
         for k in range(b):
             _zpotrf(b"L", order, base + k * stride, order, info)
             if info.value != 0:  # a pivot <= 0: no factor, no potential
@@ -257,13 +271,17 @@ def brown_density_grid(
 
     Evaluates the potential at the centers of a (g+2)^2 grid covering the
     working square plus one guard ring, then applies the 5-point stencil.
-    The points go in batches of 32, split into one contiguous range of
-    batches per available CPU, with every OpenBLAS library pinned to one
-    thread (`core.single_thread_blas`; one range if none can be pinned).
-    Each point's matrix is factored in place by the LAPACK zpotrf of
-    scipy's `cython_lapack`.  Each point's arithmetic is fixed, so the
-    masses depend only on the kernel (`OPENBLAS_CORETYPE`) of the OpenBLAS
-    behind scipy, not on numpy's BLAS or on the thread or core count.
+    With x = Re l and y = Im l, each point's matrix is the real combination
+    T*T - x (T + T*) - y i(T* - T) + (x*x + y*y + eps^2) I of four fixed
+    matrices, so one float64 dgemm forms a batch of 16 points and zpotrf
+    factors each in place, both from scipy's `cython_blas`/`cython_lapack`.
+    The batches are split into one contiguous range per available CPU,
+    with every OpenBLAS library pinned to one thread
+    (`core.single_thread_blas`; one range if none can be pinned).  Each
+    point's arithmetic is fixed, so the masses do not depend on the thread
+    or core count or on numpy's BLAS.  They do depend on the kernel
+    (`OPENBLAS_CORETYPE`) of the OpenBLAS behind scipy and on numpy's
+    CPU-dispatched float64 `np.log`.
     Raises ValueError when the potential is not finite at some point,
     e.g. when (T - l)*(T - l) overflows.
     """
@@ -279,18 +297,24 @@ def brown_density_grid(
     h = square.side / g
     xs = square.x0 + (np.arange(-1, g + 1) + 0.5) * h
     ys = square.y1 - (np.arange(-1, g + 1) + 0.5) * h  # row 0 on top
-    lam = (xs[None, :] + 1j * ys[:, None]).ravel()
+    x, y = np.meshgrid(xs, ys)
+    # one row per point, row-major over the grid
+    coef = np.stack([np.ones_like(x), -x, -y, x * x + y * y + eps * eps], axis=-1).reshape(-1, 4)
 
-    phi = np.empty(lam.size, dtype=np.float64)
-    starts = range(0, lam.size, _CHUNK)
+    phi = np.empty(coef.shape[0], dtype=np.float64)
+    starts = range(0, phi.size, _CHUNK)
     with single_thread_blas() as pinned:
-        ThT_t = np.ascontiguousarray((T.conj().T @ T).T)
-        T_t, Th_t = np.ascontiguousarray(T.T), T.conj()
+        # the transposes of T*T (by scipy's BLAS, in Fortran order), T + T*, i(T* - T) and I
+        basis = np.empty((4,) + T.shape, dtype=np.complex128)
+        basis[0] = zgemm(1.0, T, T, trans_a=2).T
+        basis[1] = T.T + T.conj()
+        basis[2] = 1j * (T.conj() - T.T)
+        basis[3] = np.eye(T.shape[0])
         workers = min(_cpu_count(), len(starts)) if pinned else 1
         cuts = [len(starts) * w // workers for w in range(workers + 1)]
         with ThreadPoolExecutor(workers) as pool:
             futures = [
-                pool.submit(_log_potential, phi, lam, starts[lo:hi], T_t, Th_t, ThT_t, eps)
+                pool.submit(_log_potential, phi, coef, starts[lo:hi], basis)
                 for lo, hi in zip(cuts, cuts[1:])
             ]
             for f in futures:

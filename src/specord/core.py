@@ -106,6 +106,17 @@ def cluster_points(values: Sequence[complex], tol: float) -> list[Cluster]:
     Components are located at the arithmetic mean of their members and
     returned sorted by (real, imag) of the location.
     """
+    return cluster_labels(values, tol)[0]
+
+
+def cluster_labels(values: Sequence[complex], tol: float) -> tuple[list[Cluster], list[int]]:
+    """`cluster_points(values, tol)` and each value's component.
+
+    labels[i] is the index, in the returned cluster list, of the component
+    that holds values[i].  A value may lie nearer to another component's
+    location than to its own, so the labels cannot be recovered from the
+    locations.
+    """
     vals = [complex(v) for v in values]
     k = len(vals)
     parent = list(range(k))
@@ -122,19 +133,21 @@ def cluster_points(values: Sequence[complex], tol: float) -> list[Cluster]:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
-    groups: dict[int, list[complex]] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(k):
-        groups.setdefault(find(i), []).append(vals[i])
+        groups.setdefault(find(i), []).append(i)
+    components = list(groups.values())
     clusters = [
-        Cluster(location=sum(g) / len(g), members=tuple(g)) for g in groups.values()
+        Cluster(location=sum(vals[i] for i in g) / len(g), members=tuple(vals[i] for i in g))
+        for g in components
     ]
-    clusters.sort(key=lambda c: (c.location.real, c.location.imag))
-    return clusters
-
-
-def nearest_cluster(clusters: Sequence[Cluster], z: complex) -> int:
-    """Index of the cluster whose location is closest to z."""
-    return min(range(len(clusters)), key=lambda i: abs(clusters[i].location - z))
+    order = sorted(range(len(clusters)),
+                   key=lambda c: (clusters[c].location.real, clusters[c].location.imag))
+    labels = [0] * k
+    for pos, c in enumerate(order):
+        for i in components[c]:
+            labels[i] = pos
+    return [clusters[c] for c in order], labels
 
 
 def eigenvalue_matching_distance(a: Sequence[complex], b: Sequence[complex]) -> float:

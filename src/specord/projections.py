@@ -23,9 +23,8 @@ import numpy as np
 from .core import (
     SchurForm,
     as_matrix,
-    cluster_points,
+    cluster_labels,
     cluster_tolerance,
-    nearest_cluster,
     operator_norm,
     schur_form,
     _reorder_by_keys,
@@ -77,9 +76,9 @@ def hs_projection(T, B: Region, tol: float | None = None, *,
         tol = cluster_tolerance(T)
     if form is None:
         form = schur_form(T)
-    clusters = cluster_points(form.diag_order, tol)
+    clusters, labels = cluster_labels(form.diag_order, tol)
     member = [decide_cluster(B, c.members) for c in clusters]
-    keys = [0 if member[nearest_cluster(clusters, z)] else 1 for z in form.diag_order]
+    keys = [0 if member[ci] else 1 for ci in labels]
     ordered = _reorder_by_keys(form, keys)
     k = sum(1 for v in keys if v == 0)
     return projection_from_columns(ordered.unitary[:, :k], T.shape[0])
@@ -120,8 +119,8 @@ def hyperinvariance_check(
     if cond_V < 1e8:
         polynomials_only = False
         Vinv = np.linalg.inv(V)
-        clusters = cluster_points(w.tolist(), cluster_tolerance(T))
-        owner = np.array([nearest_cluster(clusters, z) for z in w])
+        clusters, labels = cluster_labels(w.tolist(), cluster_tolerance(T))
+        owner = np.array(labels)
         for ci in range(len(clusters)):
             idempotents.append((V * (owner == ci)[None, :]) @ Vinv)
 

@@ -31,10 +31,9 @@ from .core import (
     Cluster,
     SchurForm,
     as_matrix,
-    cluster_points,
+    cluster_labels,
     cluster_tolerance,
     matrix_json_bytes,
-    nearest_cluster,
     operator_norm,
     schur_form,
     write_output,
@@ -199,7 +198,7 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None, *,
         tol = cluster_tolerance(T)
     if form is None:
         form = schur_form(T)
-    clusters = cluster_points(form.diag_order, tol)
+    clusters, labels = cluster_labels(form.diag_order, tol)
     entries, problems = ordered_preimages(curve, [c.location for c in clusters])
     if problems:
         raise CurveValidationError("; ".join(problems))
@@ -208,7 +207,7 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None, *,
     rank_of = {ci: pos for pos, ci in enumerate(order)}
     ordered_clusters = [clusters[ci] for ci in order]
 
-    keys = [rank_of[nearest_cluster(clusters, z)] for z in form.diag_order]
+    keys = [rank_of[ci] for ci in labels]
     ordered = _reorder_by_keys(form, keys)
 
     ranks = [0]

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import specord
+from specord import brown
 from specord.brown import (
     PointMeasure,
     brown_density_grid,
@@ -98,10 +100,24 @@ def test_density_argument_validation():
         brown_density_grid(np.eye(2), g=32, eps=0.0)
 
 
-def test_density_grid_matches_per_point_cholesky():
+REFERENCE_CASES = {
+    "ginibre": (sample(EnsembleSpec("ginibre", 16, seed=4)), 16),
+    "n=1": (np.array([[0.3 - 0.2j]]), 16),
+    # non-normal, with the eigenvalue 0.25 + 0.1j twice
+    "upper-triangular-repeated": (np.array([[0.25 + 0.1j, 1.0, 0.5j],
+                                            [0.0, 0.25 + 0.1j, -0.7],
+                                            [0.0, 0.0, -0.6 + 0.3j]]), 16),
+    "partial-last-batch": (sample(EnsembleSpec("ginibre", 6, seed=5)), 17),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_density_grid_matches_per_point_cholesky(case):
     # reference: each point's potential from its own np.linalg.cholesky
-    T = sample(EnsembleSpec("ginibre", 16, seed=4))
-    g = 16
+    T, g = REFERENCE_CASES[case]
+    if case == "partial-last-batch":
+        assert (g + 2) ** 2 % brown._CHUNK != 0
+    n = T.shape[0]
     grid = brown_density_grid(T, g=g)
     sq, eps = grid.square, grid.eps
     h = sq.side / g
@@ -109,12 +125,25 @@ def test_density_grid_matches_per_point_cholesky():
     for i in range(g + 2):
         for j in range(g + 2):
             lam = complex(sq.x0 + (j - 0.5) * h, sq.y1 - (i - 0.5) * h)
-            A = T - lam * np.eye(16)
-            L = np.linalg.cholesky(A.conj().T @ A + eps**2 * np.eye(16))
+            A = T - lam * np.eye(n)
+            L = np.linalg.cholesky(A.conj().T @ A + eps**2 * np.eye(n))
             phi[i, j] = np.log(np.diag(L).real).mean()
     masses = (phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:]
               - 4.0 * phi[1:-1, 1:-1]) / (2.0 * np.pi)
     np.testing.assert_allclose(grid.masses, masses, rtol=0, atol=1e-12)
+
+
+def test_lapack_binding_checks_signature():
+    # the capsule name is the C signature: a mismatch fails when binding,
+    # never inside a call
+    from scipy.linalg import cython_blas, cython_lapack
+
+    with pytest.raises(ValueError):
+        brown._bind(cython_lapack, "zpotrf", b"void (char *, int *, double *, int *, int *)",
+                    ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                    ctypes.c_void_p)
+    with pytest.raises(ValueError):
+        brown._bind(cython_blas, "dgemm", b"void (char *)", ctypes.c_char_p)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

@@ -5,6 +5,7 @@ import pytest
 
 from specord.core import (
     as_matrix,
+    cluster_labels,
     cluster_points,
     cluster_tolerance,
     eigenvalue_matching_distance,
@@ -232,6 +233,18 @@ def test_cluster_points():
     cl = cluster_points(pts, 1e-8)
     assert [c.multiplicity for c in cl] == [1, 2, 2]
     assert abs(cl[1].location - (1.0 + 5e-11)) < 1e-12
+
+
+def test_cluster_labels_follow_components_not_locations():
+    # 2.7 chains to 1.8 (0.9 apart) but lies nearer the singleton 3.75's
+    # location (1.05) than its own component's mean 1.35
+    pts = [0.0, 0.9, 1.8, 2.7, 3.75]
+    clusters, labels = cluster_labels(pts, 1.0)
+    assert clusters == cluster_points(pts, 1.0)
+    assert [c.multiplicity for c in clusters] == [4, 1]
+    assert labels == [0, 0, 0, 0, 1]
+    for i, z in enumerate(pts):
+        assert z in clusters[labels[i]].members
 
 
 def test_matching_distance_fast_path_equals_bottleneck(monkeypatch):

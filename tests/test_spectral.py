@@ -7,6 +7,7 @@ import pytest
 
 from specord.brown import empirical_brown, measure_distance
 from specord.core import fk_determinant, operator_norm, schur_form
+from specord.projections import hs_projection
 from specord.curves import CurveSegment, LexicographicCurve, parse_curve
 from specord.ensembles import EnsembleSpec, sample
 from specord.regions import CellUnion, EmptyRegion, FullPlane, ambient_square, disk
@@ -19,6 +20,11 @@ from specord.spectral import (
 )
 
 T12 = np.array([[1, 1], [0, 2]], dtype=complex)
+
+# at tol 1e-8 the first four values chain into one cluster centred at
+# 0.5 - 1.35e-8, and 0.5 - 3.75e-8 is a singleton; the chain member
+# 0.5 - 2.7e-8 lies nearer the singleton's location than its own
+CHAIN = np.diag(0.5 + 1e-8 * np.array([0.0, -0.9, -1.8, -2.7, -3.75]))
 
 
 def lex_curve_for(T):
@@ -413,3 +419,26 @@ def test_decompose_memory_stays_linear_in_dense_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 40 * n * n * 16, peak
+
+
+@pytest.mark.parametrize("spec", ["lex", "hilbert:depth=32"])
+def test_cluster_columns_carry_their_members(spec):
+    T = CHAIN.astype(complex)
+    table = build_table(T, parse_curve(spec, operator_norm(T)))
+    assert sorted(c.multiplicity for c in table.clusters) == [1, 4]
+    U = table.unitary
+    rayleigh = np.einsum("ij,ik,kj->j", U.conj(), T, U)
+    for i, c in enumerate(table.clusters):
+        cols = rayleigh[table.ranks[i]:table.ranks[i + 1]]
+        np.testing.assert_allclose(np.sort(cols.real), np.sort(np.real(c.members)),
+                                   rtol=0, atol=1e-14)
+    # Q's diagonal is each member minus its own cluster's location
+    spread = max(abs(z - c.location) for c in table.clusters for z in c.members)
+    dec = decompose(T, parse_curve(spec, operator_norm(T)))
+    assert dec.report["quasinilpotent_diag"] == pytest.approx(spread, abs=1e-15)
+
+    singleton = min(table.clusters, key=lambda c: c.location.real)
+    assert singleton.multiplicity == 1
+    P = hs_projection(T, disk(singleton.location.real, 0.0, 0.5e-8))
+    assert P.rank == 1
+    np.testing.assert_allclose(P.matrix, np.diag([0, 0, 0, 0, 1.0]), atol=1e-14)
