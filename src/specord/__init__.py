@@ -16,9 +16,7 @@ from .core import (
     fk_determinant,
     load_matrix,
     matrix_digest,
-    normalized_trace,
     operator_norm,
-    power_growth,
     save_matrix,
     schur_form,
 )
@@ -29,7 +27,6 @@ from .curves import (
     OrderingCurve,
     RadialCurve,
     curve_for_matrix,
-    curve_validate,
     parse_curve,
 )
 from .regions import Region, Square, ambient_square, parse_region

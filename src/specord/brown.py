@@ -22,7 +22,6 @@ from scipy.linalg.blas import zgemm
 from .core import (
     as_matrix,
     cluster_labels,
-    cluster_points,
     cluster_tolerance,
     eigenvalue_matching_distance,
     matrix_digest,
@@ -71,7 +70,7 @@ def _measure_from_clusters(clusters, n: int) -> PointMeasure:
 
 
 def _measure_from_values(values, tol: float) -> PointMeasure:
-    return _measure_from_clusters(cluster_points(values, tol), len(values))
+    return _measure_from_clusters(cluster_labels(values, tol)[0], len(values))
 
 
 def empirical_brown(T, tol: float | None = None) -> PointMeasure:

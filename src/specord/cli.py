@@ -43,12 +43,13 @@ from .core import (
     matrix_from_dict,
     matrix_json_bytes,
     operator_norm,
+    save_matrix,
     schur_form,
     write_output,
 )
 from .curves import curve_for_matrix, parse_curve
-from .projections import hs_projection
-from .regions import parse_region
+from .projections import hs_projection, invariance_leak
+from .regions import ambient_square, parse_region
 from .spectral import decompose, write_bundle
 from .verify import (
     KNOWN_CHECKS,
@@ -190,8 +191,6 @@ def _run_project(cfg: RunConfig, outdir: Path) -> int:
     T = _resolve_matrix(cfg)
     if not cfg.regions:
         raise ValueError("project needs at least one --region")
-    from .regions import ambient_square
-
     square = ambient_square(operator_norm(T))
     _write_config(cfg, outdir, T)
     # one Schur form and tolerance serve every region
@@ -200,15 +199,12 @@ def _run_project(cfg: RunConfig, outdir: Path) -> int:
     for i, spec in enumerate(cfg.regions):
         B = parse_region(spec, square)
         P = hs_projection(T, B, tol=tol, form=form)
-        from .core import save_matrix
-
         save_matrix(P.matrix, outdir / f"P{i}.json")
-        leak = float(np.linalg.norm((np.eye(P.n) - P.matrix) @ T @ P.matrix))
         results.append({
             "region": spec,
             "rank": P.rank,
             "trace": P.rank / P.n,
-            "invariance_leak": leak,
+            "invariance_leak": invariance_leak(T, P.basis),
             "file": f"P{i}.json",
         })
     _write_json(outdir / "report.json", results)

@@ -1,12 +1,11 @@
 """Dense complex matrix primitives.
 
 Schur triangularization with a prescribed eigenvalue order (LAPACK ztrexc
-exchanges of adjacent diagonal entries), the normalized trace, the
-Fuglede-Kadison determinant |det T|^(1/n), and operator-norm power-growth
-sequences.  All functions are pure; returned arrays are freshly
-allocated and inputs are never mutated.  The one exception is
-`single_thread_blas`, which sets the process-wide OpenBLAS thread counts
-for the duration of a block.
+exchanges of adjacent diagonal entries), eigenvalue clustering and matching,
+the Fuglede-Kadison determinant |det T|^(1/n), and the matrix file format.
+All functions are pure; returned arrays are freshly allocated and inputs
+are never mutated.  The one exception is `single_thread_blas`, which sets
+the process-wide OpenBLAS thread counts for the duration of a block.
 """
 
 from __future__ import annotations
@@ -43,12 +42,6 @@ def operator_norm(A) -> float:
     return float(np.linalg.norm(as_matrix(A), 2))
 
 
-def normalized_trace(A) -> complex:
-    """tr(A)/n, the tracial state at matrix scale."""
-    A = as_matrix(A)
-    return complex(np.trace(A)) / A.shape[0]
-
-
 def fk_determinant(T) -> float:
     """Fuglede-Kadison determinant |det T|^(1/n); 0 for singular T."""
     T = as_matrix(T)
@@ -56,28 +49,6 @@ def fk_determinant(T) -> float:
     if sign == 0 or np.isneginf(logdet):
         return 0.0
     return float(np.exp(logdet / T.shape[0]))
-
-
-def power_growth(T, m_max: int) -> list[float]:
-    """Operator-norm growth sequence ||T^m||^(1/m) for m = 1..m_max.
-
-    Powers are taken on T/||T|| and rescaled, so no intermediate can
-    overflow.  Entry m equals the norm of ((T*)^m T^m)^(1/2m).
-    """
-    T = as_matrix(T)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    s = operator_norm(T)
-    if s == 0.0:
-        return [0.0] * m_max
-    M = T / s
-    P = np.eye(T.shape[0], dtype=np.complex128)
-    out = []
-    for m in range(1, m_max + 1):
-        P = P @ M
-        nm = float(np.linalg.norm(P, 2))
-        out.append(s * nm ** (1.0 / m) if nm > 0.0 else 0.0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +71,36 @@ class Cluster:
         return len(self.members)
 
 
-def cluster_points(values: Sequence[complex], tol: float) -> list[Cluster]:
-    """Partition `values` into connected components of the <=tol proximity graph.
+def _close_pairs(vals: list[complex], tol: float) -> list[tuple[int, int]]:
+    """Every pair of indices i != j, once, with abs(vals[i] - vals[j]) <= tol.
 
-    Components are located at the arithmetic mean of their members and
-    returned sorted by (real, imag) of the location.
+    The values are swept in order of real part, so only pairs at most
+    2 tol apart in x are measured.  `np.hypot` of the differences gives the
+    bits of Python's complex `abs` (both are C `hypot`), and it is never
+    below the x difference, so no close pair falls outside the window.
     """
-    return cluster_labels(values, tol)[0]
+    z = np.array(vals, dtype=np.complex128)
+    order = np.argsort(z.real, kind="stable")
+    x, y = z.real[order], z.imag[order]
+    # sorted positions p < q with x[q] <= x[p] + 2 tol
+    stop = np.searchsorted(x, x + 2 * tol, side="right")
+    counts = np.maximum(stop - np.arange(1, len(x) + 1), 0)
+    p = np.repeat(np.arange(len(x)), counts)
+    starts = np.cumsum(counts) - counts
+    q = np.arange(counts.sum()) - np.repeat(starts, counts) + p + 1
+    close = np.hypot(x[q] - x[p], y[q] - y[p]) <= tol
+    return list(zip(order[p[close]].tolist(), order[q[close]].tolist()))
 
 
 def cluster_labels(values: Sequence[complex], tol: float) -> tuple[list[Cluster], list[int]]:
-    """`cluster_points(values, tol)` and each value's component.
+    """Partition `values` into connected components of the <=tol proximity
+    graph, and give each value's component.
 
-    labels[i] is the index, in the returned cluster list, of the component
-    that holds values[i].  A value may lie nearer to another component's
-    location than to its own, so the labels cannot be recovered from the
-    locations.
+    Components are located at the arithmetic mean of their members and
+    returned sorted by (real, imag) of the location.  labels[i] is the
+    index, in the returned cluster list, of the component that holds
+    values[i].  A value may lie nearer to another component's location than
+    to its own, so the labels cannot be recovered from the locations.
     """
     vals = [complex(v) for v in values]
     k = len(vals)
@@ -127,12 +112,10 @@ def cluster_labels(values: Sequence[complex], tol: float) -> tuple[list[Cluster]
             i = parent[i]
         return i
 
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in _close_pairs(vals, tol):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups: dict[int, list[int]] = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
@@ -208,10 +191,6 @@ class SchurForm:
     @property
     def n(self) -> int:
         return self.triangular.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        U, R = self.unitary, self.triangular
-        return U @ R @ U.conj().T
 
 
 def schur_form(T) -> SchurForm:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .regions import Region, Square, ambient_square
 
@@ -338,16 +338,6 @@ class CurveSegment(Region):
         return f"segment:{self.curve.spec_string()},t={t:.17g}"
 
 
-@dataclass(frozen=True)
-class CurveReport:
-    """Outcome of validating a spectrum against a curve."""
-
-    valid: bool
-    locations: tuple[complex, ...]          # cluster representatives, curve order
-    params: tuple[int, ...]                 # their cell-visit indices, sorted
-    problems: tuple[str, ...] = field(default_factory=tuple)
-
-
 def ordered_preimages(
     curve: OrderingCurve, locations
 ) -> tuple[list[tuple[int, int]], list[str]]:
@@ -373,25 +363,3 @@ def ordered_preimages(
                 f"clusters at {z1} and {z2} share the parameter cell k={k1}"
             )
     return entries, problems
-
-
-def curve_validate(curve: OrderingCurve, spectrum, tol: float = 0.0) -> CurveReport:
-    """Check that every spectral point is ordered by the curve.
-
-    Points within `tol` of each other are merged into one cluster first.
-    Validation fails when a point falls outside the curve domain or two
-    distinct clusters share a parameter cell.
-    """
-    from .core import cluster_points
-
-    pts = [complex(z) for z in spectrum]
-    if not pts:
-        return CurveReport(valid=True, locations=(), params=())
-    locations = [c.location for c in cluster_points(pts, tol)]
-    entries, problems = ordered_preimages(curve, locations)
-    return CurveReport(
-        valid=not problems,
-        locations=tuple(locations[i] for _, i in entries),
-        params=tuple(k for k, _ in entries),
-        problems=tuple(problems),
-    )

@@ -40,7 +40,7 @@ from .core import (
     _reorder_by_keys,
 )
 from .curves import OrderingCurve, ordered_preimages, param_to_bits
-from .projections import Projection, projection_from_columns
+from .projections import Projection, invariance_leak, projection_from_columns
 from .regions import Region, decide_cluster
 
 
@@ -158,14 +158,12 @@ class SpectralTable:
     def commutes_with_cluster_projs(self) -> bool:
         """T P = P T for every cluster projection P, to 1e-9 max(1, ||T||)."""
         T = self.matrix
+        Tc = T.conj().T
         bound = 1e-9 * max(1.0, operator_norm(T))
         for i in range(len(self.clusters)):
             B = self.range_projection(i, i + 1).basis
-            TB, BT = T @ B, B.conj().T @ T
-            C = BT @ B
-            leak = np.hypot(np.linalg.norm(TB - B @ C),
-                            np.linalg.norm(BT - C @ B.conj().T))
-            if leak > bound:
+            # ||[T, P]||_F^2 = ||(I-P) T P||_F^2 + ||(I-P) T* P||_F^2
+            if np.hypot(invariance_leak(T, B), invariance_leak(Tc, B)) > bound:
                 return False
         return True
 

@@ -26,7 +26,7 @@ from .core import (
     operator_norm,
 )
 from .curves import CurveSegment, OrderingCurve
-from .projections import Projection, hyperinvariance_check
+from .projections import hyperinvariance_check, invariance_leak
 from .regions import (
     AmbiguousRegionError,
     CellUnion,
@@ -168,12 +168,6 @@ def reports_from_json(text: str) -> list[CheckReport]:
 
 def _fro(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
-
-
-def _invariance_leak(T: np.ndarray, B: np.ndarray) -> float:
-    """||(I - P) T P||_F for P the projection onto the orthonormal columns B."""
-    TB = T @ B
-    return _fro(TB - B @ (B.conj().T @ TB))
 
 
 def _context_digest(T, curve: OrderingCurve | None = None, extra: str = "") -> str:
@@ -551,24 +545,26 @@ def _corner_measure(T: np.ndarray, basis: np.ndarray,
     return _measure_from_values(snapped, tol)
 
 
-def verify_block_split(T, p: Projection, seed: int = 0,
+def verify_block_split(T, unitary: np.ndarray, k: int, seed: int = 0,
                        det_tol: float = TOL_DETERMINANT) -> list[CheckReport]:
     """Determinant and measure splitting across a T-invariant projection.
 
+    The leading k columns of the unitary `unitary` span a T-invariant
+    subspace, the range of p, and the other columns span its complement.
     With A and C the compressions of T to range(p) and its complement,
     Delta(T) = Delta(A)^{tau(p)} Delta(C)^{tau(1-p)} and the counting
     measure of T is the convex split tau(p) nu_A + tau(1-p) nu_C.
     """
     T = as_matrix(T)
     norm = operator_norm(T)
-    digest = _context_digest(T, None, f"block-split:{p.rank}:{seed}")
-    leak = _invariance_leak(T, p.basis)
+    digest = _context_digest(T, None, f"block-split:{k}:{seed}")
+    B, Bc = unitary[:, :k], unitary[:, k:]
+    leak = invariance_leak(T, B)
     if leak > 1e-9 * max(1.0, norm):
         raise ValueError(
             f"projection is not T-invariant: ||(I-p) T p|| = {leak:.3e}"
         )
     n = T.shape[0]
-    k = p.rank
     tol = cluster_tolerance(T)
     nu_T = empirical_brown(T, tol=tol)
 
@@ -584,8 +580,6 @@ def verify_block_split(T, p: Projection, seed: int = 0,
                         digest, meas_vals, tol, seed),
         ]
 
-    B = p.basis
-    Bc = p.complement_basis()
     A = B.conj().T @ T @ B
     C = Bc.conj().T @ T @ Bc
 
@@ -701,7 +695,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         inv_vals.append(
             CheckValue(
                 f"invariance[{i}]",
-                _invariance_leak(T, P.basis),
+                invariance_leak(T, P.basis),
                 structural_tol * max(1.0, norm),
             )
         )
@@ -881,8 +875,9 @@ def run_suite(
             if wants(_CONVERGENCE_CHECKS):
                 batch += verify_convergence(dec, n_max=n_max, seed=seed)
             if k and wants(_BLOCK_SPLIT_CHECKS):
-                mid = dec.table.range_projection(0, k // 2 + 1)
-                batch += verify_block_split(dec.T, mid, seed=seed, det_tol=det_tol)
+                batch += verify_block_split(dec.T, dec.table.unitary,
+                                            dec.table.ranks[k // 2 + 1],
+                                            seed=seed, det_tol=det_tol)
             for rep in batch:
                 if rep.check_id not in wanted:
                     continue

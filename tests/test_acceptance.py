@@ -260,8 +260,8 @@ def test_criterion_6_corner_splits():
         if not table.clusters:
             continue
         i = int(rng.integers(0, len(table.clusters)))
-        p = table.range_projection(0, i + 1)
-        reports = verify_block_split(T, p, seed=pairs)
+        # flag i: the leading ranks[i + 1] columns of the ordered unitary
+        reports = verify_block_split(T, table.unitary, table.ranks[i + 1], seed=pairs)
         for r in reports:
             if r.verdict != "pass":
                 det_fail.append((name, r.check_id, pairs))

@@ -2,20 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specord.core import (
+    Cluster,
     as_matrix,
     cluster_labels,
-    cluster_points,
     cluster_tolerance,
     eigenvalue_matching_distance,
     fk_determinant,
     load_matrix,
     matrix_digest,
     matrix_json_bytes,
-    normalized_trace,
-    operator_norm,
-    power_growth,
     save_matrix,
     SchurForm,
     schur_form,
@@ -23,6 +21,12 @@ from specord.core import (
     _reorder_by_keys,
 )
 from specord.ensembles import EnsembleSpec, sample
+
+
+def reconstruct(form):
+    """U R U* of a Schur form."""
+    U, R = form.unitary, form.triangular
+    return U @ R @ U.conj().T
 
 
 def charpoly_roots(A):
@@ -63,7 +67,7 @@ def test_schur_nilpotent_block_passthrough():
 def test_schur_ginibre_against_charpoly_oracle():
     T = sample(EnsembleSpec("ginibre", 6, seed=7))
     S = schur_form(T)
-    err = np.linalg.norm(S.reconstruct() - T) / np.linalg.norm(T)
+    err = np.linalg.norm(reconstruct(S) - T) / np.linalg.norm(T)
     assert err <= 1e-10
     assert eigenvalue_matching_distance(S.diag_order, charpoly_roots(T)) <= 1e-8
 
@@ -77,7 +81,7 @@ def test_schur_invariants_over_seeded_matrices():
         U, R = S.unitary, S.triangular
         assert np.linalg.norm(U.conj().T @ U - np.eye(n)) <= 1e-12 * n
         assert np.linalg.norm(np.tril(R, -1)) <= 1e-10 * np.linalg.norm(R)
-        rel = np.linalg.norm(S.reconstruct() - T) / np.linalg.norm(T)
+        rel = np.linalg.norm(reconstruct(S) - T) / np.linalg.norm(T)
         assert rel <= 1e-10
 
 
@@ -92,7 +96,7 @@ def test_reorder_diagonal_permutation():
     S = schur_form(np.diag([2.0, 1.0]).astype(complex))
     out = _reorder_by_keys(S, lex_keys(S.diag_order))
     assert out.diag_order == (1.0 + 0j, 2.0 + 0j)
-    assert np.allclose(out.reconstruct(), np.diag([2.0, 1.0]), atol=1e-12)
+    assert np.allclose(reconstruct(out), np.diag([2.0, 1.0]), atol=1e-12)
 
 
 def test_reorder_puts_requested_eigenvalue_first():
@@ -106,7 +110,7 @@ def test_reorder_puts_requested_eigenvalue_first():
     phase = v[0] / target[0]
     assert abs(abs(phase) - 1.0) < 1e-12
     assert np.allclose(v, phase * target, atol=1e-12)
-    assert np.allclose(out.reconstruct(), T, atol=1e-12)
+    assert np.allclose(reconstruct(out), T, atol=1e-12)
 
 
 def test_reorder_sorted_input_unchanged():
@@ -127,7 +131,7 @@ def test_reorder_preserves_eigenvalue_multiset():
         assert eigenvalue_matching_distance(out.diag_order, S.diag_order) <= 1e-8
         keys = [(z.real, z.imag) for z in out.diag_order]
         assert keys == sorted(keys)
-        assert np.linalg.norm(out.reconstruct() - T) <= 1e-10 * max(
+        assert np.linalg.norm(reconstruct(out) - T) <= 1e-10 * max(
             1.0, np.linalg.norm(T)
         )
 
@@ -151,14 +155,7 @@ def test_reorder_leaves_input_and_permutes_diagonal_bits():
         assert np.array_equal(S.triangular, R0)
         assert np.diag(out.triangular).tobytes() == np.diag(R0)[perm].tobytes()
         assert out.diag_order == tuple(np.diag(R0)[perm])
-        assert np.linalg.norm(out.reconstruct() - T) <= 1e-13 * np.linalg.norm(T)
-
-
-def test_normalized_trace():
-    assert normalized_trace(np.eye(3)) == 1.0
-    assert normalized_trace(np.diag([1.0, 2.0])) == 1.5
-    P = np.diag([1.0, 1.0, 0.0, 0.0])  # rank-2 projection in dimension 4
-    assert normalized_trace(P) == 0.5
+        assert np.linalg.norm(reconstruct(out) - T) <= 1e-13 * np.linalg.norm(T)
 
 
 def test_fk_determinant_examples():
@@ -184,53 +181,9 @@ def test_fk_determinant_multiplicative():
         assert abs(lhs - rhs) <= 1e-9 * max(lhs, rhs)
 
 
-def test_power_growth_examples():
-    J3 = np.diag(np.ones(2), 1).astype(complex)
-    seq = power_growth(J3, 3)
-    assert seq[-1] == 0.0
-    # unitary input: all entries 1
-    rng = np.random.default_rng(2)
-    G = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    U, _ = np.linalg.qr(G)
-    assert np.allclose(power_growth(U, 6), np.ones(6), atol=1e-10)
-
-
-def test_power_growth_strict_upper_svd_oracle():
-    T = sample(EnsembleSpec("strict_upper", 16, seed=3))
-    seq = power_growth(T, 16)
-    P = np.eye(16, dtype=complex)
-    for m in range(1, 17):
-        P = P @ T
-        oracle = np.linalg.svd(P, compute_uv=False).max() ** (1.0 / m)
-        assert np.isclose(seq[m - 1], oracle, atol=1e-10)
-    assert seq[-1] == 0.0
-    tail = seq[8:]
-    assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
-
-
-def test_power_growth_converges_to_spectral_radius():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        n = 12
-        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        U, _ = np.linalg.qr(G)
-        T = U @ np.diag(d) @ U.conj().T
-        seq = power_growth(T, 200)
-        assert abs(seq[-1] - np.abs(d).max()) <= 0.05
-
-
-def test_power_growth_bounded_by_norm():
-    rng = np.random.default_rng(4)
-    T = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    nm = operator_norm(T)
-    for v in power_growth(T, 12):
-        assert 0.0 <= v <= nm + 1e-9
-
-
 def test_cluster_points():
     pts = [1.0, 1.0 + 1e-10, 2.0, 2.0 + 1e-10, 5.0j]
-    cl = cluster_points(pts, 1e-8)
+    cl, _ = cluster_labels(pts, 1e-8)
     assert [c.multiplicity for c in cl] == [1, 2, 2]
     assert abs(cl[1].location - (1.0 + 5e-11)) < 1e-12
 
@@ -240,11 +193,63 @@ def test_cluster_labels_follow_components_not_locations():
     # location (1.05) than its own component's mean 1.35
     pts = [0.0, 0.9, 1.8, 2.7, 3.75]
     clusters, labels = cluster_labels(pts, 1.0)
-    assert clusters == cluster_points(pts, 1.0)
     assert [c.multiplicity for c in clusters] == [4, 1]
     assert labels == [0, 0, 0, 0, 1]
     for i, z in enumerate(pts):
         assert z in clusters[labels[i]].members
+
+
+def brute_force_cluster_labels(values, tol):
+    """The reference: union every pair i < j with abs(v_i - v_j) <= tol."""
+    vals = [complex(v) for v in values]
+    parent = list(range(len(vals)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if abs(vals[i] - vals[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(len(vals)):
+        groups.setdefault(find(i), []).append(i)
+    components = list(groups.values())
+    clusters = [Cluster(location=sum(vals[i] for i in g) / len(g),
+                        members=tuple(vals[i] for i in g))
+                for g in components]
+    order = sorted(range(len(clusters)),
+                   key=lambda c: (clusters[c].location.real, clusters[c].location.imag))
+    labels = [0] * len(vals)
+    for pos, c in enumerate(order):
+        for i in components[c]:
+            labels[i] = pos
+    return [clusters[c] for c in order], labels
+
+
+# lattice points of step tol/2 make ties, chains and pairs exactly tol apart;
+# the offsets put pairs a rounding away from tol
+_LATTICE = st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                     st.sampled_from([0.0, 1e-17, -1e-17, 3e-9]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(_LATTICE, max_size=24),
+       tol=st.sampled_from([0.5, 1e-8, 0.3, 0.0]),
+       shift=st.sampled_from([0.0, 1.0, -1e8, 7e3]),
+       repeats=st.lists(st.integers(0, 23), max_size=6))
+def test_cluster_labels_match_brute_force_pairs(points, tol, shift, repeats):
+    vals = [complex(shift + a * tol / 2 + e, b * tol / 2 - e) for a, b, e in points]
+    vals += [vals[r % len(vals)] for r in repeats if vals]  # exact ties
+    clusters, labels = cluster_labels(vals, tol)
+    ref_clusters, ref_labels = brute_force_cluster_labels(vals, tol)
+    assert labels == ref_labels
+    assert [(c.location, c.members) for c in clusters] == [
+        (c.location, c.members) for c in ref_clusters]
 
 
 def test_matching_distance_fast_path_equals_bottleneck(monkeypatch):

@@ -13,7 +13,6 @@ from specord.curves import (
     _hilbert_xy_to_index,
     CurveSegment,
     LexicographicCurve,
-    curve_validate,
     param_to_bits,
     parse_curve,
 )
@@ -250,25 +249,6 @@ def test_distinct_points_get_distinct_parameters():
     c = make("hilbert")
     assert c.min_preimage(0.25 + 0.1j) != c.min_preimage(-0.3 + 0.6j)
     assert c.compare(0.25 + 0.1j, 0.25 + 0.1j) == 0
-
-
-def test_curve_validate_reports():
-    c = make("lex", radius=2.0)
-    rep = curve_validate(c, [1 + 0j, 2 + 0j])
-    assert rep.valid and rep.locations == (1 + 0j, 2 + 0j)
-    assert curve_validate(c, []).valid
-    # two delta-clustered points merge into one cluster
-    rep = curve_validate(c, [1.0, 1.0 + 1e-12], tol=1e-8)
-    assert rep.valid and len(rep.locations) == 1
-    # a point outside the square fails validation and names the point
-    rep = curve_validate(c, [10.0 + 0j])
-    assert not rep.valid and "10" in rep.problems[0]
-
-
-def test_curve_validate_shared_cell_is_invalid():
-    c = make("hilbert", depth=3)
-    rep = curve_validate(c, [0.1 + 0.1j, 0.1 + 0.100001j])
-    assert not rep.valid
 
 
 def test_curve_segment_region():

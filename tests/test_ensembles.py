@@ -155,7 +155,7 @@ def test_corpus_digests_independent_of_cpu_kernels():
     code = ("import json; from specord.ensembles import corpus_manifest; "
             "print(json.dumps(corpus_manifest()))")
     for setting in settings:
-        path = [src] + [os.environ["PYTHONPATH"]] * bool(os.environ.get("PYTHONPATH"))
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(path)}
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)

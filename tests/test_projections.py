@@ -8,6 +8,7 @@ from specord.projections import (
     Projection,
     hs_projection,
     hyperinvariance_check,
+    invariance_leak,
     projection_from_columns,
 )
 from specord.regions import AmbiguousRegionError, EmptyRegion, FullPlane, disk, halfplane
@@ -135,13 +136,24 @@ def test_basis_projection_rank_zero_and_complement():
     assert P0.rank == 0 and P0.n == 3
     assert np.array_equal(P0.matrix, np.zeros((3, 3)))
 
+    # the complement of a unitary's leading columns is its other columns
     rng = np.random.default_rng(8)
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    P = Projection(basis=Q[:, :2])
-    assert P.rank == 2 and P.n == 5
-    assert np.linalg.norm(P.basis.conj().T @ P.basis - np.eye(2)) <= 1e-12
-    C = P.complement_basis()
-    assert C.shape == (5, 3)
-    assert np.linalg.norm(C.conj().T @ C - np.eye(3)) <= 1e-12
-    assert np.linalg.norm(P.basis.conj().T @ C) <= 1e-12
-    assert np.linalg.norm(C @ C.conj().T - (np.eye(5) - P.matrix)) <= 1e-12
+    P, C = Projection(basis=Q[:, :2]), Projection(basis=Q[:, 2:])
+    assert P.rank == 2 and C.rank == 3 and P.n == C.n == 5
+    assert np.linalg.norm(P.matrix + C.matrix - np.eye(5)) <= 1e-12
+
+
+def dense_leak(X, B):
+    P = B @ B.conj().T
+    return np.linalg.norm((np.eye(len(X)) - P) @ X @ P)
+
+
+def test_invariance_leak_matches_dense_formula():
+    rng = np.random.default_rng(12)
+    n = 9
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    for k in (0, n, int(rng.integers(1, n))):
+        B = Q[:, :k]
+        assert np.isclose(invariance_leak(X, B), dense_leak(X, B), rtol=1e-12, atol=1e-14)

@@ -334,6 +334,10 @@ def test_curve_validation_failure_raises():
     T = np.diag([0.1, 0.100001]).astype(complex)  # same cell at depth 3
     with pytest.raises(CurveValidationError):
         build_table(T, parse_curve("hilbert:depth=3", operator_norm(T)))
+    # an eigenvalue outside the curve's square fails and is named
+    T = np.diag([1.0, 10.0]).astype(complex)
+    with pytest.raises(CurveValidationError, match="10"):
+        build_table(T, parse_curve("lex", 2.0))
 
 
 def test_bundle_roundtrip(tmp_path):

@@ -11,8 +11,8 @@ import specord
 from specord.core import operator_norm
 from specord.curves import parse_curve
 from specord.ensembles import EnsembleSpec, sample
-from specord.projections import Projection, hs_projection
-from specord.regions import disk
+from specord.projections import hs_projection
+from specord.regions import disk, halfplane
 from specord.spectral import build_table, decompose
 from specord.verify import (
     CheckValue,
@@ -95,26 +95,30 @@ def test_convergence_zero_matrix_skips_power_bound():
 
 def test_block_split_examples():
     T = np.array([[1, 5], [0, 2]], dtype=complex)
-    p = Projection(basis=np.eye(2, dtype=complex)[:, :1])
-    reports = verify_block_split(T, p, seed=0)
+    I = np.eye(2, dtype=complex)
+    reports = verify_block_split(T, I, 1, seed=0)
     assert all(r.verdict == "pass" for r in reports)
-    # p = I: degenerate identity
-    pI = Projection(basis=np.eye(2, dtype=complex))
-    assert all(r.verdict == "pass" for r in verify_block_split(T, pI, seed=0))
-    # a non-invariant projection is rejected
-    bad = Projection(basis=np.eye(2, dtype=complex)[:, 1:])
+    # k = n: degenerate identity
+    assert all(r.verdict == "pass" for r in verify_block_split(T, I, 2, seed=0))
+    # a non-invariant leading column is rejected
     with pytest.raises(ValueError):
-        verify_block_split(T, bad)
+        verify_block_split(T, I[:, ::-1], 1)
 
 
 def test_block_split_random_triangular():
     rng = np.random.default_rng(5)
     T = np.triu(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    p = hs_projection(T, disk(0, 0, operator_norm(T)))  # some flag split
+    cases = []
+    # the whole spectrum (k = n), and the 6 eigenvalues with Re z <= 0
+    for B in (disk(0, 0, operator_norm(T)), halfplane(1, 0, 0)):
+        p = hs_projection(T, B)
+        completed, _ = np.linalg.qr(p.basis, mode="complete")
+        cases.append((completed, p.rank))
     table = build_table(T, curve_for(T))
-    mid = table.range_projection(0, len(table.clusters) // 2 + 1)
-    for proj in (p, mid):
-        reports = verify_block_split(T, proj, seed=1)
+    cases.append((table.unitary, table.ranks[len(table.clusters) // 2 + 1]))
+    assert [k for _, k in cases[:2]] == [8, 6]
+    for unitary, k in cases:
+        reports = verify_block_split(T, unitary, k, seed=1)
         assert all(r.verdict == "pass" for r in reports), [
             (r.check_id, r.verdict) for r in reports
         ]
@@ -313,7 +317,7 @@ def test_corpus_reports_independent_of_blas_threads():
     src = str(Path(specord.__file__).resolve().parent.parent)
     digests = {}
     for threads in ("1", "2"):
-        path = [src] + [os.environ["PYTHONPATH"]] * bool(os.environ.get("PYTHONPATH"))
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(path)}
         proc = subprocess.run([sys.executable, "-c", DETERMINISM_CHILD, *names], env=env,
