@@ -10,9 +10,13 @@ curve       tabulate a curve, order a spectrum, or compare two curves
 replay      re-run a recorded config.json and reproduce its outputs
 
 Exit codes: 0 success, 1 at least one check failed, 2 invalid input, usage
-or a library failure.  Every run writes a config.json into its output
-directory; `replay` reproduces the run (byte-identical output files,
-config.json included) from that file alone.
+or a library failure.  Every command computes its outputs before it writes
+a file, so a run that exits 2 on invalid input or a library failure leaves
+no file behind; every other run writes a config.json into its output
+directory, and `replay` reproduces the run (byte-identical output files,
+config.json included) from that file alone.  Commands run with every
+OpenBLAS library pinned to one thread (`core.single_thread_blas`), so
+their outputs do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .core import (
     operator_norm,
     save_matrix,
     schur_form,
+    single_thread_blas,
     write_output,
 )
 from .curves import curve_for_matrix, parse_curve
@@ -148,14 +153,14 @@ def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
     from .verify import TOL_STRUCTURAL
 
     T = _resolve_matrix(cfg)
-    curve = curve_for_matrix(cfg.curve, T)
-    _write_config(cfg, outdir, T)
-    dec = decompose(T, curve)
-    write_bundle(dec, outdir)
+    # compute before writing, so a run that raises leaves no partial bundle
+    dec = decompose(T, curve_for_matrix(cfg.curve, T))
     reports = verify_decomposition(
         dec, seed=cfg.seed,
         structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
     )
+    _write_config(cfg, outdir, T)
+    write_bundle(dec, outdir)
     write_output(outdir / "report.json", reports_to_json(reports).encode("ascii"))
     summary = suite_summary(reports)
     print(f"decompose: {summary['passed']} passed, {summary['failed']} failed, "
@@ -192,13 +197,13 @@ def _run_project(cfg: RunConfig, outdir: Path) -> int:
     if not cfg.regions:
         raise ValueError("project needs at least one --region")
     square = ambient_square(operator_norm(T))
-    _write_config(cfg, outdir, T)
     # one Schur form and tolerance serve every region
     form, tol = schur_form(T), cluster_tolerance(T)
+    projections = [hs_projection(T, parse_region(spec, square), tol=tol, form=form)
+                   for spec in cfg.regions]
+    _write_config(cfg, outdir, T)
     results = []
-    for i, spec in enumerate(cfg.regions):
-        B = parse_region(spec, square)
-        P = hs_projection(T, B, tol=tol, form=form)
+    for i, (spec, P) in enumerate(zip(cfg.regions, projections)):
         save_matrix(P.matrix, outdir / f"P{i}.json")
         results.append({
             "region": spec,
@@ -223,7 +228,6 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
         matrices = [("input", T)]
     else:
         matrices = ensembles.corpus_matrices()
-    _write_config(cfg, outdir, T)
     from .verify import TOL_DETERMINANT, TOL_STRUCTURAL
 
     reports = run_suite(
@@ -235,6 +239,7 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
         structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
         det_tol=float(cfg.tolerances.get("determinant", TOL_DETERMINANT)),
     )
+    _write_config(cfg, outdir, T)
     write_output(outdir / "report.json", reports_to_json(reports).encode("ascii"))
     summary = suite_summary(reports)
     print(f"verify: {summary['passed']} passed, {summary['failed']} failed, "
@@ -245,9 +250,11 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
 def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
     if mode == "tabulate":
         curve = parse_curve(cfg.curve, radius=1.0)
+        count = cfg.count
+        if count < 1:
+            raise ValueError(f"curve tabulate needs --count >= 1, got {count}")
         _write_config(cfg, outdir)
         lines = ["t,re,im"]
-        count = max(2, cfg.count)
         cells = 1 << (2 * curve.depth)
         for i in range(count + 1):
             z = curve.eval(min(i * cells // count, cells - 1))
@@ -257,12 +264,12 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
         return 0
     T = _resolve_matrix(cfg)
     curve = curve_for_matrix(cfg.curve, T)
-    _write_config(cfg, outdir, T)
     if mode == "order":
         from .spectral import build_table
 
         table = build_table(T, curve)
         doc = table.to_json_dict()
+        _write_config(cfg, outdir, T)
         _write_json(outdir / "order.json", doc)
         locs = ", ".join(f"{c.location:.4g}" for c in table.clusters)
         print(f"curve order ({cfg.curve}): {locs}")
@@ -288,6 +295,7 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
             "order_b": [f"{c.location.real:.17g}{c.location.imag:+.17g}j"
                         for c in db.table.clusters],
         }
+        _write_config(cfg, outdir, T)
         _write_json(outdir / "compare.json", doc)
         print(f"curve compare: measure distance {dist:.3e}, operator "
               f"difference {doc['normal_part_difference']:.3e} -> {outdir}")
@@ -365,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@single_thread_blas()
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:

@@ -11,11 +11,13 @@ the process-wide OpenBLAS thread counts for the duration of a block.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -209,30 +211,72 @@ def schur_form(T) -> SchurForm:
     return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
 
 
+# targets carried per pass of the blocked reorder; windows hold at most 2b rows
+_REORDER_BLOCK = 32
+
+
 def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
     """Stably sort the diagonal into nondecreasing key order.
 
-    An insertion sort: each entry moves to its slot in one LAPACK ztrexc
-    call, a chain of unitary adjacent exchanges that write the swapped
-    diagonal entries back exactly (Bai & Demmel 1993), so the output
-    diagonal is a permutation of the input's bits.  `form` is not mutated.
+    Every move is one LAPACK ztrexc call, a chain of unitary adjacent
+    exchanges that write the swapped diagonal entries back exactly (Bai &
+    Demmel 1993), so the output diagonal is a permutation of the input's
+    bits.  Up to n = 2b, ztrexc moves each entry to its slot in (R, U)
+    itself.  Beyond, the sort is blocked (Kressner, ACM TOMS 32, 2006):
+    the next b entries of the sorted order are carried upward through
+    windows of at most 2b rows, ztrexc reorders the window block alone and
+    accumulates its unitary Z, and one matmul each applies Z to the rows
+    right of the window, the columns above it and U.  A window in which no
+    entry moves is left as it is, so a sorted input comes back with the
+    bits it has.  `form` is not mutated.
     """
     # private Fortran-ordered copies, so ztrexc can update them in place
     R = np.array(form.triangular, dtype=np.complex128, order="F")
     U = np.array(form.unitary, dtype=np.complex128, order="F")
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    at = list(range(len(keys)))  # at[p]: input position of the entry now at p
-    for p, idx in enumerate(order):
+    n, b = R.shape[0], _REORDER_BLOCK
+    order = sorted(range(n), key=keys.__getitem__)
+    at = list(range(n))  # at[p]: input position of the entry now at p
+    if n <= 2 * b:
+        R, U = _ztrexc_moves(R, U, at, order)
+        return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
+    for p0 in range(0, n, b):
+        targets = order[p0 : p0 + b]
+        carried = set(targets)
+        hi = 1 + max(p for p in range(p0, n) if at[p] in carried)
+        while True:
+            lo = max(p0, hi - 2 * b)
+            window = at[lo:hi]
+            members = set(window)
+            inside = [idx for idx in targets if idx in members]
+            if window[: len(inside)] != inside:
+                W, Z = _ztrexc_moves(np.array(R[lo:hi, lo:hi], order="F"),
+                                     np.eye(hi - lo, dtype=np.complex128, order="F"),
+                                     window, inside)
+                R[lo:hi, lo:hi] = W
+                R[lo:hi, hi:] = Z.conj().T @ R[lo:hi, hi:]
+                R[:lo, lo:hi] = R[:lo, lo:hi] @ Z
+                U[:, lo:hi] = U[:, lo:hi] @ Z
+                at[lo:hi] = window
+            if lo == p0:
+                break
+            hi = lo + len(inside)
+    return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
+
+
+def _ztrexc_moves(R, Q, at, wanted):
+    """Move `wanted[t]` to position t of `at`, for t = 0, 1, ..., by ztrexc
+    on the Fortran-ordered (R, Q), which it overwrites and returns; `at`
+    follows the moves."""
+    for p, idx in enumerate(wanted):
         q = at.index(idx, p)
         if q == p:
             continue
-        R, U, info = scipy.linalg.lapack.ztrexc(
-            R, U, q + 1, p + 1, overwrite_a=1, overwrite_q=1
-        )
+        R, Q, info = scipy.linalg.lapack.ztrexc(R, Q, q + 1, p + 1,
+                                                overwrite_a=1, overwrite_q=1)
         if info != 0:
             raise RuntimeError(f"ztrexc failed with info={info}")
         at.insert(p, at.pop(q))
-    return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
+    return R, Q
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +337,40 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
         raise ValueError("matrix 'entries' must be a list")
     if n < 1 or len(entries) != n * n:
         raise ValueError(f"expected {n * n} entries for n={n}, got {len(entries)}")
-    values = []
-    for k, e in enumerate(entries):
-        # type(), not isinstance(): JSON true/false load as bool, a subclass of int
-        if (type(e) is list and len(e) == 2
-                and type(e[0]) in (int, float) and type(e[1]) in (int, float)):
-            try:
-                values.append(complex(e[0], e[1]))
-                continue
-            except OverflowError:  # an integer literal beyond the float range
-                pass
-        raise ValueError(f"matrix entry {k} is not a pair of numbers: {e!r:.60}")
-    return as_matrix(np.array(values, dtype=np.complex128).reshape(n, n))
+    values = _entry_values(entries)
+    if values is None:  # the loop names the first entry that is not a pair
+        values = np.array([_entry_value(k, e) for k, e in enumerate(entries)],
+                          dtype=np.complex128)
+    return as_matrix(values.reshape(n, n))
+
+
+def _entry_value(k: int, e) -> complex:
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    if (type(e) is list and len(e) == 2
+            and type(e[0]) in (int, float) and type(e[1]) in (int, float)):
+        try:
+            return complex(e[0], e[1])
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ValueError(f"matrix entry {k} is not a pair of numbers: {e!r:.60}")
+
+
+def _entry_values(entries: list) -> np.ndarray | None:
+    """The entries as complex values when every one is a list of two ints
+    or floats, all within the float range; None otherwise.
+
+    `_entry_value`'s checks, run in C by mapping `type` and `len` over the
+    lists; numpy rounds each int to the nearest float as `complex` does.
+    """
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        return np.array(flat, dtype=np.float64).view(np.complex128)
+    except OverflowError:
+        return None
 
 
 def matrix_digest(T) -> str:
@@ -322,20 +388,28 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
-# the thread count is process-wide, so pinned blocks must not interleave
-_BLAS_PIN = threading.RLock()
+# the thread counts are process-wide: the first pinned block to enter saves
+# them and the last one to exit restores them; pinned blocks may overlap
+_BLAS_PIN = threading.Lock()
+_blas_pin_depth = 0
+_blas_saved: list = []
 
 
-def _openblas_libraries() -> dict:
-    """File name -> (get, set) thread-count functions of every OpenBLAS
-    library loaded in this process; empty without /proc/self/maps."""
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """(file name, get, set) thread-count functions of every OpenBLAS
+    library loaded in this process; empty without /proc/self/maps.
+
+    Found once, at first use: this module imports numpy and scipy.linalg,
+    which load the OpenBLAS builds that specord calls into.
+    """
     try:
         with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
             paths = sorted({line.split()[-1] for line in fh
                             if "openblas" in line.lower() and "/" in line})
     except OSError:
-        return {}
-    out = {}
+        return ()
+    out = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -346,14 +420,14 @@ def _openblas_libraries() -> dict:
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                out[Path(path).name] = (get, put)
+                out.append((Path(path).name, get, put))
                 break
-    return out
+    return tuple(out)
 
 
 def openblas_threads() -> dict[str, int]:
     """Thread count of every OpenBLAS library loaded in this process."""
-    return {name: int(get()) for name, (get, _) in _openblas_libraries().items()}
+    return {name: int(get()) for name, get, _ in _openblas_libraries()}
 
 
 @contextmanager
@@ -361,16 +435,23 @@ def single_thread_blas():
     """Run the block with every loaded OpenBLAS library on one thread.
 
     Yields whether any library was pinned; where none was, BLAS may still
-    run its own threads.  The previous counts are restored on exit, also
-    when the block raises.  Blocks entered from concurrent threads run one
-    at a time, so no block restores the counts while another one runs.
+    run its own threads.  Blocks may nest and may run in concurrent
+    threads: the first block to enter saves the counts and pins them, and
+    the last one to exit restores them, also when a block raises.
     """
+    global _blas_pin_depth
+    libs = _openblas_libraries()
     with _BLAS_PIN:
-        saved = [(put, int(get())) for get, put in _openblas_libraries().values()]
-        try:
-            for put, _ in saved:
+        if _blas_pin_depth == 0:
+            _blas_saved[:] = [(put, int(get())) for _, get, put in libs]
+            for _, _, put in libs:
                 put(1)
-            yield bool(saved)
-        finally:
-            for put, count in saved:
-                put(count)
+        _blas_pin_depth += 1
+    try:
+        yield bool(libs)
+    finally:
+        with _BLAS_PIN:
+            _blas_pin_depth -= 1
+            if _blas_pin_depth == 0:
+                for put, count in _blas_saved:
+                    put(count)

@@ -27,6 +27,7 @@ from .core import (
     cluster_tolerance,
     operator_norm,
     schur_form,
+    single_thread_blas,
     _reorder_by_keys,
 )
 from .regions import Region, decide_cluster
@@ -64,6 +65,7 @@ def projection_from_columns(cols: np.ndarray, n: int) -> Projection:
     return Projection(basis=cols)
 
 
+@single_thread_blas()
 def hs_projection(T, B: Region, tol: float | None = None, *,
                   form: SchurForm | None = None) -> Projection:
     """Orthogonal projection onto the invariant subspace of the spectrum in B.
@@ -72,6 +74,7 @@ def hs_projection(T, B: Region, tol: float | None = None, *,
     cluster raises AmbiguousRegionError naming the offending eigenvalue.
     `form`, when given, must be `schur_form(T)`; a caller projecting onto
     several regions of one matrix factors it once.  It is not mutated.
+    Runs with every OpenBLAS library on one thread (`core.single_thread_blas`).
     """
     T = as_matrix(T)
     if tol is None:

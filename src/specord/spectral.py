@@ -36,6 +36,7 @@ from .core import (
     matrix_json_bytes,
     operator_norm,
     schur_form,
+    single_thread_blas,
     write_output,
     _reorder_by_keys,
 )
@@ -184,12 +185,14 @@ class SpectralTable:
         }
 
 
+@single_thread_blas()
 def build_table(T, curve: OrderingCurve, tol: float | None = None, *,
                 form: SchurForm | None = None) -> SpectralTable:
     """Order the spectrum of T along the curve in a reordered Schur form.
 
     `form`, when given, must be `schur_form(T)`; a caller that orders one
     matrix along several curves factors it once.  It is not mutated.
+    Runs with every OpenBLAS library on one thread, like `decompose`.
     """
     T = as_matrix(T)
     if tol is None:
@@ -253,6 +256,7 @@ class Decomposition:
         return build_table(self.N, self.table.curve)
 
 
+@single_thread_blas()
 def decompose(T, curve: OrderingCurve, tol: float | None = None, *,
               form: SchurForm | None = None) -> Decomposition:
     """Split T into its curve-ordered normal part and the residual.
@@ -265,7 +269,9 @@ def decompose(T, curve: OrderingCurve, tol: float | None = None, *,
     magnitude and strictly-lower residual in the joint ordered basis).
 
     `form`, when given, must be `schur_form(T)` and is passed to
-    `build_table`.
+    `build_table`.  Runs with every OpenBLAS library pinned to one thread
+    (`core.single_thread_blas`), so the bits do not depend on the BLAS
+    thread count.
     """
     table = build_table(T, curve, tol=tol, form=form)
     N = table.normal_part()

@@ -288,8 +288,9 @@ def test_density_grid_restores_blas_threads(monkeypatch):
 
 
 def test_concurrent_density_grids_match_serial():
-    # more callers than cores, switching often: pinned blocks must not
-    # interleave, and each grid's workers write only their own rows
+    # more callers than cores, switching often: pinned blocks overlap, the
+    # counts stay pinned until the last one exits, and each grid's workers
+    # write only their own rows
     T = sample(EnsembleSpec("ginibre", 16, seed=2))
     want = hashlib.sha256(brown_density_grid(T, g=24).masses.tobytes()).hexdigest()
     before = openblas_threads()

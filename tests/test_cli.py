@@ -259,6 +259,21 @@ def test_curve_tabulate_any_count(tmp_path):
     assert digest == "2bbc673e5163cd1052957524035dac7b4d1832c1933175988c317c95daf63d10"
 
 
+def test_curve_tabulate_count_below_one_exits_2(tmp_path, capsys):
+    for count in (0, -3):
+        out = tmp_path / f"c{count}"
+        assert main(["curve", "tabulate", "--count", str(count), "--out", str(out)]) == 2
+        assert "--count >= 1" in capsys.readouterr().err
+        assert not out.exists()
+    # every count from 1 on writes count + 1 rows
+    for count, cells in ((1, ["0", "1"]), (2, ["0", "0.5", "1"])):
+        out = tmp_path / f"c{count}"
+        assert main(["curve", "tabulate", "--curve", "hilbert:depth=1",
+                     "--count", str(count), "--out", str(out)]) == 0
+        rows = (out / "curve.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == cells
+
+
 def test_curve_order_and_compare(tmp_path):
     assert main(["curve", "order", "--ensemble", "ginibre:n=5,seed=2",
                  "--out", str(tmp_path / "o")]) == 0
@@ -279,6 +294,26 @@ def test_usage_error_exits_2():
 def test_curve_compare_requires_second_curve(tmp_path):
     assert main(["curve", "compare", "--ensemble", "ginibre:n=4,seed=1",
                  "--out", str(tmp_path / "c")]) == 2
+
+
+def test_failed_runs_leave_no_files(tmp_path, capsys):
+    # a working square of side 3 ||T|| = inf: every curve-ordering command
+    # fails after reading the input, and must exit 2 before it writes
+    src = tmp_path / "T.json"
+    src.write_text('{"n":1,"entries":[[1e308,1e308]]}')
+    for name in ("decompose", "verify", "curve order", "curve compare"):
+        out = tmp_path / name.replace(" ", "-")
+        argv = MATRIX_COMMANDS[name] + ["--matrix", str(src), "--out", str(out)]
+        assert main(argv) == 2, name
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() or not any(out.iterdir()), name
+    # the second region splits the cluster {0, 1e-12}, after the first succeeded
+    src.write_text('{"n":2,"entries":[[0,0],[0,0],[0,0],[1e-12,0]]}')
+    out = tmp_path / "project"
+    assert main(["project", "--matrix", str(src), "--region", "disk:0,0,1",
+                 "--region", "disk:0,0,5e-13", "--out", str(out)]) == 2
+    assert "straddles" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_decompose_verifies_the_decomposition_it_wrote(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from specord.core import (
@@ -11,12 +12,16 @@ from specord.core import (
     cluster_tolerance,
     eigenvalue_matching_distance,
     fk_determinant,
+    json_int,
     load_matrix,
     matrix_digest,
+    matrix_from_dict,
+    openblas_threads,
     matrix_json_bytes,
     save_matrix,
     SchurForm,
     schur_form,
+    single_thread_blas,
     _bottleneck,
     _reorder_by_keys,
 )
@@ -156,6 +161,69 @@ def test_reorder_leaves_input_and_permutes_diagonal_bits():
         assert np.diag(out.triangular).tobytes() == np.diag(R0)[perm].tobytes()
         assert out.diag_order == tuple(np.diag(R0)[perm])
         assert np.linalg.norm(reconstruct(out) - T) <= 1e-13 * np.linalg.norm(T)
+
+
+def insertion_sort_reorder(form, keys):
+    """Reference: each entry moves to its slot in one ztrexc call on (R, U)."""
+    R = np.array(form.triangular, dtype=np.complex128, order="F")
+    U = np.array(form.unitary, dtype=np.complex128, order="F")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    at = list(range(len(keys)))
+    for p, idx in enumerate(order):
+        q = at.index(idx, p)
+        if q != p:
+            R, U, info = scipy.linalg.lapack.ztrexc(R, U, q + 1, p + 1,
+                                                    overwrite_a=1, overwrite_q=1)
+            assert info == 0
+            at.insert(p, at.pop(q))
+    return R, U
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 64, 65, 97, 160])
+def test_reorder_matches_insertion_sort_oracle(n):
+    # up to n = 64 the reorder is the insertion sort, bit for bit; beyond,
+    # the windows give the same diagonal bits and errors of the same size
+    T = sample(EnsembleSpec("ginibre", n, seed=n))
+    S = schur_form(T)
+    rng = np.random.default_rng(n)
+    for keys in (list(rng.permutation(n)), [int(k) for k in rng.integers(0, 2, n)],
+                 [int(k) for k in rng.integers(0, 6, n)], list(range(n))[::-1]):
+        R0, U0 = insertion_sort_reorder(S, keys)
+        out = _reorder_by_keys(S, keys)
+        R, U = out.triangular, out.unitary
+        assert np.diag(R).tobytes() == np.diag(R0).tobytes()
+        assert not np.tril(R, -1).any()
+        if n <= 64:
+            assert R.tobytes() == R0.tobytes() and U.tobytes() == U0.tobytes()
+            continue
+        eye = np.eye(n)
+        rec = np.linalg.norm(U @ R @ U.conj().T - T) / np.linalg.norm(T)
+        rec0 = np.linalg.norm(U0 @ R0 @ U0.conj().T - T) / np.linalg.norm(T)
+        assert rec <= 2 * rec0 + 1e-15
+        orth, orth0 = (np.linalg.norm(V.conj().T @ V - eye) for V in (U, U0))
+        assert orth <= 2 * orth0 + 1e-15
+        # the same flag subspaces: the leading columns span the same range
+        k = n // 2
+        assert np.linalg.norm(U0[:, :k].conj().T @ U[:, k:]) <= 1e-10
+
+
+def test_blocked_reorder_leaves_input_and_sorted_input_bits():
+    n = 150
+    T = sample(EnsembleSpec("ginibre", n, seed=3))
+    S = schur_form(T)
+    S = SchurForm(unitary=np.asfortranarray(S.unitary),
+                  triangular=np.asfortranarray(S.triangular), diag_order=S.diag_order)
+    U0, R0 = S.unitary.copy(), S.triangular.copy()
+    keys = lex_keys(S.diag_order)
+    out = _reorder_by_keys(S, keys)
+    assert np.array_equal(S.unitary, U0) and np.array_equal(S.triangular, R0)
+    again = _reorder_by_keys(out, lex_keys(out.diag_order))
+    assert again.triangular.tobytes() == out.triangular.tobytes()
+    assert again.unitary.tobytes() == out.unitary.tobytes()
+    # a sorted prefix stays in place; only the windows below it move
+    keys = [0] * 100 + [int(k) for k in np.random.default_rng(2).integers(1, 4, 50)]
+    part = _reorder_by_keys(S, keys)
+    assert part.unitary[:, :100].tobytes() == S.unitary[:, :100].tobytes()
 
 
 def test_fk_determinant_examples():
@@ -354,3 +422,78 @@ def test_matrix_json_bytes_matches_per_entry_format_in_every_layout():
 def test_cluster_tolerance_scales_with_norm():
     assert cluster_tolerance(np.eye(2)) == 1e-8
     assert np.isclose(cluster_tolerance(10 * np.eye(2)), 1e-7)
+
+
+def loop_matrix_from_dict(doc):
+    """Reference: every entry type-checked and converted one at a time."""
+    n = int(doc["n"])
+    values = []
+    for k, e in enumerate(doc["entries"]):
+        if (type(e) is list and len(e) == 2
+                and type(e[0]) in (int, float) and type(e[1]) in (int, float)):
+            try:
+                values.append(complex(e[0], e[1]))
+                continue
+            except OverflowError:
+                pass
+        raise ValueError(f"matrix entry {k} is not a pair of numbers: {e!r:.60}")
+    return as_matrix(np.array(values, dtype=np.complex128).reshape(n, n))
+
+
+_BIG = 2 ** 1024
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([0, -0.0, 0.0, 2 ** 53 + 1, -(2 ** 63) - 1, 10 ** 308,
+                     _BIG - 2 ** 970 - 1, _BIG - 2 ** 970, -_BIG, 10 ** 400]),
+)
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+_BAD_ENTRY = st.one_of(
+    st.lists(st.one_of(_NUMBER, st.booleans()), min_size=2, max_size=2),
+    st.lists(st.one_of(_NUMBER, st.text(max_size=2), st.none()), min_size=2, max_size=2),
+    st.lists(_NUMBER, max_size=3).filter(lambda e: len(e) != 2),
+    st.tuples(_NUMBER, _NUMBER),
+    _NUMBER,
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_matrix_from_dict_matches_entry_loop(n, data):
+    entries = data.draw(st.lists(_PAIR, min_size=n * n, max_size=n * n))
+    for _ in range(data.draw(st.integers(0, 2))):
+        entries[data.draw(st.integers(0, n * n - 1))] = data.draw(_BAD_ENTRY)
+    doc = {"n": n, "entries": entries}
+    try:
+        want = loop_matrix_from_dict(doc)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            matrix_from_dict(doc)
+        assert str(got.value) == str(exc)
+        return
+    assert matrix_from_dict(doc).tobytes() == want.tobytes()
+
+
+def test_matrix_from_dict_fast_path_keeps_bits():
+    rng = np.random.default_rng(6)
+    T = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    T.real[0, 0], T.imag[1, 1] = -0.0, 5e-324
+    doc = json.loads(matrix_json_bytes(T), parse_int=json_int)
+    assert matrix_from_dict(doc).tobytes() == T.tobytes()
+    assert matrix_from_dict(doc).tobytes() == loop_matrix_from_dict(doc).tobytes()
+
+
+def test_single_thread_blas_nests_and_restores():
+    before = openblas_threads()
+    with single_thread_blas() as outer:
+        assert outer == bool(before)
+        with single_thread_blas() as inner:
+            assert inner == outer
+        # the inner exit leaves the outer block pinned
+        assert set(openblas_threads().values()) <= {1}
+        with pytest.raises(RuntimeError):
+            with single_thread_blas():
+                raise RuntimeError
+        assert set(openblas_threads().values()) <= {1}
+    assert openblas_threads() == before

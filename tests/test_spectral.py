@@ -1,12 +1,19 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specord
 from specord.brown import empirical_brown, measure_distance
-from specord.core import fk_determinant, operator_norm, schur_form
+from specord.core import fk_determinant, openblas_threads, operator_norm, schur_form
 from specord.projections import hs_projection
 from specord.curves import CurveSegment, LexicographicCurve, parse_curve
 from specord.ensembles import EnsembleSpec, sample
@@ -446,3 +453,74 @@ def test_cluster_columns_carry_their_members(spec):
     P = hs_projection(T, disk(singleton.location.real, 0.0, 0.5e-8))
     assert P.rank == 1
     np.testing.assert_allclose(P.matrix, np.diag([0, 0, 0, 0, 1.0]), atol=1e-14)
+
+
+def decomposition_bits(T):
+    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+    return hashlib.sha256(dec.N.tobytes() + dec.Q.tobytes() + dec.table.unitary.tobytes()
+                          + repr(dec.report).encode()).hexdigest()
+
+
+def test_concurrent_decompositions_match_serial():
+    # pinned blocks overlap: the first to enter pins every OpenBLAS library
+    # and the last to exit restores the counts; n > 64 runs the window matmuls
+    mats = [sample(EnsembleSpec("ginibre", 96, seed=s)) for s in (1, 2)]
+    want = [decomposition_bits(T) for T in mats]
+    before = openblas_threads()
+    got = [None] * len(mats)
+
+    def run(i):
+        for _ in range(3):
+            bits = decomposition_bits(mats[i])
+            got[i] = bits if got[i] in (None, bits) else "differs"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(mats))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert openblas_threads() == before
+
+
+BUNDLE_CHILD = """
+import hashlib, sys
+from pathlib import Path
+from specord import cli
+from specord.curves import curve_for_matrix
+from specord.ensembles import parse_ensemble, sample
+from specord.spectral import decompose, write_bundle
+out = Path(sys.argv[1])
+T = sample(parse_ensemble("ginibre:n=200,seed=3"))
+write_bundle(decompose(T, curve_for_matrix("hilbert:depth=32", T)), out / "library")
+code = cli.main(["decompose", "--ensemble", "ginibre:n=64,seed=5", "--out", str(out / "cli")])
+assert code in (0, 1), code
+for path in sorted(out.rglob("*")):
+    if path.is_file():
+        print(path.relative_to(out), hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+def test_decomposition_bundles_independent_of_blas_threads(tmp_path):
+    # library decompose + write_bundle at n = 200 and the CLI decompose at
+    # n = 64; each thread count applies to a child process only
+    src = str(Path(specord.__file__).resolve().parent.parent)
+    listings = {}
+    for threads in ("1", "2"):
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(path)}
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-c", BUNDLE_CHILD, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (threads, proc.stderr[-2000:])
+        listings[threads] = [line for line in proc.stdout.splitlines()
+                             if line.startswith(("library", "cli"))]
+    assert len(listings["1"]) == 10
+    assert listings["1"] == listings["2"]
