@@ -339,12 +339,12 @@ def matrix_from_dict(doc: dict) -> np.ndarray:
         raise ValueError(f"expected {n * n} entries for n={n}, got {len(entries)}")
     values = _entry_values(entries)
     if values is None:  # the loop names the first entry that is not a pair
-        values = np.array([_entry_value(k, e) for k, e in enumerate(entries)],
+        values = np.array([_pair_value(k, e) for k, e in enumerate(entries)],
                           dtype=np.complex128)
     return as_matrix(values.reshape(n, n))
 
 
-def _entry_value(k: int, e) -> complex:
+def _pair_value(k: int, e) -> complex:
     # type(), not isinstance(): JSON true/false load as bool, a subclass of int
     if (type(e) is list and len(e) == 2
             and type(e[0]) in (int, float) and type(e[1]) in (int, float)):
@@ -359,7 +359,7 @@ def _entry_values(entries: list) -> np.ndarray | None:
     """The entries as complex values when every one is a list of two ints
     or floats, all within the float range; None otherwise.
 
-    `_entry_value`'s checks, run in C by mapping `type` and `len` over the
+    `_pair_value`'s checks, run in C by mapping `type` and `len` over the
     lists; numpy rounds each int to the nearest float as `complex` does.
     """
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:

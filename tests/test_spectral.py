@@ -462,22 +462,24 @@ def decomposition_bits(T):
 
 
 def test_concurrent_decompositions_match_serial():
-    # pinned blocks overlap: the first to enter pins every OpenBLAS library
-    # and the last to exit restores the counts; n > 64 runs the window matmuls
+    # more callers than cores: pinned blocks overlap, the first to enter pins
+    # every OpenBLAS library and the last to exit restores the counts;
+    # n > 64 runs the window matmuls
     mats = [sample(EnsembleSpec("ginibre", 96, seed=s)) for s in (1, 2)]
     want = [decomposition_bits(T) for T in mats]
     before = openblas_threads()
-    got = [None] * len(mats)
+    callers = 2 * (os.cpu_count() or 1) + 2
+    got = [None] * callers
 
     def run(i):
         for _ in range(3):
-            bits = decomposition_bits(mats[i])
+            bits = decomposition_bits(mats[i % 2])
             got[i] = bits if got[i] in (None, bits) else "differs"
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(mats))]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(callers)]
         for t in threads:
             t.start()
         for t in threads:
@@ -485,7 +487,7 @@ def test_concurrent_decompositions_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert got == want
+    assert got == [want[i % 2] for i in range(callers)]
     assert openblas_threads() == before
 
 

@@ -66,9 +66,12 @@ def run(n):
     spectral.decompose(T, curve)
     return perf_counter() - t
 
+def blas_build(module):
+    return module.__config__.CONFIG["Build Dependencies"]["blas"].get(
+        "openblas configuration")
+
 run(32)
 total = run(int(sys.argv[1]))
-blas = lambda name: scipy.__config__.CONFIG["Build Dependencies"]["blas"].get(name)
 print(json.dumps({
     **stage,
     "total_s": total,
@@ -77,9 +80,8 @@ print(json.dumps({
     "blas_threads_in_reorder": dict(inside),
     "numpy": np.__version__,
     "scipy": scipy.__version__,
-    "numpy_blas": np.__config__.CONFIG["Build Dependencies"]["blas"].get(
-        "openblas configuration"),
-    "scipy_blas": blas("openblas configuration") or blas("version"),
+    "numpy_blas": blas_build(np),
+    "scipy_blas": blas_build(scipy),
 }))
 """
 
@@ -149,14 +151,13 @@ def main(argv=None) -> int:
         rows = []
         for n in args.sizes:
             reps = runs[label][n]
-            first = reps[0]
             rows.append({
                 "n": n,
                 **{f"median_{k}": round(statistics.median(r[k] for r in reps), 4)
                    for k in TIMES},
                 "runs": [{k: round(r[k], 4) for k in TIMES} for r in reps],
-                "blas_threads": first["blas_threads"],
-                "blas_threads_in_reorder": first["blas_threads_in_reorder"],
+                "blas_threads": reps[0]["blas_threads"],
+                "blas_threads_in_reorder": reps[0]["blas_threads_in_reorder"],
             })
         first = runs[label][args.sizes[0]][0]
         doc["sides"][label] = {
