@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -223,6 +224,11 @@ _dgemm = _bind(cython_blas, "dgemm",
                ctypes.c_void_p, _int_p)
 
 
+# one grid's workers run at a time, so concurrent callers queue for the
+# CPUs instead of each starting _cpu_count() threads of their own
+_GRID_WORKERS = threading.Lock()
+
+
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -276,9 +282,11 @@ def brown_density_grid(
     factors each in place, both from scipy's `cython_blas`/`cython_lapack`.
     The batches are split into one contiguous range per available CPU,
     with every OpenBLAS library pinned to one thread
-    (`core.single_thread_blas`; one range if none can be pinned).  Each
-    point's arithmetic is fixed, so the masses do not depend on the thread
-    or core count or on numpy's BLAS.  They do depend on the kernel
+    (`core.single_thread_blas`; one range if none can be pinned).  Grids
+    called from several threads take turns to run their ranges, so the
+    process runs at most one grid worker per CPU.  Each point's arithmetic
+    is fixed, so the masses do not depend on the thread or core count or
+    on numpy's BLAS.  They do depend on the kernel
     (`OPENBLAS_CORETYPE`) of the OpenBLAS behind scipy and on numpy's
     CPU-dispatched float64 `np.log`.
     Raises ValueError when the potential is not finite at some point,
@@ -311,7 +319,7 @@ def brown_density_grid(
         basis[3] = np.eye(T.shape[0])
         workers = min(_cpu_count(), len(starts)) if pinned else 1
         cuts = [len(starts) * w // workers for w in range(workers + 1)]
-        with ThreadPoolExecutor(workers) as pool:
+        with _GRID_WORKERS, ThreadPoolExecutor(workers) as pool:
             futures = [
                 pool.submit(_log_potential, phi, coef, starts[lo:hi], basis)
                 for lo, hi in zip(cuts, cuts[1:])

@@ -360,15 +360,17 @@ def _entry_values(entries: list) -> np.ndarray | None:
     or floats, all within the float range; None otherwise.
 
     `_pair_value`'s checks, run in C by mapping `type` and `len` over the
-    lists; numpy rounds each int to the nearest float as `complex` does.
+    lists.  The values go straight from the lists into one float64 array,
+    with no list in between; numpy rounds each int to the nearest float as
+    `complex` does.
     """
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         return None
-    flat = list(chain.from_iterable(entries))
-    if not set(map(type, flat)) <= {int, float}:
+    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
         return None
     try:
-        return np.array(flat, dtype=np.float64).view(np.complex128)
+        return np.fromiter(chain.from_iterable(entries), dtype=np.float64,
+                           count=2 * len(entries)).view(np.complex128)
     except OverflowError:
         return None
 

@@ -287,14 +287,29 @@ def test_density_grid_restores_blas_threads(monkeypatch):
     assert openblas_threads() == before
 
 
-def test_concurrent_density_grids_match_serial():
+def test_concurrent_density_grids_match_serial(monkeypatch):
     # more callers than cores, switching often: pinned blocks overlap, the
-    # counts stay pinned until the last one exits, and each grid's workers
-    # write only their own rows
+    # counts stay pinned until the last one exits, each grid's workers
+    # write only their own rows, and the grids take turns, so no more
+    # workers run at once than one grid starts
     T = sample(EnsembleSpec("ginibre", 16, seed=2))
     want = hashlib.sha256(brown_density_grid(T, g=24).masses.tobytes()).hexdigest()
     before = openblas_threads()
     got = []
+    live, peak, count = [0], [0], threading.Lock()
+    log_potential = brown._log_potential
+
+    def counted(*args):
+        with count:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        try:
+            log_potential(*args)
+        finally:
+            with count:
+                live[0] -= 1
+
+    monkeypatch.setattr(brown, "_log_potential", counted)
 
     def run():
         got.append(hashlib.sha256(brown_density_grid(T, g=24).masses.tobytes()).hexdigest())
@@ -311,4 +326,5 @@ def test_concurrent_density_grids_match_serial():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * len(threads)
+    assert 1 <= peak[0] <= brown._cpu_count()
     assert openblas_threads() == before

@@ -1,14 +1,15 @@
 """n-sweep of the library `spectral.decompose`, written to BENCH_decompose.json.
 
     python3 tools/bench_decompose.py --side parent=../old --side change=. \
-        --sizes 128 256 512 1024 --repeats 3 --out BENCH_decompose.json
+        --out BENCH_decompose.json
 
 Each `--side LABEL=ROOT` names a checkout whose `ROOT/src` holds specord;
-sides are measured alternately, one child process per (side, n, repeat),
-so every number in the file comes from one session on one machine.  A
-child samples ginibre n with seed 1, orders it along `hilbert:depth=32`
-and times one `decompose` (after a warm-up at n = 32), with the stages
-read by wrapping the module globals that `build_table` calls:
+sides are measured alternately, one child process per (side, n, repeat)
+for n in SIZES and REPEATS repeats, so every number in the file comes
+from one session on one machine.  A child samples ginibre n with seed 1,
+orders it along `hilbert:depth=32` and times one `decompose` (after a
+warm-up at n = 32), with the stages read by wrapping the module globals
+that `build_table` calls:
 
 * `schur_s`: `core.schur_form`;
 * `reorder_s`: `core._reorder_by_keys`, the ordered-Schur reorder;
@@ -86,6 +87,8 @@ print(json.dumps({
 """
 
 TIMES = ("schur_s", "reorder_s", "total_s", "peak_rss_mb")
+SIZES = (128, 256, 512, 1024)
+REPEATS = 3
 
 
 def git_commit(root: Path) -> str | None:
@@ -120,8 +123,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--side", action="append", required=True,
                     help="LABEL=ROOT of a checkout; repeat for each side")
-    ap.add_argument("--sizes", type=int, nargs="+", default=[128, 256, 512, 1024])
-    ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--out", default="BENCH_decompose.json")
     args = ap.parse_args(argv)
     sides = {}
@@ -129,9 +130,9 @@ def main(argv=None) -> int:
         label, _, root = item.partition("=")
         sides[label] = Path(root).resolve()
 
-    runs = {label: {n: [] for n in args.sizes} for label in sides}
-    for n in args.sizes:
-        for rep in range(args.repeats):
+    runs = {label: {n: [] for n in SIZES} for label in sides}
+    for n in SIZES:
+        for rep in range(REPEATS):
             for label, root in sides.items():
                 row = measure(root, n)
                 runs[label][n].append(row)
@@ -144,12 +145,12 @@ def main(argv=None) -> int:
                     "hilbert:depth=32, after a warm-up decompose at n=32",
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "sides": {},
     }
     for label, root in sides.items():
         rows = []
-        for n in args.sizes:
+        for n in SIZES:
             reps = runs[label][n]
             rows.append({
                 "n": n,
@@ -159,7 +160,7 @@ def main(argv=None) -> int:
                 "blas_threads": reps[0]["blas_threads"],
                 "blas_threads_in_reorder": reps[0]["blas_threads_in_reorder"],
             })
-        first = runs[label][args.sizes[0]][0]
+        first = runs[label][SIZES[0]][0]
         doc["sides"][label] = {
             "commit": git_commit(root),
             "numpy": first["numpy"], "scipy": first["scipy"],
