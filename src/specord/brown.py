@@ -21,6 +21,7 @@ from scipy.linalg import cython_blas, cython_lapack
 from scipy.linalg.blas import zgemm
 
 from .core import (
+    _g17_text,
     as_matrix,
     cluster_labels,
     cluster_tolerance,
@@ -180,6 +181,11 @@ class DensityGrid:
         return np.clip(self.masses, 0.0, None)
 
 
+# above a size of 2^_GRID_SCALE_EXP the density grid is evaluated on a scaled
+# copy: the entries of (T - l)*(T - l) + eps^2 stay below about 2^1004
+_GRID_SCALE_EXP = 500
+
+
 def default_epsilon(T) -> float:
     return 1e-3 * max(1.0, operator_norm(T))
 
@@ -289,8 +295,12 @@ def brown_density_grid(
     on numpy's BLAS.  They do depend on the kernel
     (`OPENBLAS_CORETYPE`) of the OpenBLAS behind scipy and on numpy's
     CPU-dispatched float64 `np.log`.
-    Raises ValueError when the potential is not finite at some point,
-    e.g. when (T - l)*(T - l) overflows.
+    The masses do not change under (T, l, eps) -> (cT, cl, c eps), which
+    only shifts the potential by log c.  When the largest of ||T||, eps and
+    the square's extent exceeds 2^_GRID_SCALE_EXP, the points are evaluated
+    at c the power of two that brings it into [1/2, 1), so (T - l)*(T - l)
+    does not overflow for any finite T; every smaller input keeps its bits.
+    Raises ValueError when the potential is not finite at some point.
     """
     T = as_matrix(T)
     if g < 16:
@@ -299,8 +309,16 @@ def brown_density_grid(
         eps = default_epsilon(T)
     if eps <= 0:
         raise ValueError("eps must be > 0")
+    norm = operator_norm(T)
     if square is None:
-        square = ambient_square(operator_norm(T))
+        square = ambient_square(norm)
+    # the result carries the input's own square and eps
+    T_in, grid_square, grid_eps = T, square, eps
+    size = max(norm, eps, abs(square.cx) + abs(square.cy) + square.side)
+    if size > 2.0**_GRID_SCALE_EXP:
+        c = math.ldexp(1.0, -math.frexp(size)[1])  # exact, perhaps subnormal
+        T, eps = T * c, eps * c
+        square = Square(cx=square.cx * c, cy=square.cy * c, side=square.side * c)
     h = square.side / g
     xs = square.x0 + (np.arange(-1, g + 1) + 0.5) * h
     ys = square.y1 - (np.arange(-1, g + 1) + 0.5) * h  # row 0 on top
@@ -330,28 +348,26 @@ def brown_density_grid(
     bad = np.count_nonzero(~np.isfinite(phi))
     if bad:
         raise ValueError(f"density grid: the log potential is not finite at {bad} of "
-                         f"{phi.size} points (input digest {matrix_digest(T)})")
+                         f"{phi.size} points (input digest {matrix_digest(T_in)})")
     phi = phi.reshape(g + 2, g + 2)
     masses = (
         phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:]
         - 4.0 * phi[1:-1, 1:-1]
     ) / (2.0 * math.pi)
-    return DensityGrid(square=square, resolution=g, eps=float(eps), masses=masses)
+    return DensityGrid(square=grid_square, resolution=g, eps=float(grid_eps), masses=masses)
 
 
 # ---------------------------------------------------------------------------
 # file output
 
 def write_atoms_csv(m: PointMeasure, path) -> None:
-    rows = "".join(f"{z.real:.17g},{z.imag:.17g},{w:.17g}\n" for z, w in m.atoms)
-    write_output(path, ("re,im,weight\n" + rows).encode("ascii"))
+    values = [v for z, w in m.atoms for v in (z.real, z.imag, w)]
+    write_output(path, b"re,im,weight\n" + _g17_text(values, (b",", b",", b"\n")))
 
 
 def write_density_csv(grid: DensityGrid, path) -> None:
-    rows, cols = grid.masses.shape
-    line = ",".join(["%.17g"] * cols) + "\n"
-    text = (line * rows) % tuple(grid.masses.ravel().tolist())
-    write_output(path, text.encode("ascii"))
+    cols = grid.masses.shape[1]
+    write_output(path, _g17_text(grid.masses, (b",",) * (cols - 1) + (b"\n",)))
 
 
 def write_density_pgm(grid: DensityGrid, path) -> None:

@@ -280,16 +280,229 @@ def _ztrexc_moves(R, Q, at, wanted):
 
 
 # ---------------------------------------------------------------------------
+# %.17g text
+
+# values per block: float64 and int64 temporaries of 32 KiB, and each block's
+# text (about 90 KiB) stays below glibc's default mmap threshold of 128 KiB
+_G17_BLOCK = 4096
+# m of the table entries 10^m: 16 - k for k = floor(log10|x|) +- 1 over
+# every finite nonzero double
+_G17_M_LO, _G17_M_HI = -293, 341
+# decimal exponents k of the lookup tables, with room on both sides
+_G17_K_LO, _G17_K_HI = -330, 320
+_E16, _E17 = 10**16, 10**17
+# a remainder this close to 1/2 is a possible tie: that value goes to `%`
+_G17_TIE = 2.0**-20
+_DEKKER_SPLIT = 134217729.0  # 2^27 + 1
+# layout row of a decimal exponent k: k + 4 in fixed notation, else _G17_EXP_ROW
+_G17_EXP_ROW = 21
+
+
+@functools.cache
+def _g17_tables() -> dict:
+    """The power-of-ten table and the text lookups of `_g17_text`.
+
+    10^m = (hi + lo) 2^b, with hi and lo the float64 roundings of 10^m / 2^b
+    in [1/2, 1] and of its remainder, from exact integers; hi_h and hi_l
+    are Dekker's 26-bit halves of hi.
+
+    A record is 13 little-endian uint32 words, so a word's first byte is
+    written first: word 0 holds [sign, lead digit, point, zero], words 1-4
+    the digits before the point, word 5 [point, zero, zero, digit], words
+    6-9 the digits after the point, words 10-11 the exponent and word 12
+    the separator.  The layout of a value depends only on its decimal
+    exponent k and its count nd of significant digits, so one entry of
+    each layout table, indexed by the class 18 row(k) + nd, holds a word's
+    constant bytes or the mask of the digits it keeps.
+    """
+    hi, lo, b = [], [], []
+    for m in range(_G17_M_LO, _G17_M_HI + 1):
+        num, den = (10**m, 1) if m >= 0 else (1, 10**-m)
+        e = num.bit_length() - den.bit_length()
+        if (num << max(-e, 0)) >= (den << max(e, 0)):
+            e += 1  # now 2^(e-1) <= 10^m < 2^e
+        # 10^m / 2^e = A / (B 2^53); int / int rounds correctly
+        A, B = num << max(53 - e, 0), den << max(e - 53, 0)
+        q = A / B  # an integer in [2^52, 2^53]
+        hi.append(q * 2.0**-53)
+        lo.append((A - int(q) * B) / (B << 53))
+        b.append(e)
+    hi = np.array(hi)
+    c = _DEKKER_SPLIT * hi
+    hi_h = c - (c - hi)
+
+    row, nd = np.divmod(np.arange(18 * (_G17_EXP_ROW + 1)), 18)
+    k = row - 4
+    fixed = row < _G17_EXP_ROW
+    below_one = fixed & (k < 0)
+    ni = np.where(fixed, np.maximum(k + 1, 0), 1)  # digits before the point
+    f_lo, f_hi = np.maximum(ni, 1), np.maximum(nd, ni)  # digits [f_lo, f_hi) after it
+    point = (f_hi > f_lo) | below_one
+    zeros = np.where(below_one, -1 - k, 0)  # 0.000ddd
+    first = np.arange(1, 17, 4)[:, None]  # digit index of each word's first digit
+
+    def prefix(count):  # the first `count` bytes of a word, count clipped to [0, 4]
+        return (1 << 8 * np.clip(count, 0, 4)) - 1
+
+    layout = {
+        "w0": 48 << 8 | (point & (ni <= 1)) * 46 << 16 | (zeros >= 1) * 48 << 24,
+        "lead0": np.where(below_one, 0, 1 << 8),
+        "w5": ((point & (ni >= 2)) * 46 | (zeros >= 2) * 48 << 8 | (zeros >= 3) * 48 << 16
+               | below_one * 48 << 24),
+        "lead5": below_one * (1 << 24),
+        "int": prefix(ni - first),
+        "frac": prefix(f_hi - first) ^ prefix(f_lo - first),
+    }
+    tables = {name: v.astype("<u4") for name, v in layout.items()}
+    ks = np.arange(_G17_K_LO, _G17_K_HI + 1)
+    g4 = np.arange(10**4)
+    exp_text = [b"" if -4 <= j < 17 else b"e%+03d" % j for j in ks.tolist()]
+    exp = np.frombuffer(b"".join(e.ljust(8, b"\0") for e in exp_text), dtype="<u4")
+    tables.update(
+        hi=hi, hi_h=hi_h, hi_l=hi - hi_h, lo=np.array(lo), b=np.array(b, dtype=np.int32),
+        row=np.where((ks >= -4) & (ks < 17), ks + 4, _G17_EXP_ROW) * 18,
+        exp0=exp[0::2].copy(), exp1=exp[1::2].copy(),
+        digits4=(g4[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view("<u4")[:, 0],
+        tz4=sum(g4 % 10**j == 0 for j in range(1, 5)),  # 4 for 0000
+    )
+    return tables
+
+
+def _scaled_decimal(t: dict, M, E, k):
+    """Integer part I and fraction f of |x| 10^(16 - k), for |x| = M 2^E.
+
+    M times the table's hi is Dekker's exact two-term product (numpy has no
+    fused multiply-add) and the power-of-two shifts are exact, so I + f is
+    within about 2^-48 of the exact product.
+    """
+    i = (16 - _G17_M_LO) - k
+    hi, hi_h, hi_l = t["hi"].take(i), t["hi_h"].take(i), t["hi_l"].take(i)
+    c = _DEKKER_SPLIT * M
+    m_h = c - (c - M)
+    m_l = M - m_h
+    p = M * hi
+    s = (((m_h * hi_h - p) + m_h * hi_l + m_l * hi_h) + m_l * hi_l) + M * t["lo"].take(i)
+    shift = E + t["b"].take(i)
+    p = np.ldexp(p, shift)  # an integer whenever the result is in range (> 2^53)
+    s = np.ldexp(s, shift)
+    whole = np.floor(s)
+    return np.minimum(p, 2.0**62).astype(np.int64) + whole.astype(np.int64), s - whole
+
+
+def _g17_block(x: np.ndarray, seps: np.ndarray, buffers: dict) -> bytearray:
+    """`'%.17g' % v` followed by its separator word, for each v in `x`.
+
+    The 17 digits of v are the nearest integer D to |v| 10^(16 - k) with D
+    in [10^16, 10^17); k starts at floor(log10|v|) and moves by one while D
+    falls outside.  A value whose remainder is within 2^-20 of 1/2 (a
+    possible tie, which `%` rounds to even) and a value that is not finite
+    are written by `%`.  The records (see `_g17_tables`) leave out the
+    integer digit words when no value of the block is 10 or more, and the
+    exponent words when none needs an exponent; NUL bytes pad each record
+    and one `translate` drops them.
+    """
+    t = _g17_tables()
+    ax = np.abs(x)
+    zero = ax == 0
+    ok = np.isfinite(ax) & ~zero
+    if not ok.all():
+        ax = np.where(ok, ax, 1.0)
+    M, E = np.frexp(ax)
+    k = np.floor(np.log10(ax)).astype(np.intp)
+    I, f = _scaled_decimal(t, M, E, k)
+    for attempt in range(3):
+        # below 10^16 by at most 0.04, D = 10^16 is also what k - 1 rounds to
+        low = (I < _E16 - 1) | ((I == _E16 - 1) & (f < 0.96))
+        high = I >= _E17
+        off = np.flatnonzero(low | high)
+        if not off.size or attempt == 2:
+            break
+        k[off] += np.where(low[off], -1, 1)
+        I[off], f[off] = _scaled_decimal(t, M[off], E[off], k[off])
+    fallback = np.flatnonzero(low | high | (np.abs(f - 0.5) < _G17_TIE) | ~(ok | zero))
+    D = I + (f > 0.5)
+    up = np.flatnonzero(D == _E17)  # rounds up to the next power of ten
+    D[up] = _E16
+    k[up] += 1
+    D[zero] = 0  # digit 0 is then the lead "0" of "0" and "-0"
+    k[zero] = 0
+
+    d0, rest = np.divmod(D, _E16)
+    g0, rest = np.divmod(rest, 10**12)
+    g1, rest = np.divmod(rest, 10**8)
+    g2, g3 = np.divmod(rest, 10**4)
+    groups = (g0, g1, g2, g3)
+    tz4 = t["tz4"]  # trailing zeros of D, from those of its 4-digit groups
+    tz = tz4.take(g0)
+    for g in groups[1:]:
+        tz = tz4.take(g) + (g == 0) * tz
+    c = t["row"].take(k - _G17_K_LO) + (17 - tz)
+
+    k_hi, k_lo = k.max(), k.min()
+    with_int, with_exp = k_hi >= 1, k_hi >= 17 or k_lo < -4
+    cols = 7 + 4 * with_int + 2 * with_exp
+    key = (x.size, cols)
+    if key not in buffers:
+        buffers[key] = bytearray(4 * cols * x.size)
+    buf = buffers[key]
+    words = np.frombuffer(buf, dtype="<u4").reshape(x.size, cols)
+    words[:, 0] = t["w0"].take(c) + d0 * t["lead0"].take(c) + np.signbit(x) * 45
+    pos = 1
+    digits = [t["digits4"].take(g) for g in groups]
+    if with_int:
+        for j in range(4):
+            np.bitwise_and(digits[j], t["int"][j].take(c), out=words[:, pos + j])
+        pos += 4
+    words[:, pos] = t["w5"].take(c) + d0 * t["lead5"].take(c)
+    for j in range(4):
+        np.bitwise_and(digits[j], t["frac"][j].take(c), out=words[:, pos + 1 + j])
+    if with_exp:
+        words[:, pos + 5] = t["exp0"].take(k - _G17_K_LO)
+        words[:, pos + 6] = t["exp1"].take(k - _G17_K_LO)
+    words[:, -1] = seps
+    if fallback.size:
+        text = words.view(np.uint8)
+        for i in fallback:
+            s = b"%.17g" % x[i]
+            text[i, :-4] = 0
+            text[i, :len(s)] = np.frombuffer(s, dtype=np.uint8)
+    return buf.translate(None, b"\0")
+
+
+def _g17_text(values, seps: Sequence[bytes]) -> bytes:
+    """`'%.17g' % v` for every v in `values`, the i-th followed by
+    seps[i % len(seps)] (each at most 4 bytes, without NUL).
+
+    Byte for byte what `%` writes, in blocks of `_G17_BLOCK` values.  The
+    arithmetic is IEEE float64 add and multiply, exact power-of-two
+    scaling and integer division; `log10` only gives k a first guess, so
+    the text is the same on every CPU.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    period = len(seps)
+    words = np.frombuffer(b"".join(s.ljust(4, b"\0") for s in seps), dtype="<u4")
+    pattern = words[np.arange(min(x.size, _G17_BLOCK) + period) % period]
+    buffers: dict = {}
+    return b"".join(
+        _g17_block(x[start:start + _G17_BLOCK],
+                   pattern[start % period:][:min(x.size - start, _G17_BLOCK)], buffers)
+        for start in range(0, x.size, _G17_BLOCK)
+    )
+
+
+# ---------------------------------------------------------------------------
 # matrix file format
 
 def matrix_json_bytes(T) -> bytes:
-    """Serialize to the repo-wide JSON format with 17 significant digits."""
+    """Serialize to the repo-wide JSON format with 17 significant digits.
+
+    Each number is exactly `'%.17g' % x` (see `_g17_text`).
+    """
     T = as_matrix(T)
-    n = T.shape[0]
     # ravel() first: it makes the row-major copy that .view needs
-    parts = T.ravel().view(np.float64).tolist()
-    cells = ",".join(["[%.17g,%.17g]"] * (n * n)) % tuple(parts)
-    return f'{{"n":{n},"entries":[{cells}]}}'.encode("ascii")
+    cells = _g17_text(T.ravel().view(np.float64), (b",", b"],["))
+    return b'{"n":%d,"entries":[[%s]}' % (T.shape[0], cells[:-2])
+
 
 
 def write_output(path, data: bytes) -> None:

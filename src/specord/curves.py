@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .regions import Region, Square, ambient_square
 
@@ -156,6 +156,9 @@ class OrderingCurve:
 
     square: Square
     depth: int = 32
+    # point -> min_preimage, filled as points are asked about: the map is
+    # pure, so a table build and its later segment queries share it
+    _preimages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     kind = "abstract"
 
@@ -201,8 +204,12 @@ class OrderingCurve:
 
     def min_preimage(self, z: complex) -> int:
         """Index of the first visit to the cell containing z."""
-        ix, iy = self._quantize(complex(z))
-        return self._cell_to_index(ix, iy)
+        z = complex(z)
+        k = self._preimages.get(z)
+        if k is None:
+            ix, iy = self._quantize(z)
+            k = self._preimages[z] = self._cell_to_index(ix, iy)
+        return k
 
     def compare(self, z1: complex, z2: complex) -> int:
         """-1, 0, +1 by minimal preimage; 0 exactly when both share a cell."""
@@ -278,8 +285,12 @@ class RadialCurve(OrderingCurve):
         return complex(r * math.cos(ang), r * math.sin(ang))
 
     def min_preimage(self, z: complex) -> int:
-        ri, ti = self._polar_quantize(complex(z))
-        return _interleave(ri, ti, self.depth)
+        z = complex(z)
+        k = self._preimages.get(z)
+        if k is None:
+            ri, ti = self._polar_quantize(z)
+            k = self._preimages[z] = _interleave(ri, ti, self.depth)
+        return k
 
 
 _KINDS = {
@@ -329,7 +340,7 @@ class CurveSegment(Region):
 
     def contains(self, z: complex) -> bool:
         try:
-            return self.curve.min_preimage(complex(z)) <= self.k
+            return self.curve.min_preimage(z) <= self.k
         except CurveDomainError:
             return False
 

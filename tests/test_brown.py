@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from specord.brown import (
 )
 from specord.core import openblas_threads
 from specord.ensembles import EnsembleSpec, sample
-from specord.regions import EmptyRegion, FullPlane, disk
+from specord.regions import EmptyRegion, FullPlane, Square, disk
 
 
 def test_point_measure_invariants():
@@ -148,9 +149,9 @@ def test_lapack_binding_checks_signature():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 def test_density_grid_rejects_non_finite_potential(monkeypatch):
-    T = sample(EnsembleSpec("ginibre", 8, seed=1)) * 2.0**600
+    # an infinite square puts the grid points at infinity
     with pytest.raises(ValueError, match="density grid: the log potential is not finite"):
-        brown_density_grid(T, g=16)
+        brown_density_grid(np.eye(4), g=16, square=Square(cx=0.0, cy=0.0, side=np.inf))
 
     def not_positive_definite(uplo, n, a, lda, info):
         info.value = 2
@@ -158,6 +159,29 @@ def test_density_grid_rejects_non_finite_potential(monkeypatch):
     monkeypatch.setattr("specord.brown._zpotrf", not_positive_definite)
     with pytest.raises(ValueError, match="not finite at 324 of 324 points"):
         brown_density_grid(np.eye(4), g=16)
+
+
+def test_density_grid_of_large_norm_is_scaled():
+    # ||T||^2 overflows at 2^600: the grid is evaluated on T scaled by a
+    # power of two, with the square and eps, so the masses are unchanged
+    T = sample(EnsembleSpec("ginibre", 8, seed=1))
+    base = brown_density_grid(T, g=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = brown_density_grid(T * 2.0**600, g=16)
+    np.testing.assert_allclose(big.masses, base.masses, rtol=0, atol=1e-12)
+    # the result carries the input's own square and eps
+    assert big.square.side == pytest.approx(base.square.side * 2.0**600, rel=1e-14)
+    assert big.eps == pytest.approx(base.eps * 2.0**600, rel=1e-14)
+
+
+def test_forced_grid_scaling_moves_masses_only_at_roundoff(monkeypatch):
+    T = sample(EnsembleSpec("ginibre", 8, seed=2)) * 2.0**200
+    before = brown_density_grid(T, g=16).masses
+    monkeypatch.setattr(brown, "_GRID_SCALE_EXP", 150)  # now scaled by 2^-203
+    scaled = brown_density_grid(T, g=16).masses
+    assert not np.array_equal(before, scaled)
+    np.testing.assert_allclose(scaled, before, rtol=0, atol=1e-12)
 
 
 def test_region_mass():
@@ -225,6 +249,29 @@ def test_atoms_csv_roundtrip(tmp_path):
     )
     rows = [[float(v) for v in line.split(b",")] for line in text.splitlines()[1:]]
     assert [(complex(re, im), w) for re, im, w in rows] == list(m.atoms)
+
+
+def percent_density_csv(grid) -> bytes:
+    """Reference: the density file written by one `%` over every mass."""
+    rows, cols = grid.masses.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
+    return ((line * rows) % tuple(grid.masses.ravel().tolist())).encode("ascii")
+
+
+def fstring_atoms_csv(m) -> bytes:
+    """Reference: the atoms file written one f-string per atom."""
+    rows = "".join(f"{z.real:.17g},{z.imag:.17g},{w:.17g}\n" for z, w in m.atoms)
+    return ("re,im,weight\n" + rows).encode("ascii")
+
+
+def test_csv_writers_match_percent_formatting(tmp_path):
+    T = sample(EnsembleSpec("ginibre", 16, seed=2))
+    grid = brown_density_grid(T, g=32)
+    write_density_csv(grid, tmp_path / "density.csv")
+    assert (tmp_path / "density.csv").read_bytes() == percent_density_csv(grid)
+    for m in (empirical_brown(T), empirical_brown(np.diag([-0.0, 1e-300, 2.5e17]))):
+        write_atoms_csv(m, tmp_path / "atoms.csv")
+        assert (tmp_path / "atoms.csv").read_bytes() == fstring_atoms_csv(m)
 
 
 def test_density_outputs(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -132,11 +133,14 @@ def test_brown_single_entry(tmp_path):
     assert len(lines) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
-def test_brown_non_finite_potential_exits_2(tmp_path, capsys):
-    # (T - l)*(T - l) overflows, so the log potential is not finite
-    src = tmp_path / "big.json"
-    save_matrix(sample(parse_ensemble("ginibre:n=8,seed=1")) * 2.0**600, src)
+def test_brown_non_finite_potential_exits_2(tmp_path, capsys, monkeypatch):
+    # no grid point's matrix factors, so the log potential is not finite
+    def not_positive_definite(uplo, n, a, lda, info):
+        info.value = 2
+
+    monkeypatch.setattr("specord.brown._zpotrf", not_positive_definite)
+    src = tmp_path / "m.json"
+    save_matrix(sample(parse_ensemble("ginibre:n=8,seed=1")), src)
     out = tmp_path / "b"
     assert main(["brown", "--matrix", str(src), "--grid", "16",
                  "--out", str(out)]) == 2
@@ -144,6 +148,20 @@ def test_brown_non_finite_potential_exits_2(tmp_path, capsys):
     # the grid fails before anything is written: no partial bundle
     for name in ("config.json", "atoms.csv", "density.csv", "report.json"):
         assert not (out / name).exists()
+
+
+def test_brown_of_large_norm_exits_0(tmp_path, capsys):
+    # ||T||^2 overflows; the grid is evaluated on a scaled copy of T
+    T = sample(parse_ensemble("ginibre:n=8,seed=1"))
+    for name, M in (("small", T), ("big", T * 2.0**600)):
+        save_matrix(M, tmp_path / f"{name}.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["brown", "--matrix", str(tmp_path / f"{name}.json"), "--grid", "16",
+                         "--out", str(tmp_path / name)]) == 0
+    read = [np.loadtxt(tmp_path / name / "density.csv", delimiter=",")
+            for name in ("small", "big")]
+    np.testing.assert_allclose(read[1], read[0], rtol=0, atol=1e-12)
 
 
 def test_project_command(tmp_path):

@@ -22,7 +22,9 @@ from specord.core import (
     SchurForm,
     schur_form,
     single_thread_blas,
+    _G17_BLOCK,
     _bottleneck,
+    _g17_text,
     _reorder_by_keys,
 )
 from specord.ensembles import EnsembleSpec, sample
@@ -394,6 +396,75 @@ def per_entry_matrix_json_bytes(T) -> bytes:
     n = T.shape[0]
     cells = ",".join(f"[{z.real:.17g},{z.imag:.17g}]" for z in T.ravel())
     return f'{{"n":{n},"entries":[{cells}]}}'.encode("ascii")
+
+
+def percent_g17_text(values, seps) -> bytes:
+    """Reference: `'%.17g' % v` for each value, the i-th followed by seps[i % len(seps)]."""
+    text = "".join("%.17g" + sep.decode() for sep in seps) * (len(values) // len(seps))
+    text += "".join("%.17g" + sep.decode() for sep in seps[:len(values) % len(seps)])
+    return (text % tuple(np.asarray(values, dtype=np.float64).tolist())).encode("ascii")
+
+
+def percent_matrix_json_bytes(T) -> bytes:
+    """Reference: the serialization as one `%` over every entry."""
+    T = as_matrix(T)
+    n = T.shape[0]
+    parts = T.ravel().view(np.float64).tolist()
+    cells = ",".join(["[%.17g,%.17g]"] * (n * n)) % tuple(parts)
+    return f'{{"n":{n},"entries":[{cells}]}}'.encode("ascii")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_FINITE, max_size=40),
+       bits=st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_g17_text_matches_percent_on_finite_floats(values, bits):
+    patterns = np.array(bits, dtype=np.uint64).view(np.float64)
+    x = np.concatenate([np.array(values, dtype=np.float64), patterns[np.isfinite(patterns)]])
+    for seps in ((b",",), (b",", b"],["), (b",", b",", b"\n")):
+        assert _g17_text(x, seps) == percent_g17_text(x, seps)
+
+
+def _hard_cases() -> np.ndarray:
+    """Zeros, extremes, powers of ten, ties and scaled integers."""
+    cases = [0.0, 5e-324, np.nextafter(0.0, 1.0) * 3, 2.2250738585072014e-308,
+             np.nextafter(2.2250738585072014e-308, 0.0), np.finfo(np.float64).max,
+             9.9999999999999995e-05, 1e-4, 1e16, 1e17, 99999999999999984.0]
+    for k in range(-323, 309):
+        p = float(f"1e{k}")
+        cases += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+    halfway = 1.0 + np.arange(1, 2**12) * 2.0**-17  # 18 significant digits: exact ties
+    ints = np.random.default_rng(5).integers(1, 2**53, 2000).astype(np.float64)
+    x = np.concatenate([cases, halfway, halfway * 2.0**40, halfway * 2.0**-40,
+                        *(ints * 2.0**e for e in range(-70, 71, 10))])
+    return np.concatenate([x, -x])
+
+
+def test_g17_text_matches_percent_on_hard_cases():
+    x = _hard_cases()
+    assert _g17_text(x, (b",",)) == percent_g17_text(x, (b",",))
+
+
+@pytest.mark.parametrize("size", [_G17_BLOCK - 1, _G17_BLOCK, _G17_BLOCK + 1, 8191, 8192, 8193])
+def test_g17_text_at_block_boundaries(size):
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 20, size)
+    x[::97] = 0.0
+    for seps in ((b",", b"],["), (b",", b",", b"\n"), (b",",) * 31 + (b"\n",)):
+        assert _g17_text(x, seps) == percent_g17_text(x, seps)
+    assert _g17_text(x[:0], (b",",)) == b""
+
+
+def test_matrix_json_bytes_matches_percent_on_a_decomposition():
+    from specord.curves import curve_for_matrix
+    from specord.spectral import decompose
+
+    T = sample(EnsembleSpec("ginibre", 64, seed=1))
+    dec = decompose(T, curve_for_matrix("hilbert:depth=32", T))
+    for M in (dec.T, dec.N, dec.Q, dec.table.unitary):
+        assert matrix_json_bytes(M) == percent_matrix_json_bytes(M)
 
 
 def test_matrix_json_bytes_matches_per_entry_format_in_every_layout():

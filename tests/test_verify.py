@@ -9,8 +9,8 @@ import pytest
 
 import specord
 from specord.core import operator_norm
-from specord.curves import parse_curve
-from specord.ensembles import EnsembleSpec, sample
+from specord.curves import HilbertCurve, RadialCurve, _interleave, parse_curve
+from specord.ensembles import EnsembleSpec, corpus_matrices, sample
 from specord.projections import hs_projection
 from specord.regions import disk, halfplane
 from specord.spectral import build_table, decompose
@@ -134,6 +134,37 @@ def test_decomposition_reports():
     assert all(r.verdict in ("pass", "skip") for r in reports)
     fails = [r for r in reports if r.verdict == "fail"]
     assert not fails
+
+
+@pytest.mark.parametrize("spec", ["hilbert:depth=32", "radial:depth=32"])
+def test_each_point_is_indexed_once_per_curve(monkeypatch, spec):
+    T = dict(corpus_matrices())["ginibre:n=16,seed=6"]
+    cls = HilbertCurve if spec.startswith("hilbert") else RadialCurve
+    index_name = "_cell_to_index" if cls is HilbertCurve else "_polar_quantize"
+    indexed, queried, calls = [0], set(), [0]
+    index, memoized = getattr(cls, index_name), cls.min_preimage
+
+    def counted_index(self, *args):
+        indexed[0] += 1
+        return index(self, *args)
+
+    def recorded(self, z):
+        queried.add(complex(z))
+        calls[0] += 1
+        return memoized(self, z)
+
+    monkeypatch.setattr(cls, index_name, counted_index)
+    monkeypatch.setattr(cls, "min_preimage", recorded)
+    report = reports_to_json(verify_decomposition(decompose(T, curve_for(T, spec)), seed=3))
+    assert 0 < indexed[0] <= len(queried) < calls[0]
+
+    def uncached(self, z):  # the map without its memo
+        if cls is HilbertCurve:
+            return self._cell_to_index(*self._quantize(complex(z)))
+        return _interleave(*self._polar_quantize(complex(z)), self.depth)
+
+    monkeypatch.setattr(cls, "min_preimage", uncached)
+    assert reports_to_json(verify_decomposition(decompose(T, curve_for(T, spec)), seed=3)) == report
 
 
 def test_reports_reproducible():

@@ -7,13 +7,17 @@ Each `--side LABEL=ROOT` names a checkout whose `ROOT/src` holds specord;
 sides are measured alternately, one child process per (side, n, repeat)
 for n in SIZES and REPEATS repeats, so every number in the file comes
 from one session on one machine.  A child samples ginibre n with seed 1,
-orders it along `hilbert:depth=32` and times one `decompose` (after a
-warm-up at n = 32), with the stages read by wrapping the module globals
-that `build_table` calls:
+orders it along `hilbert:depth=32` and times one `decompose` and one
+`write_bundle` of its result (after a warm-up of both at n = 32), with the
+stages of `decompose` read by wrapping the module globals that
+`build_table` calls:
 
 * `schur_s`: `core.schur_form`;
 * `reorder_s`: `core._reorder_by_keys`, the ordered-Schur reorder;
 * `total_s`: the whole `decompose`;
+* `write_bundle_s`: `spectral.write_bundle` into a temporary directory;
+* `format_s`: `core.matrix_json_bytes` of T, N and Q, the text that
+  `write_bundle` writes, timed again on its own;
 * `peak_rss_mb`: the child's peak resident set;
 * `blas_threads`: `core.openblas_threads()` outside `decompose`, and
   `blas_threads_in_reorder` as seen inside the reorder.
@@ -34,7 +38,7 @@ import sys
 from pathlib import Path
 
 CHILD = r"""
-import json, resource, sys
+import json, resource, sys, tempfile
 from time import perf_counter
 import numpy as np, scipy
 from specord import core, spectral
@@ -61,21 +65,28 @@ spectral._reorder_by_keys = timed("reorder_s", spectral._reorder_by_keys, probe=
 def run(n):
     T = sample(parse_ensemble(f"ginibre:n={n},seed=1"))
     curve = curve_for_matrix("hilbert:depth=32", T)
-    for key in stage:
+    for key in list(stage):
         stage[key] = 0.0
     t = perf_counter()
-    spectral.decompose(T, curve)
-    return perf_counter() - t
+    dec = spectral.decompose(T, curve)
+    stage["total_s"] = perf_counter() - t
+    with tempfile.TemporaryDirectory() as out:
+        t = perf_counter()
+        spectral.write_bundle(dec, out)
+        stage["write_bundle_s"] = perf_counter() - t
+    t = perf_counter()
+    for M in (dec.T, dec.N, dec.Q):
+        core.matrix_json_bytes(M)
+    stage["format_s"] = perf_counter() - t
 
 def blas_build(module):
     return module.__config__.CONFIG["Build Dependencies"]["blas"].get(
         "openblas configuration")
 
 run(32)
-total = run(int(sys.argv[1]))
+run(int(sys.argv[1]))
 print(json.dumps({
     **stage,
-    "total_s": total,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "blas_threads": core.openblas_threads(),
     "blas_threads_in_reorder": dict(inside),
@@ -86,7 +97,7 @@ print(json.dumps({
 }))
 """
 
-TIMES = ("schur_s", "reorder_s", "total_s", "peak_rss_mb")
+TIMES = ("schur_s", "reorder_s", "total_s", "write_bundle_s", "format_s", "peak_rss_mb")
 SIZES = (128, 256, 512, 1024)
 REPEATS = 3
 
@@ -138,11 +149,13 @@ def main(argv=None) -> int:
                 runs[label][n].append(row)
                 print(f"{label} n={n} rep={rep}: total {row['total_s']:.3f} s, "
                       f"schur {row['schur_s']:.3f} s, reorder {row['reorder_s']:.3f} s, "
+                      f"write_bundle {row['write_bundle_s']:.3f} s, "
+                      f"format {row['format_s']:.3f} s, "
                       f"peak {row['peak_rss_mb']:.1f} MB", file=sys.stderr)
 
     doc = {
-        "workload": "library spectral.decompose of ginibre:n=N,seed=1 along "
-                    "hilbert:depth=32, after a warm-up decompose at n=32",
+        "workload": "library spectral.decompose and write_bundle of ginibre:n=N,seed=1 "
+                    "along hilbert:depth=32, after a warm-up of both at n=32",
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
         "repeats": REPEATS,
