@@ -285,9 +285,9 @@ def _ztrexc_moves(R, Q, at, wanted):
 # values per block: float64 and int64 temporaries of 32 KiB, and each block's
 # text (about 90 KiB) stays below glibc's default mmap threshold of 128 KiB
 _G17_BLOCK = 4096
-# m of the table entries 10^m: 16 - k for k = floor(log10|x|) +- 1 over
-# every finite nonzero double
-_G17_M_LO, _G17_M_HI = -293, 341
+# m of the table entries 10^m: 16 - k for k = floor(log10|x|) over every
+# finite nonzero double
+_G17_M_LO, _G17_M_HI = -292, 340
 # decimal exponents k of the lookup tables, with room on both sides
 _G17_K_LO, _G17_K_HI = -330, 320
 _E16, _E17 = 10**16, 10**17
@@ -392,11 +392,11 @@ def _scaled_decimal(t: dict, M, E, k):
 def _g17_block(x: np.ndarray, seps: np.ndarray, buffers: dict) -> bytearray:
     """`'%.17g' % v` followed by its separator word, for each v in `x`.
 
-    The 17 digits of v are the nearest integer D to |v| 10^(16 - k) with D
-    in [10^16, 10^17); k starts at floor(log10|v|) and moves by one while D
-    falls outside.  A value whose remainder is within 2^-20 of 1/2 (a
-    possible tie, which `%` rounds to even) and a value that is not finite
-    are written by `%`.  The records (see `_g17_tables`) leave out the
+    The 17 digits of v are the nearest integer D to |v| 10^(16 - k), for
+    k = floor(log10|v|).  A value whose scaled |v| falls outside
+    [10^16, 10^17) (log10 rounded across a power of ten), whose remainder
+    is within 2^-20 of 1/2 (a possible tie, which `%` rounds to even) or
+    that is not finite is written by `%`.  The records (see `_g17_tables`) leave out the
     integer digit words when no value of the block is 10 or more, and the
     exponent words when none needs an exponent; NUL bytes pad each record
     and one `translate` drops them.
@@ -410,16 +410,9 @@ def _g17_block(x: np.ndarray, seps: np.ndarray, buffers: dict) -> bytearray:
     M, E = np.frexp(ax)
     k = np.floor(np.log10(ax)).astype(np.intp)
     I, f = _scaled_decimal(t, M, E, k)
-    for attempt in range(3):
-        # below 10^16 by at most 0.04, D = 10^16 is also what k - 1 rounds to
-        low = (I < _E16 - 1) | ((I == _E16 - 1) & (f < 0.96))
-        high = I >= _E17
-        off = np.flatnonzero(low | high)
-        if not off.size or attempt == 2:
-            break
-        k[off] += np.where(low[off], -1, 1)
-        I[off], f[off] = _scaled_decimal(t, M[off], E[off], k[off])
-    fallback = np.flatnonzero(low | high | (np.abs(f - 0.5) < _G17_TIE) | ~(ok | zero))
+    # below 10^16 by at most 0.04, D = 10^16 is also what k - 1 rounds to
+    low = (I < _E16 - 1) | ((I == _E16 - 1) & (f < 0.96))
+    fallback = np.flatnonzero(low | (I >= _E17) | (np.abs(f - 0.5) < _G17_TIE) | ~(ok | zero))
     D = I + (f > 0.5)
     up = np.flatnonzero(D == _E17)  # rounds up to the next power of ten
     D[up] = _E16
@@ -502,7 +495,6 @@ def matrix_json_bytes(T) -> bytes:
     # ravel() first: it makes the row-major copy that .view needs
     cells = _g17_text(T.ravel().view(np.float64), (b",", b"],["))
     return b'{"n":%d,"entries":[[%s]}' % (T.shape[0], cells[:-2])
-
 
 
 def write_output(path, data: bytes) -> None:
