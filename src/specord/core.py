@@ -355,15 +355,15 @@ def _g17_tables() -> dict:
     }
     tables = {name: v.astype("<u4") for name, v in layout.items()}
     ks = np.arange(_G17_K_LO, _G17_K_HI + 1)
-    g4 = np.arange(10**4)
+    g4 = np.arange(10**4, dtype=np.uint32)
     exp_text = [b"" if -4 <= j < 17 else b"e%+03d" % j for j in ks.tolist()]
     exp = np.frombuffer(b"".join(e.ljust(8, b"\0") for e in exp_text), dtype="<u4")
     tables.update(
         hi=hi, hi_h=hi_h, hi_l=hi - hi_h, lo=np.array(lo), b=np.array(b, dtype=np.int32),
         row=np.where((ks >= -4) & (ks < 17), ks + 4, _G17_EXP_ROW) * 18,
         exp0=exp[0::2].copy(), exp1=exp[1::2].copy(),
-        digits4=(g4[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8).view("<u4")[:, 0],
-        tz4=sum(g4 % 10**j == 0 for j in range(1, 5)),  # 4 for 0000
+        digits4=sum((g4 // 10**(3 - j) % 10 + 48) << 8 * j for j in range(4)).astype("<u4"),
+        tz4=sum(g4 % 10**j == 0 for j in range(1, 5)).astype(np.uint8),  # 4 for 0000
     )
     return tables
 
