@@ -285,6 +285,8 @@ class RadialCurve(OrderingCurve):
         return complex(r * math.cos(ang), r * math.sin(ang))
 
     def min_preimage(self, z: complex) -> int:
+        # its own method, not a hook under the base one: perfbench/spans.py
+        # wraps min_preimage on this class and on OrderingCurve
         z = complex(z)
         k = self._preimages.get(z)
         if k is None:

@@ -150,7 +150,7 @@ def test_brown_non_finite_potential_exits_2(tmp_path, capsys, monkeypatch):
         assert not (out / name).exists()
 
 
-def test_brown_of_large_norm_exits_0(tmp_path, capsys):
+def test_brown_of_large_norm_exits_0(tmp_path):
     # ||T||^2 overflows; the grid is evaluated on a scaled copy of T
     T = sample(parse_ensemble("ginibre:n=8,seed=1"))
     for name, M in (("small", T), ("big", T * 2.0**600)):
