@@ -186,10 +186,6 @@ class DensityGrid:
 _GRID_SCALE_EXP = 500
 
 
-def default_epsilon(T) -> float:
-    return 1e-3 * max(1.0, operator_norm(T))
-
-
 # grid points per batch, formed by one dgemm: M (1 MB at n = 64) stays in L2
 # next to the 256 KB basis.  Batches start at multiples of _CHUNK whatever the
 # worker count, so a point's bits depend only on the OpenBLAS kernel behind
@@ -281,7 +277,8 @@ def brown_density_grid(
     """Discrete-Laplacian density of the regularized log potential.
 
     Evaluates the potential at the centers of a (g+2)^2 grid covering the
-    working square plus one guard ring, then applies the 5-point stencil.
+    working square (by default that of ||T||) plus one guard ring, then
+    applies the 5-point stencil; eps defaults to 1e-3 max(1, ||T||).
     With x = Re l and y = Im l, each point's matrix is the real combination
     T*T - x (T + T*) - y i(T* - T) + (x*x + y*y + eps^2) I of four fixed
     matrices, so one float64 dgemm forms a batch of 16 points and zpotrf
@@ -305,11 +302,11 @@ def brown_density_grid(
     T = as_matrix(T)
     if g < 16:
         raise ValueError("grid resolution must be >= 16")
+    norm = operator_norm(T)
     if eps is None:
-        eps = default_epsilon(T)
+        eps = 1e-3 * max(1.0, norm)
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    norm = operator_norm(T)
     if square is None:
         square = ambient_square(norm)
     # the result carries the input's own square and eps

@@ -40,13 +40,11 @@ from .brown import (
 )
 from .core import (
     SchurConvergenceError,
-    cluster_tolerance,
     json_int,
     load_matrix,
     matrix_digest,
     matrix_from_dict,
     matrix_json_bytes,
-    operator_norm,
     save_matrix,
     schur_form,
     single_thread_blas,
@@ -196,10 +194,10 @@ def _run_project(cfg: RunConfig, outdir: Path) -> int:
     T = _resolve_matrix(cfg)
     if not cfg.regions:
         raise ValueError("project needs at least one --region")
-    square = ambient_square(operator_norm(T))
-    # one Schur form and tolerance serve every region
-    form, tol = schur_form(T), cluster_tolerance(T)
-    projections = [hs_projection(T, parse_region(spec, square), tol=tol, form=form)
+    # one Schur form, with its norm and tolerance, serves every region
+    form = schur_form(T)
+    square = ambient_square(form.norm)
+    projections = [hs_projection(T, parse_region(spec, square), form=form)
                    for spec in cfg.regions]
     _write_config(cfg, outdir, T)
     results = []
@@ -263,11 +261,13 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
         print(f"curve tabulate: {count + 1} samples -> {outdir}")
         return 0
     T = _resolve_matrix(cfg)
-    curve = curve_for_matrix(cfg.curve, T)
+    # one Schur form, with its norm, serves every curve and table
+    form = schur_form(T)
+    curve = parse_curve(cfg.curve, form.norm)
     if mode == "order":
         from .spectral import build_table
 
-        table = build_table(T, curve)
+        table = build_table(T, curve, form=form)
         doc = table.to_json_dict()
         _write_config(cfg, outdir, T)
         _write_json(outdir / "order.json", doc)
@@ -278,12 +278,9 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
         if cfg.curve2 is None:
             raise ValueError("curve compare needs --curve2")
         from .brown import measure_distance
-        from .spectral import decompose as _dec
 
-        curve_b = curve_for_matrix(cfg.curve2, T)
-        form = schur_form(T)
-        da = _dec(T, curve, form=form)
-        db = _dec(T, curve_b, form=form)
+        da = decompose(T, curve, form=form)
+        db = decompose(T, parse_curve(cfg.curve2, form.norm), form=form)
         dist = measure_distance(da.normal_measure, db.normal_measure)
         doc = {
             "curve_a": cfg.curve,

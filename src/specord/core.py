@@ -15,7 +15,8 @@ import functools
 import json
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from hashlib import sha256
 from itertools import chain
 from pathlib import Path
@@ -58,7 +59,11 @@ def fk_determinant(T) -> float:
 
 def cluster_tolerance(T) -> float:
     """Distance below which two computed eigenvalues count as one point."""
-    return 1e-8 * max(1.0, operator_norm(T))
+    return _tolerance_at(operator_norm(T))
+
+
+def _tolerance_at(norm: float) -> float:
+    return 1e-8 * max(1.0, norm)
 
 
 @dataclass(frozen=True)
@@ -180,12 +185,16 @@ def _bottleneck(dist: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SchurForm:
-    """Unitary U and upper triangular R with U R U* equal to the input.
+    """Unitary U and upper triangular R with U R U* equal to `matrix`.
 
     `diag_order` records the diagonal of R, i.e. the eigenvalues in the
-    order the form realizes.
+    order the form realizes.  The form is the input context of everything
+    computed from T: `norm` is ||T||, which sizes the working square, the
+    cluster tolerance `tol` and every bound that scales with T.
     """
 
+    matrix: np.ndarray
+    norm: float
     unitary: np.ndarray
     triangular: np.ndarray
     diag_order: tuple[complex, ...]
@@ -194,9 +203,18 @@ class SchurForm:
     def n(self) -> int:
         return self.triangular.shape[0]
 
+    @property
+    def tol(self) -> float:
+        return _tolerance_at(self.norm)
+
+    @cached_property
+    def _json_sha256(self):
+        """sha256 state after `matrix_json_bytes(matrix)`; digests copy it."""
+        return sha256(matrix_json_bytes(self.matrix))
+
 
 def schur_form(T) -> SchurForm:
-    """Complex Schur triangularization T = U R U*.
+    """Complex Schur triangularization T = U R U*, with ||T|| by one SVD.
 
     Uses the LAPACK QR iteration (deterministic shift strategy, internal
     sweep cap); a non-converged iteration raises SchurConvergenceError
@@ -208,7 +226,8 @@ def schur_form(T) -> SchurForm:
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise SchurConvergenceError(f"QR iteration did not converge: {exc}") from exc
     R = np.triu(R)  # discard strictly-lower roundoff noise
-    return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
+    return SchurForm(matrix=T, norm=float(np.linalg.norm(T, 2)), unitary=U,
+                     triangular=R, diag_order=tuple(np.diag(R)))
 
 
 # targets carried per pass of the blocked reorder; windows hold at most 2b rows
@@ -228,7 +247,7 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
     accumulates its unitary Z, and one matmul each applies Z to the rows
     right of the window, the columns above it and U.  A window in which no
     entry moves is left as it is, so a sorted input comes back with the
-    bits it has.  `form` is not mutated.
+    bits it has.  `form` is not mutated; its matrix and norm carry over.
     """
     # private Fortran-ordered copies, so ztrexc can update them in place
     R = np.array(form.triangular, dtype=np.complex128, order="F")
@@ -238,7 +257,7 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
     at = list(range(n))  # at[p]: input position of the entry now at p
     if n <= 2 * b:
         R, U = _ztrexc_moves(R, U, at, order)
-        return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
+        return replace(form, unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
     for p0 in range(0, n, b):
         targets = order[p0 : p0 + b]
         carried = set(targets)
@@ -260,7 +279,7 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
             if lo == p0:
                 break
             hi = lo + len(inside)
-    return SchurForm(unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
+    return replace(form, unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
 
 
 def _ztrexc_moves(R, Q, at, wanted):

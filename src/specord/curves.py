@@ -305,7 +305,8 @@ _KINDS = {
 
 
 def parse_curve(spec: str, radius: float) -> OrderingCurve:
-    """Build a curve from a spec string like 'hilbert:depth=32' or 'lex'."""
+    """Build a curve from a spec string like 'hilbert:depth=32' or 'lex',
+    over the working square of `radius` (side 3 radius, which must be finite)."""
     name, _, rest = spec.strip().partition(":")
     name = name.lower()
     if name not in _KINDS:
@@ -318,7 +319,11 @@ def parse_curve(spec: str, radius: float) -> OrderingCurve:
                 depth = int(val)
             else:
                 raise ValueError(f"unknown curve option {fieldspec!r}")
-    return _KINDS[name](square=ambient_square(radius), depth=depth)
+    square = ambient_square(radius)
+    if not math.isfinite(square.side):
+        raise ValueError(f"curve {spec!r}: the working square of side 3 x radius "
+                         f"overflows for radius {radius!r}")
+    return _KINDS[name](square=square, depth=depth)
 
 
 def curve_for_matrix(spec: str, T) -> OrderingCurve:

@@ -22,9 +22,7 @@ import numpy as np
 
 from .core import (
     SchurForm,
-    as_matrix,
     cluster_labels,
-    cluster_tolerance,
     operator_norm,
     schur_form,
     single_thread_blas,
@@ -66,27 +64,24 @@ def projection_from_columns(cols: np.ndarray, n: int) -> Projection:
 
 
 @single_thread_blas()
-def hs_projection(T, B: Region, tol: float | None = None, *,
-                  form: SchurForm | None = None) -> Projection:
+def hs_projection(T, B: Region, *, form: SchurForm | None = None) -> Projection:
     """Orthogonal projection onto the invariant subspace of the spectrum in B.
 
     Eigenvalue clusters must be decidably inside or outside B; a straddling
     cluster raises AmbiguousRegionError naming the offending eigenvalue.
     `form`, when given, must be `schur_form(T)`; a caller projecting onto
     several regions of one matrix factors it once.  It is not mutated.
-    Runs with every OpenBLAS library on one thread (`core.single_thread_blas`).
+    Clusters are taken at the form's tolerance.  Runs with every OpenBLAS
+    library on one thread (`core.single_thread_blas`).
     """
-    T = as_matrix(T)
-    if tol is None:
-        tol = cluster_tolerance(T)
     if form is None:
         form = schur_form(T)
-    clusters, labels = cluster_labels(form.diag_order, tol)
+    clusters, labels = cluster_labels(form.diag_order, form.tol)
     member = [decide_cluster(B, c.members) for c in clusters]
     keys = [0 if member[ci] else 1 for ci in labels]
     ordered = _reorder_by_keys(form, keys)
     k = sum(1 for v in keys if v == 0)
-    return projection_from_columns(ordered.unitary[:, :k], T.shape[0])
+    return projection_from_columns(ordered.unitary[:, :k], form.n)
 
 
 # ---------------------------------------------------------------------------
@@ -101,19 +96,19 @@ class HyperinvarianceReport:
 
 
 def hyperinvariance_check(
-    T, P: Projection, samples: int = 20, seed: int = 0
+    form: SchurForm, P: Projection, samples: int = 20, seed: int = 0
 ) -> HyperinvarianceReport:
     """Leakage of range(P) under sampled elements of the commutant of T.
 
-    Samples are random polynomials in T of degree <= n and, when T is
-    diagonalizable within tolerance, random combinations of the cluster
-    spectral idempotents.  For defective T the idempotent family is
-    unreliable, so sampling falls back to polynomials only (reported).
+    T is `form.matrix`.  Samples are random polynomials in T of degree <= n
+    and, when T is diagonalizable within the form's tolerance, random
+    combinations of the cluster spectral idempotents.  For defective T the
+    idempotent family is unreliable, so sampling falls back to polynomials
+    only (reported).
     """
-    T = as_matrix(T)
-    n = T.shape[0]
+    T, n = form.matrix, form.n
     rng = np.random.default_rng(seed)
-    norm_T = max(operator_norm(T), 1.0)
+    norm_T = max(form.norm, 1.0)
     Tn = T / norm_T
 
     idempotents: list[np.ndarray] = []
@@ -123,7 +118,7 @@ def hyperinvariance_check(
     if cond_V < 1e8:
         polynomials_only = False
         Vinv = np.linalg.inv(V)
-        clusters, labels = cluster_labels(w.tolist(), cluster_tolerance(T))
+        clusters, labels = cluster_labels(w.tolist(), form.tol)
         owner = np.array(labels)
         for ci in range(len(clusters)):
             idempotents.append((V * (owner == ci)[None, :]) @ Vinv)

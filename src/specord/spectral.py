@@ -30,11 +30,8 @@ from .brown import (
 from .core import (
     Cluster,
     SchurForm,
-    as_matrix,
     cluster_labels,
-    cluster_tolerance,
     matrix_json_bytes,
-    operator_norm,
     schur_form,
     single_thread_blas,
     write_output,
@@ -56,6 +53,8 @@ class CurveValidationError(ValueError):
 class SpectralTable:
     """Eigenvalue clusters in curve order with the ordered Schur form.
 
+    `form` is the Schur form of T reordered along the curve; it carries T
+    as `matrix`, its norm and the cluster tolerance `tol`.
     `params[i]` is the cell-visit index of `clusters[i]`; `ranks[i]`
     counts the eigenvalues in the first i clusters, so columns
     ranks[i]:ranks[i+1] of `unitary` span the range of cluster i,
@@ -63,18 +62,31 @@ class SpectralTable:
     the range of flag i, `range_projection(0, i + 1)`.
     """
 
-    matrix: np.ndarray
+    form: SchurForm
     curve: OrderingCurve
-    tol: float
     clusters: tuple[Cluster, ...]
     params: tuple[int, ...]
-    unitary: np.ndarray
-    triangular: np.ndarray
     ranks: tuple[int, ...]
 
     @property
+    def matrix(self) -> np.ndarray:
+        return self.form.matrix
+
+    @property
+    def unitary(self) -> np.ndarray:
+        return self.form.unitary
+
+    @property
+    def norm(self) -> float:
+        return self.form.norm
+
+    @property
+    def tol(self) -> float:
+        return self.form.tol
+
+    @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.form.n
 
     # -- projections from cluster index ranges ------------------------------
 
@@ -160,7 +172,7 @@ class SpectralTable:
         """T P = P T for every cluster projection P, to 1e-9 max(1, ||T||)."""
         T = self.matrix
         Tc = T.conj().T
-        bound = 1e-9 * max(1.0, operator_norm(T))
+        bound = 1e-9 * max(1.0, self.norm)
         for i in range(len(self.clusters)):
             B = self.range_projection(i, i + 1).basis
             # ||[T, P]||_F^2 = ||(I-P) T P||_F^2 + ||(I-P) T* P||_F^2
@@ -186,20 +198,18 @@ class SpectralTable:
 
 
 @single_thread_blas()
-def build_table(T, curve: OrderingCurve, tol: float | None = None, *,
+def build_table(T, curve: OrderingCurve, *,
                 form: SchurForm | None = None) -> SpectralTable:
     """Order the spectrum of T along the curve in a reordered Schur form.
 
     `form`, when given, must be `schur_form(T)`; a caller that orders one
     matrix along several curves factors it once.  It is not mutated.
-    Runs with every OpenBLAS library on one thread, like `decompose`.
+    Clusters are taken at the form's tolerance.  Runs with every OpenBLAS
+    library on one thread, like `decompose`.
     """
-    T = as_matrix(T)
-    if tol is None:
-        tol = cluster_tolerance(T)
     if form is None:
         form = schur_form(T)
-    clusters, labels = cluster_labels(form.diag_order, tol)
+    clusters, labels = cluster_labels(form.diag_order, form.tol)
     entries, problems = ordered_preimages(curve, [c.location for c in clusters])
     if problems:
         raise CurveValidationError("; ".join(problems))
@@ -209,19 +219,14 @@ def build_table(T, curve: OrderingCurve, tol: float | None = None, *,
     ordered_clusters = [clusters[ci] for ci in order]
 
     keys = [rank_of[ci] for ci in labels]
-    ordered = _reorder_by_keys(form, keys)
-
     ranks = [0]
     for c in ordered_clusters:
         ranks.append(ranks[-1] + c.multiplicity)
     return SpectralTable(
-        matrix=T,
+        form=_reorder_by_keys(form, keys),
         curve=curve,
-        tol=tol,
         clusters=tuple(ordered_clusters),
         params=tuple(k for k, _ in entries),
-        unitary=ordered.unitary,
-        triangular=ordered.triangular,
         ranks=tuple(ranks),
     )
 
@@ -257,7 +262,7 @@ class Decomposition:
 
 
 @single_thread_blas()
-def decompose(T, curve: OrderingCurve, tol: float | None = None, *,
+def decompose(T, curve: OrderingCurve, *,
               form: SchurForm | None = None) -> Decomposition:
     """Split T into its curve-ordered normal part and the residual.
 
@@ -273,7 +278,7 @@ def decompose(T, curve: OrderingCurve, tol: float | None = None, *,
     (`core.single_thread_blas`), so the bits do not depend on the BLAS
     thread count.
     """
-    table = build_table(T, curve, tol=tol, form=form)
+    table = build_table(T, curve, form=form)
     N = table.normal_part()
     Q = table.matrix - N
     G = table.unitary.conj().T @ Q @ table.unitary

@@ -14,18 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .brown import PointMeasure, empirical_brown, measure_distance, mixture, region_mass
-from .core import (
-    as_matrix,
-    cluster_tolerance,
-    fk_determinant,
-    operator_norm,
-)
-from .curves import CurveSegment, OrderingCurve
+from .core import SchurForm, fk_determinant, schur_form, single_thread_blas
+from .curves import CurveSegment, OrderingCurve, parse_curve
 from .projections import hyperinvariance_check, invariance_leak
 from .regions import (
     AmbiguousRegionError,
@@ -170,12 +165,11 @@ def _fro(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
-def _context_digest(T, curve: OrderingCurve | None = None, extra: str = "") -> str:
-    from hashlib import sha256
-
-    from .core import matrix_json_bytes
-
-    h = sha256(matrix_json_bytes(T))
+def _context_digest(form: SchurForm, curve: OrderingCurve | None = None,
+                    extra: str = "") -> str:
+    """sha256 of T's canonical bytes, the curve spec and `extra`; T's bytes
+    are hashed once per form."""
+    h = form._json_sha256.copy()
     if curve is not None:
         h.update(curve.spec_string().encode())
     h.update(extra.encode())
@@ -245,7 +239,7 @@ def verify_measure_laws(
     T = table.matrix
     TOL = structural_tol
     rng = np.random.default_rng(seed)
-    digest = _context_digest(T, table.curve, f"measure-laws:{seed}:{trials}")
+    digest = _context_digest(table.form, table.curve, f"measure-laws:{seed}:{trials}")
 
     nu = empirical_brown(T, tol=table.tol)
     trace_vals: list[CheckValue] = []
@@ -368,8 +362,8 @@ def verify_convergence(dec: Decomposition, n_max: int = 8,
     """
     table = dec.table
     T, curve, N = table.matrix, table.curve, dec.N
-    digest = _context_digest(T, curve, f"convergence:{n_max}:{seed}")
-    norm = operator_norm(T)
+    digest = _context_digest(table.form, curve, f"convergence:{n_max}:{seed}")
+    norm = table.norm
 
     rate_vals = []
     for lvl in range(1, n_max + 1):
@@ -390,8 +384,7 @@ def verify_convergence(dec: Decomposition, n_max: int = 8,
     ]
 
     xtable, precond = _commuting_input(dec)
-    X = xtable.matrix
-    xnorm = operator_norm(X)
+    X, xnorm = xtable.matrix, xtable.norm
 
     radius_vals = []
     for lvl in range(1, n_max + 1):
@@ -545,27 +538,24 @@ def _corner_measure(T: np.ndarray, basis: np.ndarray,
     return _measure_from_values(snapped, tol)
 
 
-def verify_block_split(T, unitary: np.ndarray, k: int, seed: int = 0,
+def verify_block_split(form: SchurForm, k: int, seed: int = 0,
                        det_tol: float = TOL_DETERMINANT) -> list[CheckReport]:
     """Determinant and measure splitting across a T-invariant projection.
 
-    The leading k columns of the unitary `unitary` span a T-invariant
-    subspace, the range of p, and the other columns span its complement.
-    With A and C the compressions of T to range(p) and its complement,
-    Delta(T) = Delta(A)^{tau(p)} Delta(C)^{tau(1-p)} and the counting
-    measure of T is the convex split tau(p) nu_A + tau(1-p) nu_C.
+    T is `form.matrix`; the leading k columns of `form.unitary` span a
+    T-invariant subspace, the range of p, and the other columns span its
+    complement.  With A and C the compressions of T to range(p) and its
+    complement, Delta(T) = Delta(A)^{tau(p)} Delta(C)^{tau(1-p)} and the
+    counting measure of T is the convex split tau(p) nu_A + tau(1-p) nu_C.
     """
-    T = as_matrix(T)
-    norm = operator_norm(T)
-    digest = _context_digest(T, None, f"block-split:{k}:{seed}")
-    B, Bc = unitary[:, :k], unitary[:, k:]
+    T, n, tol = form.matrix, form.n, form.tol
+    digest = _context_digest(form, None, f"block-split:{k}:{seed}")
+    B, Bc = form.unitary[:, :k], form.unitary[:, k:]
     leak = invariance_leak(T, B)
-    if leak > 1e-9 * max(1.0, norm):
+    if leak > 1e-9 * max(1.0, form.norm):
         raise ValueError(
             f"projection is not T-invariant: ||(I-p) T p|| = {leak:.3e}"
         )
-    n = T.shape[0]
-    tol = cluster_tolerance(T)
     nu_T = empirical_brown(T, tol=tol)
 
     if k == 0 or k == n:
@@ -617,8 +607,8 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
     """End-to-end checks of the decomposition pipeline for one input."""
     table = dec.table
     T = table.matrix
-    digest = _context_digest(T, table.curve, f"decomposition:{seed}")
-    norm = operator_norm(T)
+    digest = _context_digest(table.form, table.curve, f"decomposition:{seed}")
+    norm = table.norm
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -756,7 +746,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
     # hyperinvariance of a sampled flag
     if flags:
         mid = flags[len(flags) // 2]
-        hrep = hyperinvariance_check(T, mid, samples=12, seed=seed)
+        hrep = hyperinvariance_check(table.form, mid, samples=12, seed=seed)
         reports.append(
             make_report(
                 "flag-hyperinvariance",
@@ -848,10 +838,10 @@ def run_suite(
     """Run every requested check over labeled matrices and curves.
 
     Only the families that emit a requested id run.  Each family seeds its
-    own generator, so skipping one changes no other family's values.
+    own generator, so skipping one changes no other family's values.  Each
+    matrix is factored once, and its form sizes every curve and serves
+    every decomposition.
     """
-    from .curves import curve_for_matrix
-
     wanted = set(KNOWN_CHECKS if checks is None else checks)
     unknown = wanted - set(KNOWN_CHECKS)
     if unknown:
@@ -862,8 +852,10 @@ def run_suite(
 
     out: list[CheckReport] = []
     for label, T in matrices:
+        with single_thread_blas():
+            form = schur_form(T)
         for cspec in curve_specs:
-            dec = decompose(T, curve_for_matrix(cspec, T))
+            dec = decompose(T, parse_curve(cspec, form.norm), form=form)
             k = len(dec.table.clusters)
             batch = []
             if wants(_DECOMPOSITION_CHECKS):
@@ -875,22 +867,10 @@ def run_suite(
             if wants(_CONVERGENCE_CHECKS):
                 batch += verify_convergence(dec, n_max=n_max, seed=seed)
             if k and wants(_BLOCK_SPLIT_CHECKS):
-                batch += verify_block_split(dec.T, dec.table.unitary,
-                                            dec.table.ranks[k // 2 + 1],
+                batch += verify_block_split(dec.table.form, dec.table.ranks[k // 2 + 1],
                                             seed=seed, det_tol=det_tol)
-            for rep in batch:
-                if rep.check_id not in wanted:
-                    continue
-                out.append(CheckReport(
-                    check_id=f"{rep.check_id}@{label}@{cspec}",
-                    claim=rep.claim,
-                    inputs_digest=rep.inputs_digest,
-                    seed=rep.seed,
-                    tolerance=rep.tolerance,
-                    values=rep.values,
-                    verdict=rep.verdict,
-                    note=rep.note,
-                ))
+            out += [replace(rep, check_id=f"{rep.check_id}@{label}@{cspec}")
+                    for rep in batch if rep.check_id in wanted]
     return sorted(out, key=lambda r: r.check_id)
 
 

@@ -261,7 +261,7 @@ def test_criterion_6_corner_splits():
             continue
         i = int(rng.integers(0, len(table.clusters)))
         # flag i: the leading ranks[i + 1] columns of the ordered unitary
-        reports = verify_block_split(T, table.unitary, table.ranks[i + 1], seed=pairs)
+        reports = verify_block_split(table.form, table.ranks[i + 1], seed=pairs)
         for r in reports:
             if r.verdict != "pass":
                 det_fail.append((name, r.check_id, pairs))

@@ -134,6 +134,21 @@ def test_density_grid_matches_per_point_cholesky(case):
     np.testing.assert_allclose(grid.masses, masses, rtol=0, atol=1e-12)
 
 
+def test_density_grid_runs_one_svd(monkeypatch):
+    T = sample(EnsembleSpec("ginibre", 6, seed=2))
+    original, svds = np.linalg.norm, []
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            svds.append(1)
+        return original(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    grid = brown_density_grid(T, g=16)
+    assert len(svds) == 1
+    assert grid.eps == 1e-3 * max(1.0, float(original(T, 2)))
+
+
 def test_lapack_binding_checks_signature():
     # the capsule name is the C signature: a mismatch fails when binding,
     # never inside a call

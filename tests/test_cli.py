@@ -323,8 +323,13 @@ def test_failed_runs_leave_no_files(tmp_path, capsys):
         out = tmp_path / name.replace(" ", "-")
         argv = MATRIX_COMMANDS[name] + ["--matrix", str(src), "--out", str(out)]
         assert main(argv) == 2, name
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == (
+            "error: curve 'hilbert:depth=32': the working square of side 3 x radius "
+            "overflows for radius 1.4142135623730951e+308\n"), name
         assert not out.exists() or not any(out.iterdir()), name
+    # project orders along no curve
+    assert main(MATRIX_COMMANDS["project"] + ["--matrix", str(src),
+                                              "--out", str(tmp_path / "p")]) == 0
     # the second region splits the cluster {0, 1e-12}, after the first succeeded
     src.write_text('{"n":2,"entries":[[0,0],[0,0],[0,0],[1e-12,0]]}')
     out = tmp_path / "project"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from specord.core import (
     openblas_threads,
     matrix_json_bytes,
     save_matrix,
-    SchurForm,
     schur_form,
     single_thread_blas,
     _G17_BLOCK,
@@ -148,11 +148,8 @@ def test_reorder_leaves_input_and_permutes_diagonal_bits():
     S = schur_form(T)
     # Fortran-ordered arrays, as scipy returns them: the layout in which an
     # in-place LAPACK update could write through to the caller's form
-    S = SchurForm(
-        unitary=np.asfortranarray(S.unitary),
-        triangular=np.asfortranarray(S.triangular),
-        diag_order=S.diag_order,
-    )
+    S = replace(S, unitary=np.asfortranarray(S.unitary),
+                triangular=np.asfortranarray(S.triangular))
     U0, R0 = S.unitary.copy(), S.triangular.copy()
     keys = [int(k) for k in np.random.default_rng(8).integers(0, 5, size=24)]
     perm = sorted(range(24), key=keys.__getitem__)
@@ -213,8 +210,8 @@ def test_blocked_reorder_leaves_input_and_sorted_input_bits():
     n = 150
     T = sample(EnsembleSpec("ginibre", n, seed=3))
     S = schur_form(T)
-    S = SchurForm(unitary=np.asfortranarray(S.unitary),
-                  triangular=np.asfortranarray(S.triangular), diag_order=S.diag_order)
+    S = replace(S, unitary=np.asfortranarray(S.unitary),
+                triangular=np.asfortranarray(S.triangular))
     U0, R0 = S.unitary.copy(), S.triangular.copy()
     keys = lex_keys(S.diag_order)
     out = _reorder_by_keys(S, keys)

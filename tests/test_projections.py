@@ -118,7 +118,7 @@ def test_hs_projection_with_shared_form_keeps_bits():
 def test_hyperinvariance():
     T = sample(EnsembleSpec("ginibre", 8, seed=20))
     P = hs_projection(T, halfplane(1, 0, 0))
-    rep = hyperinvariance_check(T, P, samples=20, seed=3)
+    rep = hyperinvariance_check(schur_form(T), P, samples=20, seed=3)
     assert rep.verdict == "pass"
     assert rep.samples > 0
     assert not rep.polynomials_only
@@ -126,7 +126,7 @@ def test_hyperinvariance():
     # invariance under T itself and the identity, via polynomial samples
     J = np.diag(np.ones(3), 1).astype(complex)  # defective: polynomials only
     Pfull = Projection(basis=np.eye(4, dtype=complex))
-    rep = hyperinvariance_check(J, Pfull, samples=10, seed=4)
+    rep = hyperinvariance_check(schur_form(J), Pfull, samples=10, seed=4)
     assert rep.polynomials_only
     assert rep.verdict == "pass"
 

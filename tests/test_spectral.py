@@ -283,7 +283,7 @@ def test_decompose_with_shared_form_keeps_bits():
             for name in ("N", "Q"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert got.table.unitary.tobytes() == want.table.unitary.tobytes()
-            assert got.table.triangular.tobytes() == want.table.triangular.tobytes()
+            assert got.table.form.triangular.tobytes() == want.table.form.triangular.tobytes()
             assert repr(got.report) == repr(want.report)
             assert got.normal_measure == empirical_brown(want.N, tol=want.table.tol)
         assert (form.unitary.tobytes(), form.triangular.tobytes(),

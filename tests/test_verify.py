@@ -2,13 +2,17 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import specord
-from specord.core import operator_norm
+from specord import core
+from specord.core import operator_norm, schur_form
 from specord.curves import HilbertCurve, RadialCurve, _interleave, parse_curve
 from specord.ensembles import EnsembleSpec, corpus_matrices, sample
 from specord.projections import hs_projection
@@ -34,6 +38,11 @@ from specord.verify import (
 
 def curve_for(T, spec="hilbert:depth=32"):
     return parse_curve(spec, operator_norm(T))
+
+
+def split_form(T, unitary):
+    """The Schur form of T with `unitary` in place of its own."""
+    return replace(schur_form(T), unitary=unitary)
 
 
 def test_report_verdicts():
@@ -96,13 +105,13 @@ def test_convergence_zero_matrix_skips_power_bound():
 def test_block_split_examples():
     T = np.array([[1, 5], [0, 2]], dtype=complex)
     I = np.eye(2, dtype=complex)
-    reports = verify_block_split(T, I, 1, seed=0)
+    reports = verify_block_split(split_form(T, I), 1, seed=0)
     assert all(r.verdict == "pass" for r in reports)
     # k = n: degenerate identity
-    assert all(r.verdict == "pass" for r in verify_block_split(T, I, 2, seed=0))
+    assert all(r.verdict == "pass" for r in verify_block_split(split_form(T, I), 2, seed=0))
     # a non-invariant leading column is rejected
     with pytest.raises(ValueError):
-        verify_block_split(T, I[:, ::-1], 1)
+        verify_block_split(split_form(T, I[:, ::-1]), 1)
 
 
 def test_block_split_random_triangular():
@@ -118,7 +127,7 @@ def test_block_split_random_triangular():
     cases.append((table.unitary, table.ranks[len(table.clusters) // 2 + 1]))
     assert [k for _, k in cases[:2]] == [8, 6]
     for unitary, k in cases:
-        reports = verify_block_split(T, unitary, k, seed=1)
+        reports = verify_block_split(split_form(T, unitary), k, seed=1)
         assert all(r.verdict == "pass" for r in reports), [
             (r.check_id, r.verdict) for r in reports
         ]
@@ -213,6 +222,53 @@ def test_run_suite_builds_each_table_once(monkeypatch, T, builds):
     run_suite([("m", T)], curve_specs=("hilbert:depth=32",), seed=0, measure_trials=2,
               n_max=2)
     assert len(calls) == builds
+
+
+def count_input_calls(monkeypatch, inputs):
+    """Counter of the Schur forms, SVDs (2-norms) and JSON texts computed
+    from a matrix equal to one of `inputs`, filled as the calls happen."""
+    counts = Counter()
+    keys = {core.as_matrix(T).tobytes() for T in inputs}
+
+    def patch(owner, attr, name, when=lambda *args, **kwargs: True):
+        fn = getattr(owner, attr)
+
+        def wrapper(A, *args, **kwargs):
+            arr = np.asarray(A)
+            if arr.dtype == np.complex128 and arr.tobytes() in keys and when(*args, **kwargs):
+                counts[name] += 1
+            return fn(A, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    patch(scipy.linalg, "schur", "schur")
+    patch(np.linalg, "norm", "svd", when=lambda ord=None, *args, **kwargs: ord == 2)
+    patch(core, "matrix_json_bytes", "json")
+    return counts
+
+
+def test_run_suite_factors_each_matrix_once(monkeypatch):
+    mats = [(f"g{seed}", sample(EnsembleSpec("ginibre", 5, seed=seed))) for seed in (1, 2)]
+    specs = ("hilbert:depth=32", "morton:depth=32", "lex")
+    want = run_suite(mats, curve_specs=specs, seed=0, measure_trials=2, n_max=2)
+    counts = count_input_calls(monkeypatch, [T for _, T in mats])
+    got = run_suite(mats, curve_specs=specs, seed=0, measure_trials=2, n_max=2)
+    assert reports_to_json(got) == reports_to_json(want)
+    # one form per matrix, its norm by one SVD; one JSON text per table
+    assert counts == {"schur": 2, "svd": 2, "json": 6}
+
+
+def test_verify_decomposition_formats_the_matrix_once(monkeypatch):
+    T = sample(EnsembleSpec("ginibre", 6, seed=3))
+    dec = decompose(T, curve_for(T))
+    counts = count_input_calls(monkeypatch, [T])
+    verify_decomposition(dec, seed=1)
+    assert counts == {"json": 1}
+    # the other families digest the same table from the text hashed above
+    verify_measure_laws(dec.table, trials=2)
+    verify_convergence(dec, n_max=2)
+    verify_block_split(dec.table.form, dec.table.ranks[1])
+    assert counts == {"json": 1}
 
 
 def power_bound_oracle(dec, n_max, seed):

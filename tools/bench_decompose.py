@@ -23,12 +23,15 @@ stages of `decompose` read by wrapping the module globals that
   `blas_threads_in_reorder` as seen inside the reorder.
 
 Per (side, n) the file keeps every repeat and the median of each time;
-`ratios` divides the last side's medians by the first's.
+`ratios` divides the last side's medians by the first's.  Each side is
+named by its git commit (null when ROOT is not a git checkout) and by
+`source_sha256`, a hash of its `src/specord/*.py`.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -111,6 +114,16 @@ def git_commit(root: Path) -> str | None:
     return out.stdout.strip() or None
 
 
+def source_sha256(root: Path) -> str:
+    """sha256 over the name, length and bytes of each `src/specord/*.py`
+    of `root`, in name order."""
+    h = hashlib.sha256()
+    for path in sorted((root / "src" / "specord").glob("*.py")):
+        data = path.read_bytes()
+        h.update(b"%s\0%d\0" % (path.name.encode(), len(data)) + data)
+    return h.hexdigest()
+
+
 def measure(root: Path, n: int) -> dict:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, "-c", CHILD, str(n)], env=env,
@@ -176,6 +189,7 @@ def main(argv=None) -> int:
         first = runs[label][SIZES[0]][0]
         doc["sides"][label] = {
             "commit": git_commit(root),
+            "source_sha256": source_sha256(root),
             "numpy": first["numpy"], "scipy": first["scipy"],
             "numpy_blas": first["numpy_blas"], "scipy_blas": first["scipy_blas"],
             "rows": rows,
