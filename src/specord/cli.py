@@ -40,6 +40,7 @@ from .brown import (
 )
 from .core import (
     SchurConvergenceError,
+    SchurForm,
     json_int,
     load_matrix,
     matrix_digest,
@@ -50,7 +51,7 @@ from .core import (
     single_thread_blas,
     write_output,
 )
-from .curves import curve_for_matrix, parse_curve
+from .curves import parse_curve
 from .projections import hs_projection, invariance_leak
 from .regions import ambient_square, parse_region
 from .spectral import decompose, write_bundle
@@ -86,11 +87,11 @@ class RunConfig:
     count: int = 16
     tolerances: dict = field(default_factory=dict)
 
-    def to_json(self, T: np.ndarray | None = None) -> str:
-        """Indented, key-sorted JSON.  `T`, when given, is inlined as
-        `matrix_data` in its canonical one-line form, `matrix_json_bytes(T)`."""
+    def to_json(self, matrix_text: bytes | None = None) -> str:
+        """Indented, key-sorted JSON.  `matrix_text`, when given, is inlined
+        as `matrix_data`: T's canonical one-line form, `matrix_json_bytes(T)`."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        if T is None:
+        if matrix_text is None:
             return json.dumps(doc, indent=1, sort_keys=True) + "\n"
         # json indents in pure Python, slowly for n*n pairs, so the matrix
         # replaces a slot after dumps; a JSON string holds no unescaped
@@ -98,7 +99,7 @@ class RunConfig:
         doc["matrix_data"] = _MATRIX_SLOT
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
         return text.replace(f'"matrix_data": "{_MATRIX_SLOT}"',
-                            '"matrix_data": ' + matrix_json_bytes(T).decode("ascii"), 1)
+                            '"matrix_data": ' + matrix_text.decode("ascii"), 1)
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
@@ -138,26 +139,31 @@ def _write_json(path: Path, doc) -> None:
     write_output(path, text.encode("ascii"))
 
 
-def _write_config(cfg: RunConfig, outdir: Path, T: np.ndarray | None = None) -> None:
+def _write_config(cfg: RunConfig, outdir: Path,
+                  T: np.ndarray | SchurForm | None = None) -> None:
     """Write config.json; the input T is inlined when it came from a matrix
-    file or from a config's matrix_data."""
+    file or from a config's matrix_data.  A Schur form of T lends its text."""
     outdir.mkdir(parents=True, exist_ok=True)
-    inline = cfg.matrix_data is not None or cfg.matrix_path is not None
-    write_output(outdir / "config.json",
-                 cfg.to_json(T if inline else None).encode("ascii"))
+    text = None
+    if T is not None and (cfg.matrix_data is not None or cfg.matrix_path is not None):
+        text = T.json_text if isinstance(T, SchurForm) else matrix_json_bytes(T)
+    write_output(outdir / "config.json", cfg.to_json(text).encode("ascii"))
 
 
 def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
     from .verify import TOL_STRUCTURAL
 
     T = _resolve_matrix(cfg)
-    # compute before writing, so a run that raises leaves no partial bundle
-    dec = decompose(T, curve_for_matrix(cfg.curve, T))
+    # compute before writing, so a run that raises leaves no partial bundle;
+    # one form gives ||T|| to the curve and the table's form gives T's text
+    # to the digests, config.json and T.json
+    form = schur_form(T)
+    dec = decompose(T, parse_curve(cfg.curve, form.norm), form=form)
     reports = verify_decomposition(
         dec, seed=cfg.seed,
         structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
     )
-    _write_config(cfg, outdir, T)
+    _write_config(cfg, outdir, dec.table.form)
     write_bundle(dec, outdir)
     write_output(outdir / "report.json", reports_to_json(reports).encode("ascii"))
     summary = suite_summary(reports)

@@ -208,9 +208,14 @@ class SchurForm:
         return _tolerance_at(self.norm)
 
     @cached_property
+    def json_text(self) -> bytes:
+        """`matrix_json_bytes(matrix)`, formatted once per form."""
+        return matrix_json_bytes(self.matrix)
+
+    @cached_property
     def _json_sha256(self):
-        """sha256 state after `matrix_json_bytes(matrix)`; digests copy it."""
-        return sha256(matrix_json_bytes(self.matrix))
+        """sha256 state after `json_text`; digests copy it."""
+        return sha256(self.json_text)
 
 
 def schur_form(T) -> SchurForm:

@@ -309,7 +309,13 @@ def write_bundle(dec: Decomposition, outdir) -> None:
     """Write T.json, N.json, Q.json and table.json into `outdir`."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, M in (("T", dec.T), ("N", dec.N), ("Q", dec.Q)):
+    # T's text as the digests and the CLI's config.json read it, when they
+    # have; a bundle on its own formats T without keeping the text (the
+    # size of three n x n matrices) on the form or in a local
+    form = dec.table.form
+    write_output(out / "T.json",
+                 (vars(form).get("json_text") or matrix_json_bytes(form.matrix)) + b"\n")
+    for name, M in (("N", dec.N), ("Q", dec.Q)):
         write_output(out / f"{name}.json", matrix_json_bytes(M) + b"\n")
     doc = dec.table.to_json_dict()
     doc["report"] = {

@@ -674,10 +674,14 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         )
     )
 
-    # per-flag structural checks
+    # per-flag structural checks from the one product G = U* T U: with U
+    # unitary and P = U[:, :r] U[:, :r]*, ||(I - P) T P||_F = ||G[r:, :r]||_F,
+    # and the compressions of T to range(P) and range(I - P) are G[:r, :r]
+    # and G[r:, r:]
     trace_vals, inv_vals, mono_vals = [], [], []
     inside_vals, outside_vals = [], []
     cum = 0
+    G = table.unitary.conj().T @ T @ table.unitary
     flags = [table.range_projection(0, i + 1) for i in range(len(table.clusters))]
     for i, P in enumerate(flags):
         cum += table.clusters[i].multiplicity
@@ -685,7 +689,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         inv_vals.append(
             CheckValue(
                 f"invariance[{i}]",
-                invariance_leak(T, P.basis),
+                _fro(G[P.rank :, : P.rank]),
                 structural_tol * max(1.0, norm),
             )
         )
@@ -701,9 +705,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         inside_locs = [c.location for c in table.clusters[: i + 1]]
         outside_locs = [c.location for c in table.clusters[i + 1 :]]
         if P.rank > 0:
-            vals = np.linalg.eigvals(
-                table.unitary[:, : P.rank].conj().T @ T @ table.unitary[:, : P.rank]
-            )
+            vals = np.linalg.eigvals(G[: P.rank, : P.rank])
             snapped = _snap_atoms(vals.tolist(), inside_locs)
             inside_vals.append(
                 CheckValue(
@@ -713,9 +715,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
                 )
             )
         if P.rank < table.n:
-            vals = np.linalg.eigvals(
-                table.unitary[:, P.rank :].conj().T @ T @ table.unitary[:, P.rank :]
-            )
+            vals = np.linalg.eigvals(G[P.rank :, P.rank :])
             snapped = _snap_atoms(vals.tolist(), outside_locs)
             outside_vals.append(
                 CheckValue(

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import specord
 from specord import cli
 from specord.brown import empirical_brown, measure_distance
 from specord.cli import RunConfig, main
@@ -359,7 +364,7 @@ def test_library_failures_exit_2(tmp_path, monkeypatch, capsys):
     def no_convergence(T):
         raise SchurConvergenceError("QR iteration did not converge")
 
-    monkeypatch.setattr("specord.spectral.schur_form", no_convergence)
+    monkeypatch.setattr("specord.cli.schur_form", no_convergence)
     assert main(["decompose", "--ensemble", "ginibre:n=4,seed=1",
                  "--out", str(tmp_path / "a")]) == 2
     assert "error: QR iteration" in capsys.readouterr().err
@@ -452,3 +457,69 @@ def test_project_and_compare_factor_the_matrix_once(tmp_path, monkeypatch):
                  "--curve2", "morton:depth=32", "--out", str(tmp_path / "c")]) == 0
     # one form for both curves; one eigvals(N) per decomposition, for its report
     assert counts == {"schur": 1, "eigvals": 2}
+
+
+def test_decompose_factors_and_formats_the_matrix_once(tmp_path, monkeypatch):
+    T = sample(parse_ensemble("ginibre:n=12,seed=4"))
+    src = tmp_path / "T.json"
+    save_matrix(T, src)
+    want = tmp_path / "want"
+    assert main(["decompose", "--matrix", str(src), "--out", str(want)]) == 0
+    counts = Counter()
+    key = T.tobytes()
+
+    def counted(name, fn, when=lambda *args, **kwargs: True):
+        def wrapper(A, *args, **kwargs):
+            arr = np.asarray(A)
+            if arr.dtype == np.complex128 and arr.tobytes() == key and when(*args, **kwargs):
+                counts[name] += 1
+            return fn(A, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "norm", counted(
+        "svd", np.linalg.norm, when=lambda ord=None, *args, **kwargs: ord == 2))
+    # every module that formats matrices looks the formatter up by name
+    for module in ("specord.core", "specord.spectral", "specord.cli"):
+        monkeypatch.setattr(f"{module}.matrix_json_bytes",
+                            counted("json", matrix_json_bytes))
+    got = tmp_path / "got"
+    assert main(["decompose", "--matrix", str(src), "--out", str(got)]) == 0
+    # ||T|| sizes the curve, the tolerance and the bounds; one text of T
+    # serves config.json, T.json and the report digests
+    assert counts == {"svd": 1, "json": 1}
+    assert_same_files(want, got)
+
+
+DISPATCH_CHILD = """
+import json, sys
+from specord.cli import main
+code = main(["decompose", "--ensemble", "ginibre:n=64,seed=1", "--out", sys.argv[1]])
+assert code == 0, code
+with open(sys.argv[1] + "/report.json") as fh:
+    for rep in json.load(fh):
+        if rep["check_id"] in ("flag-hyperinvariance", "flag-invariance"):
+            for v in rep["values"]:
+                print(rep["check_id"], v["name"], v["measured"].hex())
+"""
+
+
+def test_self_check_values_independent_of_cpu_dispatch(tmp_path):
+    # the commutant samples and flag leaks use matmul, LAPACK and
+    # real-component arithmetic only; each dispatch setting applies to a
+    # child process only
+    src = str(Path(specord.__file__).resolve().parent.parent)
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    listings = {}
+    for label, disabled in (("default", None),
+                            ("baseline", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run([sys.executable, "-c", DISPATCH_CHILD, str(tmp_path / label)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (label, proc.stderr[-2000:])
+        listings[label] = [line for line in proc.stdout.splitlines()
+                           if line.startswith("flag-")]
+    assert len(listings["default"]) == 65
+    assert listings["default"] == listings["baseline"]

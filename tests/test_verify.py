@@ -14,8 +14,8 @@ import specord
 from specord import core
 from specord.core import operator_norm, schur_form
 from specord.curves import HilbertCurve, RadialCurve, _interleave, parse_curve
-from specord.ensembles import EnsembleSpec, corpus_matrices, sample
-from specord.projections import hs_projection
+from specord.ensembles import EnsembleSpec, corpus_matrices, parse_ensemble, sample
+from specord.projections import hs_projection, invariance_leak
 from specord.regions import disk, halfplane
 from specord.spectral import build_table, decompose
 from specord.verify import (
@@ -256,6 +256,22 @@ def test_run_suite_factors_each_matrix_once(monkeypatch):
     assert reports_to_json(got) == reports_to_json(want)
     # one form per matrix, its norm by one SVD; one JSON text per table
     assert counts == {"schur": 2, "svd": 2, "json": 6}
+
+
+@pytest.mark.parametrize("spec", ["ginibre:n=12,seed=3", "jordan:n=6,lam=0.5",
+                                  "diag_perturb:n=16,eps=0,seed=41"])
+def test_flag_invariance_matches_the_leak_of_each_flag_basis(spec):
+    # every value is ||G[r:, :r]||_F of one G = U* T U, for each flag rank r
+    T = sample(parse_ensemble(spec))
+    dec = decompose(T, curve_for(T))
+    table = dec.table
+    (rep,) = [r for r in verify_decomposition(dec, seed=2)
+              if r.check_id == "flag-invariance"]
+    ranks = table.ranks[1:]
+    assert [v.name for v in rep.values] == [f"invariance[{i}]" for i in range(len(ranks))]
+    for v, r in zip(rep.values, ranks):
+        want = invariance_leak(T, table.unitary[:, :r])
+        assert abs(v.measured - want) <= 1e-12 * max(1.0, table.norm), (r, v, want)
 
 
 def test_verify_decomposition_formats_the_matrix_once(monkeypatch):

@@ -1,0 +1,99 @@
+"""n-sweep of the CLI `specord decompose`, written to BENCH_cli_decompose.json.
+
+    python3 tools/bench_cli_decompose.py --side parent=../old --side change=. \
+        --out BENCH_cli_decompose.json
+
+Sides, child processes, repeats and the file layout are those of
+`tools/bench_decompose.py`, whose helpers this tool runs.  A child runs
+`cli.main(["decompose", "--ensemble", "ginibre:n=N,seed=1", ...])` into a
+temporary directory, after a warm-up of the same command at n = 32; the
+command factors T, decomposes it along `hilbert:depth=32`, runs the
+`verify_decomposition` self-check and writes the bundle.  Stages are read
+by wrapping the names the CLI and the verifier call:
+
+* `wall_s`: the whole command;
+* `verify_s`: `verify_decomposition`;
+* `hyperinvariance_s`: `hyperinvariance_check`, inside `verify_s`;
+* `eigvals_s`: `np.linalg.eigvals` called from `verify_decomposition`: the
+  compression spectra, two per flag, and at most five commutant-support
+  corners;
+* `hyperinvariance_share`, `eigvals_share`: those two over `verify_s`;
+* `peak_rss_mb`: the child's peak resident set;
+* `blas_threads`: `core.openblas_threads()` outside the command, and
+  `blas_threads_in_verify` as seen inside `verify_decomposition`.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import bench_decompose as bench  # noqa: E402
+
+CHILD = r"""
+import json, resource, sys, tempfile
+from time import perf_counter
+import numpy as np, scipy
+from specord import cli, core, verify
+
+stage = {"verify_s": 0.0, "hyperinvariance_s": 0.0, "eigvals_s": 0.0}
+inside = {}
+
+def timed(name, fn, probe=False):
+    def wrapper(*args, **kwargs):
+        if probe:
+            inside.update(core.openblas_threads())
+        t = perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            stage[name] += perf_counter() - t
+    return wrapper
+
+cli.verify_decomposition = timed("verify_s", cli.verify_decomposition, probe=True)
+verify.hyperinvariance_check = timed("hyperinvariance_s", verify.hyperinvariance_check)
+eigvals, eigvals_timed = np.linalg.eigvals, timed("eigvals_s", np.linalg.eigvals)
+
+def eigvals_by_caller(*args, **kwargs):
+    caller = sys._getframe(1).f_code.co_name
+    fn = eigvals_timed if caller == "verify_decomposition" else eigvals
+    return fn(*args, **kwargs)
+
+np.linalg.eigvals = eigvals_by_caller
+
+def run(n):
+    for key in list(stage):
+        stage[key] = 0.0
+    with tempfile.TemporaryDirectory() as out:
+        t = perf_counter()
+        code = cli.main(["decompose", "--ensemble", f"ginibre:n={n},seed=1",
+                         "--out", out])
+        stage["wall_s"] = perf_counter() - t
+    assert code == 0, code
+    stage["hyperinvariance_share"] = stage["hyperinvariance_s"] / stage["verify_s"]
+    stage["eigvals_share"] = stage["eigvals_s"] / stage["verify_s"]
+
+run(32)
+run(int(sys.argv[1]))
+extra = {"blas_threads_in_verify": dict(inside)}
+"""
+
+METRICS = ("wall_s", "verify_s", "hyperinvariance_s", "eigvals_s",
+           "hyperinvariance_share", "eigvals_share", "peak_rss_mb")
+SIZES = (64, 128, 256)
+REPEATS = 3
+
+
+def main(argv=None) -> int:
+    return bench.sweep(argv, doc=__doc__, child=CHILD, sizes=SIZES, repeats=REPEATS,
+                       metrics=METRICS, extra=("blas_threads", "blas_threads_in_verify"),
+                       workload="CLI specord decompose --ensemble ginibre:n=N,seed=1 "
+                                "(hilbert:depth=32, self-check included), after a "
+                                "warm-up of the same command at n=32",
+                       out="BENCH_cli_decompose.json")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -82,21 +82,27 @@ def run(n):
         core.matrix_json_bytes(M)
     stage["format_s"] = perf_counter() - t
 
+run(32)
+run(int(sys.argv[1]))
+extra = {"blas_threads_in_reorder": dict(inside)}
+"""
+
+# the end of every child: one JSON line of its `stage` dict, its peak RSS,
+# BLAS builds and thread counts, and its own `extra` dict
+CHILD_REPORT = r"""
 def blas_build(module):
     return module.__config__.CONFIG["Build Dependencies"]["blas"].get(
         "openblas configuration")
 
-run(32)
-run(int(sys.argv[1]))
 print(json.dumps({
     **stage,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "blas_threads": core.openblas_threads(),
-    "blas_threads_in_reorder": dict(inside),
     "numpy": np.__version__,
     "scipy": scipy.__version__,
     "numpy_blas": blas_build(np),
     "scipy_blas": blas_build(scipy),
+    **extra,
 }))
 """
 
@@ -124,9 +130,11 @@ def source_sha256(root: Path) -> str:
     return h.hexdigest()
 
 
-def measure(root: Path, n: int) -> dict:
+def measure(root: Path, n: int, child: str = CHILD) -> dict:
+    """Run `child` (a script ending in CHILD_REPORT) at size n on the
+    specord of `root`, in a fresh process; its JSON line."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(n)], env=env,
+    proc = subprocess.run([sys.executable, "-c", child + CHILD_REPORT, str(n)], env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise RuntimeError(f"{root} n={n}: {proc.stderr[-2000:]}")
@@ -143,51 +151,50 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def sweep(argv, *, doc: str, child: str, sizes, repeats: int, metrics, extra,
+          workload: str, out: str) -> int:
+    """Measure `child` on every `--side` at each size, sides alternating,
+    and write the medians of `metrics`, the `extra` keys of the first
+    repeat and the ratios of the last side to the first to `--out`."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--side", action="append", required=True,
                     help="LABEL=ROOT of a checkout; repeat for each side")
-    ap.add_argument("--out", default="BENCH_decompose.json")
+    ap.add_argument("--out", default=out)
     args = ap.parse_args(argv)
     sides = {}
     for item in args.side:
         label, _, root = item.partition("=")
         sides[label] = Path(root).resolve()
 
-    runs = {label: {n: [] for n in SIZES} for label in sides}
-    for n in SIZES:
-        for rep in range(REPEATS):
+    runs = {label: {n: [] for n in sizes} for label in sides}
+    for n in sizes:
+        for rep in range(repeats):
             for label, root in sides.items():
-                row = measure(root, n)
+                row = measure(root, n, child)
                 runs[label][n].append(row)
-                print(f"{label} n={n} rep={rep}: total {row['total_s']:.3f} s, "
-                      f"schur {row['schur_s']:.3f} s, reorder {row['reorder_s']:.3f} s, "
-                      f"write_bundle {row['write_bundle_s']:.3f} s, "
-                      f"format {row['format_s']:.3f} s, "
-                      f"peak {row['peak_rss_mb']:.1f} MB", file=sys.stderr)
+                print(f"{label} n={n} rep={rep}: "
+                      + ", ".join(f"{k} {row[k]:.3f}" for k in metrics), file=sys.stderr)
 
-    doc = {
-        "workload": "library spectral.decompose and write_bundle of ginibre:n=N,seed=1 "
-                    "along hilbert:depth=32, after a warm-up of both at n=32",
+    result = {
+        "workload": workload,
         "machine": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                     "python": platform.python_version()},
-        "repeats": REPEATS,
+        "repeats": repeats,
         "sides": {},
     }
     for label, root in sides.items():
         rows = []
-        for n in SIZES:
+        for n in sizes:
             reps = runs[label][n]
             rows.append({
                 "n": n,
                 **{f"median_{k}": round(statistics.median(r[k] for r in reps), 4)
-                   for k in TIMES},
-                "runs": [{k: round(r[k], 4) for k in TIMES} for r in reps],
-                "blas_threads": reps[0]["blas_threads"],
-                "blas_threads_in_reorder": reps[0]["blas_threads_in_reorder"],
+                   for k in metrics},
+                "runs": [{k: round(r[k], 4) for k in metrics} for r in reps],
+                **{k: reps[0][k] for k in extra},
             })
-        first = runs[label][SIZES[0]][0]
-        doc["sides"][label] = {
+        first = runs[label][sizes[0]][0]
+        result["sides"][label] = {
             "commit": git_commit(root),
             "source_sha256": source_sha256(root),
             "numpy": first["numpy"], "scipy": first["scipy"],
@@ -196,16 +203,25 @@ def main(argv=None) -> int:
         }
     labels = list(sides)
     if len(labels) >= 2:
-        base, new = doc["sides"][labels[0]]["rows"], doc["sides"][labels[-1]]["rows"]
-        doc["ratios"] = {
+        base, new = result["sides"][labels[0]]["rows"], result["sides"][labels[-1]]["rows"]
+        result["ratios"] = {
             f"{labels[-1]}/{labels[0]}": [
                 {"n": a["n"],
-                 **{k: round(b[f"median_{k}"] / a[f"median_{k}"], 3) for k in TIMES}}
+                 **{k: round(b[f"median_{k}"] / a[f"median_{k}"], 3) for k in metrics}}
                 for a, b in zip(base, new)
             ]
         }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="ascii")
+    Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="ascii")
     return 0
+
+
+def main(argv=None) -> int:
+    return sweep(argv, doc=__doc__, child=CHILD, sizes=SIZES, repeats=REPEATS,
+                 metrics=TIMES, extra=("blas_threads", "blas_threads_in_reorder"),
+                 workload="library spectral.decompose and write_bundle of "
+                          "ginibre:n=N,seed=1 along hilbert:depth=32, after a "
+                          "warm-up of both at n=32",
+                 out="BENCH_decompose.json")
 
 
 if __name__ == "__main__":
