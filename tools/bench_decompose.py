@@ -130,7 +130,7 @@ def source_sha256(root: Path) -> str:
     return h.hexdigest()
 
 
-def measure(root: Path, n: int, child: str = CHILD) -> dict:
+def measure(root: Path, n: int, child: str) -> dict:
     """Run `child` (a script ending in CHILD_REPORT) at size n on the
     specord of `root`, in a fresh process; its JSON line."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
