@@ -306,20 +306,25 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
     raise ValueError(f"unknown curve mode {mode!r}")
 
 
-def _run_replay(config_path: str, outdir: Path) -> int:
-    cfg = RunConfig.from_json(Path(config_path).read_text(encoding="ascii"))
+_RUNNERS = {
+    "decompose": _run_decompose,
+    "brown": _run_brown,
+    "project": _run_project,
+    "verify": _run_verify,
+}
+
+
+def _run(cfg: RunConfig, outdir: Path) -> int:
+    """Run the command `cfg` records: a name in `_RUNNERS` or `curve:<mode>`.
+
+    A fresh run and the replay of its config.json both come through here.
+    """
     command = cfg.command
-    if command == "decompose":
-        return _run_decompose(cfg, outdir)
-    if command == "brown":
-        return _run_brown(cfg, outdir)
-    if command == "project":
-        return _run_project(cfg, outdir)
-    if command == "verify":
-        return _run_verify(cfg, outdir)
     if command.startswith("curve:"):
         return _run_curve(cfg, outdir, command.split(":", 1)[1])
-    raise ValueError(f"config carries unknown command {command!r}")
+    if command not in _RUNNERS:
+        raise ValueError(f"config carries unknown command {command!r}")
+    return _RUNNERS[command](cfg, outdir)
 
 
 def _add_common(p: argparse.ArgumentParser, need_out: bool = True) -> None:
@@ -391,14 +396,15 @@ def main(argv: list[str] | None = None) -> int:
             return _fail("the following arguments are required: --out")
         outdir = Path(args.out)
         if args.command == "replay":
-            return _run_replay(args.config, outdir)
+            return _run(RunConfig.from_json(Path(args.config).read_text(encoding="ascii")),
+                        outdir)
         tolerances = {}
         if getattr(args, "tol_structural", None) is not None:
             tolerances["structural"] = args.tol_structural
         if getattr(args, "tol_determinant", None) is not None:
             tolerances["determinant"] = args.tol_determinant
         cfg = RunConfig(
-            command=args.command,
+            command=args.command if args.command != "curve" else f"curve:{args.mode}",
             matrix_path=getattr(args, "matrix", None),
             ensemble=getattr(args, "ensemble", None),
             curve=getattr(args, "curve", "hilbert:depth=32"),
@@ -411,18 +417,7 @@ def main(argv: list[str] | None = None) -> int:
             level=getattr(args, "level", 3),
             tolerances=tolerances,
         )
-        if args.command == "decompose":
-            return _run_decompose(cfg, outdir)
-        if args.command == "brown":
-            return _run_brown(cfg, outdir)
-        if args.command == "project":
-            return _run_project(cfg, outdir)
-        if args.command == "verify":
-            return _run_verify(cfg, outdir)
-        if args.command == "curve":
-            cfg.command = f"curve:{args.mode}"
-            return _run_curve(cfg, outdir, args.mode)
-        return _fail(f"unknown command {args.command!r}")
+        return _run(cfg, outdir)
     except (ValueError, OSError, json.JSONDecodeError, SchurConvergenceError) as exc:
         return _fail(str(exc))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -152,12 +152,16 @@ class SpectralTable:
             out += scalar * (cols @ cols.conj().T)
         return out
 
-    def normal_part(self) -> np.ndarray:
-        """N = sum over clusters of z E({z})."""
+    def _locations(self) -> np.ndarray:
+        """Each column's cluster location: the diagonal of N in this basis."""
         d = np.empty(self.n, dtype=np.complex128)
         for i, c in enumerate(self.clusters):
             d[self.ranks[i] : self.ranks[i + 1]] = c.location
-        return (self.unitary * d[None, :]) @ self.unitary.conj().T
+        return d
+
+    def normal_part(self) -> np.ndarray:
+        """N = sum over clusters of z E({z})."""
+        return (self.unitary * self._locations()[None, :]) @ self.unitary.conj().T
 
     def block_diagonal_part(self) -> np.ndarray:
         """Sum over clusters of E({z}) T E({z}) (block-diagonal compression)."""
@@ -253,12 +257,22 @@ class Decomposition:
         """The table of T if T commutes with its cluster projections, else of N.
 
         N commutes with its cluster projections by construction.  Checks
-        whose bounds assume a commuting input run on this table, which is
-        built at most once per decomposition.
+        whose bounds assume a commuting input run on this table.  N is
+        U diag(d) U* with U T's ordered unitary and d the cluster locations,
+        so N's table is T's flag with diag(d) as its triangular factor:
+        T's params and ranks, one point cluster per location, and nothing
+        factored again.  Its `normal_part()` has the bits of `N`.
         """
-        if self.table.commutes_with_cluster_projs():
-            return self.table
-        return build_table(self.N, self.table.curve)
+        table = self.table
+        if table.commutes_with_cluster_projs():
+            return table
+        d = table._locations()
+        form = SchurForm(matrix=self.N, norm=float(np.linalg.norm(self.N, 2)),
+                         unitary=table.unitary, triangular=np.diag(d),
+                         diag_order=tuple(d))
+        clusters = tuple(Cluster(c.location, (c.location,) * c.multiplicity)
+                         for c in table.clusters)
+        return replace(table, form=form, clusters=clusters)
 
 
 @single_thread_blas()
@@ -298,11 +312,6 @@ def decompose(T, curve: OrderingCurve, *,
     }
     return Decomposition(N=N, Q=Q, table=table, report=report,
                          normal_measure=normal_measure)
-
-
-def quasinilpotence_defect(dec: Decomposition) -> float:
-    """Bound on the eigenvalue moduli of Q read from its triangularization."""
-    return dec.report["quasinilpotent_diag"] + dec.report["quasinilpotent_lower"]
 
 
 def write_bundle(dec: Decomposition, outdir) -> None:

@@ -1,5 +1,6 @@
 """`tools/bench_decompose.py` and `tools/bench_cli_decompose.py` name every
-side they measure, and the committed CLI sweep holds its recorded claims."""
+side they measure, the committed CLI sweep holds its recorded claims, and
+`tools/report_diff.py` counts what moved between two reports."""
 
 import importlib.util
 import json
@@ -68,3 +69,41 @@ def test_committed_cli_sweep_records_the_self_check_claims():
     assert big["change"]["median_peak_rss_mb"] <= 130
     assert (big["change"]["median_hyperinvariance_s"]
             <= big["parent"]["median_hyperinvariance_s"] / 3)
+
+
+def test_report_diff_counts_moved_values_and_flags_mismatches(tmp_path, capsys):
+    from specord.cli import main
+
+    tool = load_tool("report_diff")
+    for label, level in (("a", "3"), ("b", "3"), ("c", "2")):
+        assert main(["verify", "--ensemble", "ginibre:n=4,seed=1", "--level", level,
+                     "--out", str(tmp_path / label)]) == 0
+    a, b, c = (tmp_path / label / "report.json" for label in "abc")
+    assert tool.main([str(a), str(b)]) == 0
+    rows, problems = tool.diff(json.loads(a.read_text()), json.loads(b.read_text()))
+    assert problems == []
+    assert all(r["moved"] == r["bounds"] == r["flips"] == 0 for r in rows.values())
+    assert rows["grid-power-bound"]["values"] == 3 * 20 * 20
+
+    # move one value and one bound of one family
+    docs = json.loads(b.read_text())
+    (rate,) = [r for r in docs if r["check_id"].startswith("grid-expectation-rate@")]
+    rate["values"][0]["measured"] += 0.5
+    rate["values"][1]["bound"] *= 2
+    b.write_text(json.dumps(docs))
+    capsys.readouterr()
+    assert tool.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("grid-expectation-rate ")]
+    assert line.split()[1:] == ["3", "1", "0.5", "1", "0"]
+
+    # a flipped verdict, a renamed value and a missing report each exit 1
+    rate["verdict"] = "fail"
+    b.write_text(json.dumps(docs))
+    assert tool.main([str(a), str(b)]) == 1
+    assert "verdict pass -> fail: grid-expectation-rate@" in capsys.readouterr().out
+    assert tool.main([str(a), str(c)]) == 1
+    assert "value names differ: grid-expectation-rate@" in capsys.readouterr().out
+    b.write_text(json.dumps(docs[1:]))
+    assert tool.main([str(a), str(b)]) == 1
+    assert f"only in A: {docs[0]['check_id']}" in capsys.readouterr().out

@@ -22,7 +22,6 @@ from specord.spectral import (
     CurveValidationError,
     build_table,
     decompose,
-    quasinilpotence_defect,
     write_bundle,
 )
 
@@ -248,7 +247,8 @@ def test_decompose_jordan_single_cluster():
     dec = decompose(J, parse_curve("hilbert:depth=32", operator_norm(J)))
     assert np.allclose(dec.N, 2.0 * np.eye(4), atol=1e-12)
     assert np.allclose(dec.Q, np.diag(np.ones(3), 1), atol=1e-12)
-    assert quasinilpotence_defect(dec) <= 1e-8
+    qn = dec.report["quasinilpotent_diag"] + dec.report["quasinilpotent_lower"]
+    assert qn <= 1e-8
 
 
 def test_decompose_properties_on_samples():
@@ -264,7 +264,8 @@ def test_decompose_properties_on_samples():
         nfro2 = np.linalg.norm(dec.N) ** 2
         assert dec.report["normality_defect"] <= 1e-9 * max(nfro2, 1e-30)
         assert dec.report["measure_distance"] <= 1e-8
-        assert quasinilpotence_defect(dec) <= 1e-8 * max(1.0, operator_norm(T))
+        qn = dec.report["quasinilpotent_diag"] + dec.report["quasinilpotent_lower"]
+        assert qn <= 1e-8 * max(1.0, operator_norm(T))
 
 
 def test_decompose_with_shared_form_keeps_bits():
@@ -335,6 +336,39 @@ def test_block_diagonal_expectation():
     J = np.array([[0, 1], [0, 0]], dtype=complex)
     tj = build_table(J, parse_curve("hilbert:depth=32", 1.0))
     assert np.array_equal(tj.block_diagonal_part(), J)
+
+
+def jordan_beside_simple():
+    """Upper triangular: a 3x3 Jordan block at 0.5 and two simple eigenvalues."""
+    rng = np.random.default_rng(8)
+    T = np.triu(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)), 1)
+    np.fill_diagonal(T, [0.5, 0.5, 0.5, -0.4 + 0.3j, 0.2 - 0.6j])
+    T[0, 1] = T[1, 2] = 1.0
+    return T
+
+
+@pytest.mark.parametrize("T", [sample(EnsembleSpec("ginibre", 12, seed=17)),
+                               jordan_beside_simple()],
+                         ids=["ginibre-12", "jordan-beside-simple"])
+def test_commuting_table_matches_a_table_built_from_n(T):
+    # N's table is read off T's; a fresh Schur form of N is the reference
+    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+    got = dec.commuting_table
+    assert got is not dec.table and got.matrix is dec.N
+    want = build_table(dec.N, dec.table.curve)
+    assert (got.params, got.ranks) == (want.params, want.ranks)
+    assert [c.multiplicity for c in got.clusters] == [c.multiplicity for c in want.clusters]
+    assert got.norm == want.norm
+    for a, b in zip(got.clusters, want.clusters):
+        assert abs(a.location - b.location) <= got.tol
+    for r in got.ranks[1:]:
+        Pa, Pb = got.unitary[:, :r], want.unitary[:, :r]
+        assert np.linalg.norm(Pa @ Pa.conj().T - Pb @ Pb.conj().T) <= 1e-12
+    for lvl in range(1, 7):
+        diff = np.linalg.norm(got.expectation(lvl) - want.expectation(lvl))
+        assert diff <= 1e-12 * got.norm, lvl
+    assert got.normal_part().tobytes() == dec.N.tobytes()
+    assert sum(c.multiplicity for c in got.clusters) == T.shape[0]
 
 
 def test_curve_validation_failure_raises():
@@ -413,7 +447,8 @@ def test_all_curve_kinds_handle_edge_spectra():
         for kind in ("hilbert:depth=32", "morton:depth=32", "lex", "radial"):
             dec = decompose(T, parse_curve(kind, operator_norm(T)))
             assert dec.report["measure_distance"] <= 1e-10, (name, kind)
-            assert quasinilpotence_defect(dec) <= 1e-10, (name, kind)
+            qn = dec.report["quasinilpotent_diag"] + dec.report["quasinilpotent_lower"]
+            assert qn <= 1e-10, (name, kind)
             assert np.linalg.norm(dec.Q) <= 1e-10, (name, kind)  # normal inputs
 
 

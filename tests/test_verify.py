@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -16,16 +17,14 @@ from specord.core import operator_norm, schur_form
 from specord.curves import HilbertCurve, RadialCurve, _interleave, parse_curve
 from specord.ensembles import EnsembleSpec, corpus_matrices, parse_ensemble, sample
 from specord.projections import hs_projection, invariance_leak
-from specord.regions import disk, halfplane
+from specord.regions import Square, disk, halfplane
 from specord.spectral import build_table, decompose
 from specord.verify import (
     CheckValue,
     KNOWN_CHECKS,
     _commuting_input,
-    _scaled_square,
     _snap_atoms,
     make_report,
-    reports_from_json,
     reports_to_json,
     run_suite,
     suite_summary,
@@ -58,13 +57,14 @@ def test_report_verdicts():
 
 def test_report_json_roundtrip():
     reports = [
-        make_report("alpha", "c1", "d1", [CheckValue("v", 0.1, 0.2)], 0.2, seed=3),
         make_report("beta", "c2", "d2", [], 0.1, skip="hypothesis"),
+        make_report("alpha", "c1", "d1", [CheckValue("v", 0.1, 0.2)], 0.2, seed=3),
     ]
     text = reports_to_json(reports)
-    back = reports_from_json(text)
-    assert back == sorted(reports, key=lambda r: r.check_id)
-    assert reports_to_json(back) == text
+    docs = json.loads(text)
+    assert docs == [r.to_dict() for r in sorted(reports, key=lambda r: r.check_id)]
+    assert [d["check_id"] for d in docs] == ["alpha", "beta"]
+    assert text == json.dumps(docs, indent=1, sort_keys=True) + "\n"
 
 
 def test_measure_laws_small():
@@ -202,26 +202,33 @@ def test_known_checks_cover_suite_ids():
     assert bases <= set(KNOWN_CHECKS)
 
 
-@pytest.mark.parametrize("T, builds", [
-    (np.diag([1.0, 2.0]).astype(complex), 2),  # T and T rescaled to norm 1/2
-    (sample(EnsembleSpec("ginibre", 6)), 3),    # T, N and N rescaled
-    (np.zeros((3, 3), dtype=complex), 1),       # T only: nothing to rescale
+@pytest.mark.parametrize("T", [
+    np.diag([1.0, 2.0]).astype(complex),  # commuting: the norm-1/2 scaling reads T's table
+    sample(EnsembleSpec("ginibre", 6)),    # N's table is read off T's
+    np.zeros((3, 3), dtype=complex),       # nothing to scale
 ])
-def test_run_suite_builds_each_table_once(monkeypatch, T, builds):
+def test_run_suite_builds_each_table_once(monkeypatch, T):
     from specord import spectral, verify
 
-    calls = []
+    calls = Counter()
     for module in (spectral, verify):
         original = module.build_table
 
         def counted(*args, _original=original, **kwargs):
-            calls.append(1)
+            calls["table"] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, "build_table", counted)
+    schur = scipy.linalg.schur
+
+    def counted_schur(*args, **kwargs):
+        calls["schur"] += 1
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
     run_suite([("m", T)], curve_specs=("hilbert:depth=32",), seed=0, measure_trials=2,
               n_max=2)
-    assert len(calls) == builds
+    assert calls == {"table": 1, "schur": 1}
 
 
 def count_input_calls(monkeypatch, inputs):
@@ -274,6 +281,28 @@ def test_flag_invariance_matches_the_leak_of_each_flag_basis(spec):
         assert abs(v.measured - want) <= 1e-12 * max(1.0, table.norm), (r, v, want)
 
 
+def test_flag_spectral_agreement_counts_the_columns_a_segment_misses(monkeypatch):
+    # a segment whose E drops a cluster of multiplicity m differs from the
+    # flag in m columns of one unitary: ||E - P||_F = sqrt(m)
+    from specord.spectral import SpectralTable
+
+    T = np.diag([0.5, 0.5, 0.5, -0.4 + 0.3j, 0.2 - 0.6j]).astype(complex)
+    T[0, 1] = T[1, 2] = 1.0
+    dec = decompose(T, curve_for(T))
+    table = dec.table
+    (j,) = [i for i, c in enumerate(table.clusters) if c.multiplicity == 3]
+    member_clusters = SpectralTable.member_clusters
+    monkeypatch.setattr(SpectralTable, "member_clusters",
+                        lambda self, B: [i for i in member_clusters(self, B) if i != j])
+    (rep,) = [r for r in verify_decomposition(dec, seed=4)
+              if r.check_id == "flag-spectral-agreement"]
+    assert rep.verdict == "fail"
+    # the cluster parameters come first: segment i holds clusters 0..i
+    want = [math.sqrt(3) if i >= j else 0.0 for i in range(len(table.clusters))]
+    assert [v.measured for v in rep.values[: len(want)]] == want
+    assert {v.measured for v in rep.values} <= {0.0, math.sqrt(3)}
+
+
 def test_verify_decomposition_formats_the_matrix_once(monkeypatch):
     T = sample(EnsembleSpec("ginibre", 6, seed=3))
     dec = decompose(T, curve_for(T))
@@ -287,22 +316,39 @@ def test_verify_decomposition_formats_the_matrix_once(monkeypatch):
     assert counts == {"json": 1}
 
 
-def power_bound_oracle(dec, n_max, seed):
-    """(name, measured, bound) of grid-power-bound, one eta at a time."""
+def scaled_operators(dec, levels):
+    """Qs and each level's Dn of the commuting input X scaled to norm 1/2,
+    read off X's table: (X - N) / (2 ||X||) and (X - E_{D_n}(X)) / (2 ||X||)."""
+    xtable, _ = _commuting_input(dec)
+    X = xtable.matrix
+    xnorm = operator_norm(X)
+    Qs = (X - dec.N) / (2.0 * xnorm)
+    return Qs, [(X - xtable.expectation(lvl)) / (2.0 * xnorm) for lvl in levels]
+
+
+def rescaled_rebuild_operators(dec, levels):
+    """Qs and Dn from a table of S = X / (2 ||X||) built again along the curve
+    scaled alike: the derivation `scaled_operators` replaces."""
     xtable, _ = _commuting_input(dec)
     X, curve = xtable.matrix, dec.table.curve
     xnorm = operator_norm(X)
     S = X / (2.0 * xnorm)
-    stable = build_table(S, type(curve)(square=_scaled_square(curve, 0.5 / xnorm),
+    f, sq = 0.5 / xnorm, curve.square
+    stable = build_table(S, type(curve)(square=Square(sq.cx * f, sq.cy * f, sq.side * f),
                                         depth=curve.depth))
-    Qs = S - stable.normal_part()
+    return S - stable.normal_part(), [S - stable.expectation(lvl) for lvl in levels]
+
+
+def power_bound_oracle(dec, n_max, seed):
+    """(name, measured, bound) of grid-power-bound, one eta at a time."""
+    levels = range(1, min(n_max, 6) + 1)
+    Qs, Dns = scaled_operators(dec, levels)
     rng = np.random.default_rng(seed)
     out = []
-    for lvl in range(1, min(n_max, 6) + 1):
+    for lvl, Dn in zip(levels, Dns):
         delta = 3.0 * math.sqrt(2.0) * 0.5 / (1 << lvl)
-        Dn = S - stable.expectation(lvl)
         for trial in range(20):
-            eta = rng.standard_normal(S.shape[0]) + 1j * rng.standard_normal(S.shape[0])
+            eta = rng.standard_normal(Qs.shape[0]) + 1j * rng.standard_normal(Qs.shape[0])
             eta /= np.linalg.norm(eta)
             v = eta.copy()
             w = eta.copy()
@@ -330,6 +376,13 @@ def test_power_bound_block_matches_one_vector_at_a_time(spec):
     for v, (_, measured, bound) in zip(power.values, expected):
         assert v.measured == pytest.approx(measured, rel=1e-13, abs=1e-300)
         assert v.bound == pytest.approx(bound, rel=1e-13, abs=1e-300)
+    # the operators read off X's table are those of the rescaled rebuild
+    levels = range(1, 5)
+    Qs, Dns = scaled_operators(dec, levels)
+    Qs_old, Dns_old = rescaled_rebuild_operators(dec, levels)
+    assert np.linalg.norm(Qs - Qs_old, 2) <= 1e-12
+    for Dn, Dn_old in zip(Dns, Dns_old):
+        assert np.linalg.norm(Dn - Dn_old, 2) <= 1e-12
 
 
 def snap_atoms_oracle(values, targets):
