@@ -57,6 +57,8 @@ from .regions import ambient_square, parse_region
 from .spectral import decompose, write_bundle
 from .verify import (
     KNOWN_CHECKS,
+    TOL_DETERMINANT,
+    TOL_STRUCTURAL,
     reports_to_json,
     run_suite,
     suite_summary,
@@ -151,8 +153,6 @@ def _write_config(cfg: RunConfig, outdir: Path,
 
 
 def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
-    from .verify import TOL_STRUCTURAL
-
     T = _resolve_matrix(cfg)
     # compute before writing, so a run that raises leaves no partial bundle;
     # one form gives ||T|| to the curve and the table's form gives T's text
@@ -222,18 +222,12 @@ def _run_project(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_verify(cfg: RunConfig, outdir: Path) -> int:
-    if cfg.checks:
-        unknown = set(cfg.checks) - set(KNOWN_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown check ids: {sorted(unknown)}")
     T = None
     if cfg.matrix_data is not None or cfg.matrix_path is not None or cfg.ensemble:
         T = _resolve_matrix(cfg)
         matrices = [("input", T)]
     else:
         matrices = ensembles.corpus_matrices()
-    from .verify import TOL_DETERMINANT, TOL_STRUCTURAL
-
     reports = run_suite(
         matrices,
         curve_specs=(cfg.curve,) if cfg.curve2 is None else (cfg.curve, cfg.curve2),
@@ -328,12 +322,12 @@ def _run(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, need_out: bool = True) -> None:
-    p.add_argument("--matrix", help="path to a matrix JSON file")
+    p.add_argument("--matrix", dest="matrix_path", help="path to a matrix JSON file")
     p.add_argument("--ensemble", help="ensemble spec, e.g. ginibre:n=32,seed=7")
-    p.add_argument("--curve", default="hilbert:depth=32",
+    p.add_argument("--curve", default=RunConfig.curve,
                    help="curve spec: hilbert:depth=32, morton:depth=32, lex, radial")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--level", type=int, default=3,
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--level", type=int, default=RunConfig.level,
                    help="dyadic grid level (verify: deepest level checked)")
     p.add_argument("--tol-structural", type=float, default=None,
                    help="override the structural identity tolerance (default 1e-9)")
@@ -352,18 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brown", help="counting measure and density heatmap")
     _add_common(p)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=int, default=RunConfig.grid)
 
     p = sub.add_parser("project", help="invariant projection for region(s)")
     _add_common(p)
-    p.add_argument("--region", action="append", default=[],
+    p.add_argument("--region", dest="regions", action="append", default=[],
                    help="region spec, repeatable: disk:cx,cy,r | halfplane:a,b,c"
                         " | cells:n=3,k=1,5,9 with & | ! combinators")
 
     p = sub.add_parser("verify", help="run the check suite")
     _add_common(p, need_out=False)
     p.add_argument("--curve2", help="second curve spec for the suite")
-    p.add_argument("--check", action="append", default=[],
+    p.add_argument("--check", dest="checks", action="append", default=[],
                    help=f"restrict to check ids; known: {', '.join(KNOWN_CHECKS)}")
     p.add_argument("--list-corpus", action="store_true",
                    help="print the corpus manifest and exit")
@@ -372,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["tabulate", "order", "compare"])
     _add_common(p)
     p.add_argument("--curve2", help="second curve for compare")
-    p.add_argument("--count", type=int, default=16,
+    p.add_argument("--count", type=int, default=RunConfig.count,
                    help="samples for tabulate")
 
     p = sub.add_parser("replay", help="re-run a recorded config.json")
@@ -398,26 +392,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replay":
             return _run(RunConfig.from_json(Path(args.config).read_text(encoding="ascii")),
                         outdir)
-        tolerances = {}
-        if getattr(args, "tol_structural", None) is not None:
-            tolerances["structural"] = args.tol_structural
-        if getattr(args, "tol_determinant", None) is not None:
-            tolerances["determinant"] = args.tol_determinant
-        cfg = RunConfig(
-            command=args.command if args.command != "curve" else f"curve:{args.mode}",
-            matrix_path=getattr(args, "matrix", None),
-            ensemble=getattr(args, "ensemble", None),
-            curve=getattr(args, "curve", "hilbert:depth=32"),
-            curve2=getattr(args, "curve2", None),
-            regions=list(getattr(args, "region", []) or []),
-            seed=getattr(args, "seed", 0),
-            checks=list(getattr(args, "check", []) or []),
-            grid=getattr(args, "grid", 256),
-            count=getattr(args, "count", 16),
-            level=getattr(args, "level", 3),
-            tolerances=tolerances,
-        )
-        return _run(cfg, outdir)
+        # the parser's dests are RunConfig's field names; a field that the
+        # command has no option for keeps its RunConfig default
+        opts = {k: v for k, v in vars(args).items()
+                if k in {f.name for f in fields(RunConfig)}}
+        opts["command"] = f"curve:{args.mode}" if args.command == "curve" else args.command
+        opts["tolerances"] = {key: v for key, v in (("structural", args.tol_structural),
+                                                    ("determinant", args.tol_determinant))
+                              if v is not None}
+        return _run(RunConfig(**opts), outdir)
     except (ValueError, OSError, json.JSONDecodeError, SchurConvergenceError) as exc:
         return _fail(str(exc))
 

@@ -208,6 +208,12 @@ class SchurForm:
         return _tolerance_at(self.norm)
 
     @cached_property
+    def compression(self) -> np.ndarray:
+        """G = U* T U, formed fresh from `matrix` (unlike `triangular`): T's
+        compression to any span of the form's columns is a block of G."""
+        return self.unitary.conj().T @ self.matrix @ self.unitary
+
+    @cached_property
     def json_text(self) -> bytes:
         """`matrix_json_bytes(matrix)`, formatted once per form."""
         return matrix_json_bytes(self.matrix)

@@ -14,6 +14,7 @@ diameters.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -38,7 +39,7 @@ from .core import (
     _reorder_by_keys,
 )
 from .curves import OrderingCurve, ordered_preimages, param_to_bits
-from .projections import Projection, invariance_leak, projection_from_columns
+from .projections import Projection, projection_from_columns
 from .regions import Region, decide_cluster
 
 
@@ -141,16 +142,16 @@ class SpectralTable:
 
         Sum over cells of nonzero trace of
         tau(E_k T E_k)/tau(E_k) * E_k  with E_k the cell's spectral
-        projection; cells carrying no spectral mass are skipped.
+        projection; cells carrying no spectral mass are skipped.  Each
+        column carries its cell's mean of diag(G), G = `form.compression`.
         """
-        T = self.matrix
-        out = np.zeros_like(T)
-        for k, idxs in sorted(self.cell_assignment(level).items()):
-            cols = self.cluster_columns(idxs)
-            comp = cols.conj().T @ T @ cols
-            scalar = np.trace(comp) / cols.shape[1]
-            out += scalar * (cols @ cols.conj().T)
-        return out
+        diag = np.diag(self.form.compression)
+        scalars = np.empty(self.n, dtype=np.complex128)
+        for idxs in self.cell_assignment(level).values():
+            cols = np.concatenate([np.arange(self.ranks[i], self.ranks[i + 1])
+                                   for i in idxs])
+            scalars[cols] = diag[cols].mean()
+        return (self.unitary * scalars) @ self.unitary.conj().T
 
     def _locations(self) -> np.ndarray:
         """Each column's cluster location: the diagonal of N in this basis."""
@@ -165,22 +166,21 @@ class SpectralTable:
 
     def block_diagonal_part(self) -> np.ndarray:
         """Sum over clusters of E({z}) T E({z}) (block-diagonal compression)."""
-        G = self.unitary.conj().T @ self.matrix @ self.unitary
+        G = self.form.compression
         B = np.zeros_like(G)
-        for i in range(len(self.clusters)):
-            lo, hi = self.ranks[i], self.ranks[i + 1]
+        for lo, hi in zip(self.ranks, self.ranks[1:]):
             B[lo:hi, lo:hi] = G[lo:hi, lo:hi]
         return self.unitary @ B @ self.unitary.conj().T
 
     def commutes_with_cluster_projs(self) -> bool:
-        """T P = P T for every cluster projection P, to 1e-9 max(1, ||T||)."""
-        T = self.matrix
-        Tc = T.conj().T
+        """T P = P T for every cluster projection P, to 1e-9 max(1, ||T||):
+        ||[T, P]||_F^2 = ||(I-P) T P||_F^2 + ||P T (I-P)||_F^2, the squared
+        norms of the blocks of G = `form.compression` off P's diagonal block."""
+        G = self.form.compression
         bound = 1e-9 * max(1.0, self.norm)
-        for i in range(len(self.clusters)):
-            B = self.range_projection(i, i + 1).basis
-            # ||[T, P]||_F^2 = ||(I-P) T P||_F^2 + ||(I-P) T* P||_F^2
-            if np.hypot(invariance_leak(T, B), invariance_leak(Tc, B)) > bound:
+        for lo, hi in zip(self.ranks, self.ranks[1:]):
+            off = (G[:lo, lo:hi], G[hi:, lo:hi], G[lo:hi, :lo], G[lo:hi, hi:])
+            if math.hypot(*(np.linalg.norm(b) for b in off)) > bound:
                 return False
         return True
 

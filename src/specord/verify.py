@@ -22,7 +22,7 @@ import numpy as np
 from .brown import PointMeasure, empirical_brown, measure_distance, mixture, region_mass
 from .core import SchurForm, fk_determinant, schur_form, single_thread_blas
 from .curves import CurveSegment, OrderingCurve, parse_curve
-from .projections import hyperinvariance_check, invariance_leak
+from .projections import hyperinvariance_check, projection_from_columns
 from .regions import (
     AmbiguousRegionError,
     CellUnion,
@@ -234,8 +234,9 @@ def verify_measure_laws(
     for t in range(trials):
         B1, members1 = _random_region(rng, table)
         B2, members2 = _random_region(rng, table)
-        E1 = table.spectral_projection(B1)
-        E2 = table.spectral_projection(B2)
+        # E(B1), E(B2) from the members just decided; compound regions decide anew
+        E1 = projection_from_columns(table.cluster_columns(members1), n)
+        E2 = projection_from_columns(table.cluster_columns(members2), n)
         # trace law, exact rank arithmetic against the counting measure
         for tag, B, E, members in (("a", B1, E1, members1), ("b", B2, E2, members2)):
             count = sum(table.clusters[i].multiplicity for i in members)
@@ -349,9 +350,9 @@ def verify_convergence(dec: Decomposition, n_max: int = 8,
     norm = table.norm
 
     rate_vals = []
-    for lvl in range(1, n_max + 1):
+    expectations = [table.expectation(lvl) for lvl in range(1, n_max + 1)]
+    for lvl, E_n in enumerate(expectations, start=1):
         bound = 3.0 * math.sqrt(2.0) * norm / (1 << lvl)
-        E_n = table.expectation(lvl)
         rate_vals.append(
             CheckValue(f"rate[n={lvl}]", float(np.linalg.norm(N - E_n, 2)), bound + 1e-12)
         )
@@ -368,12 +369,15 @@ def verify_convergence(dec: Decomposition, n_max: int = 8,
 
     xtable, precond = _commuting_input(dec)
     X, xnorm = xtable.matrix, xtable.norm
+    # when X is T, the rate loop's E_n are X's
+    xexpectations = (expectations if xtable is table else
+                     [xtable.expectation(lvl) for lvl in range(1, n_max + 1)])
 
     radius_vals = []
     resids = []
-    for lvl in range(1, n_max + 1):
+    for lvl, E_n in enumerate(xexpectations, start=1):
         bound = 6.0 * math.sqrt(2.0) * xnorm / (1 << lvl)
-        resid = X - xtable.expectation(lvl)
+        resid = X - E_n
         resids.append(resid)
         radius_vals.append(
             CheckValue(
@@ -502,10 +506,17 @@ def _snap_atoms(values: list[complex], targets: list[complex]) -> list[complex] 
     return [targets[i] for i in dist.argmin(axis=1).tolist()]
 
 
-def _corner_measure(T: np.ndarray, basis: np.ndarray,
-                    reference: PointMeasure, tol: float) -> PointMeasure | None:
-    vals = np.linalg.eigvals(basis.conj().T @ T @ basis).tolist()
-    snapped = _snap_atoms(vals, list(reference.locations))
+def _compression_snaps(block: np.ndarray,
+                       targets: list[complex]) -> list[complex] | None:
+    """The spectrum of the compression `block`, a block of a form's
+    `compression`, snapped onto `targets` by `_snap_atoms`; None when it
+    does not snap."""
+    return _snap_atoms(np.linalg.eigvals(block).tolist(), targets)
+
+
+def _corner_measure(block: np.ndarray, reference: PointMeasure,
+                    tol: float) -> PointMeasure | None:
+    snapped = _compression_snaps(block, list(reference.locations))
     if snapped is None:
         return None
     from .brown import _measure_from_values
@@ -525,8 +536,10 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0,
     """
     T, n, tol = form.matrix, form.n, form.tol
     digest = _context_digest(form, None, f"block-split:{k}:{seed}")
-    B, Bc = form.unitary[:, :k], form.unitary[:, k:]
-    leak = invariance_leak(T, B)
+    # with U unitary, ||(I - p) T p||_F = ||G[k:, :k]||_F, and A and C are
+    # the diagonal blocks of G
+    G = form.compression
+    leak = _fro(G[k:, :k])
     if leak > 1e-9 * max(1.0, form.norm):
         raise ValueError(
             f"projection is not T-invariant: ||(I-p) T p|| = {leak:.3e}"
@@ -536,33 +549,20 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0,
     if k == 0 or k == n:
         det_vals = [CheckValue("degenerate", 0.0, det_tol)]
         meas_vals = [CheckValue("degenerate", 0.0, tol)]
-        return [
-            make_report("corner-determinant-product",
-                        "Delta(T) = Delta(A)^{tau(p)} Delta(C)^{tau(1-p)}",
-                        digest, det_vals, det_tol, seed),
-            make_report("corner-measure-split",
-                        "nu_T = tau(p) nu_A + tau(1-p) nu_C",
-                        digest, meas_vals, tol, seed),
-        ]
-
-    A = B.conj().T @ T @ B
-    C = Bc.conj().T @ T @ Bc
-
-    dT = fk_determinant(T)
-    dA = fk_determinant(A)
-    dC = fk_determinant(C)
-    split = (dA ** (k / n)) * (dC ** ((n - k) / n))
-    scale = max(dT, split, 1e-300)
-    det_vals = [CheckValue("relative-error", abs(dT - split) / scale, det_tol)]
-
-    nu_A = _corner_measure(T, B, nu_T, tol)
-    nu_C = _corner_measure(T, Bc, nu_T, tol)
-    if nu_A is None or nu_C is None:
-        meas_vals = [CheckValue("atom-snap", float("inf"), tol)]
     else:
-        mix = mixture([(nu_A, k / n), (nu_C, (n - k) / n)], tol)
-        meas_vals = [CheckValue("matching-distance",
-                                measure_distance(mix, nu_T), max(tol, 1e-12))]
+        A, C = G[:k, :k], G[k:, k:]
+        dT, dA, dC = fk_determinant(T), fk_determinant(A), fk_determinant(C)
+        split = (dA ** (k / n)) * (dC ** ((n - k) / n))
+        scale = max(dT, split, 1e-300)
+        det_vals = [CheckValue("relative-error", abs(dT - split) / scale, det_tol)]
+        nu_A = _corner_measure(A, nu_T, tol)
+        nu_C = _corner_measure(C, nu_T, tol)
+        if nu_A is None or nu_C is None:
+            meas_vals = [CheckValue("atom-snap", float("inf"), tol)]
+        else:
+            mix = mixture([(nu_A, k / n), (nu_C, (n - k) / n)], tol)
+            meas_vals = [CheckValue("matching-distance",
+                                    measure_distance(mix, nu_T), max(tol, 1e-12))]
     return [
         make_report("corner-determinant-product",
                     "Delta(T) = Delta(A)^{tau(p)} Delta(C)^{tau(1-p)}",
@@ -657,18 +657,14 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
     trace_vals, inv_vals, mono_vals = [], [], []
     inside_vals, outside_vals = [], []
     cum = 0
-    G = table.unitary.conj().T @ T @ table.unitary
+    G = table.form.compression
     flags = [table.range_projection(0, i + 1) for i in range(len(table.clusters))]
     for i, P in enumerate(flags):
+        r = P.rank
         cum += table.clusters[i].multiplicity
-        trace_vals.append(CheckValue(f"rank[{i}]", float(abs(P.rank - cum)), 0.0))
-        inv_vals.append(
-            CheckValue(
-                f"invariance[{i}]",
-                _fro(G[P.rank :, : P.rank]),
-                structural_tol * max(1.0, norm),
-            )
-        )
+        trace_vals.append(CheckValue(f"rank[{i}]", float(abs(r - cum)), 0.0))
+        inv_vals.append(CheckValue(f"invariance[{i}]", _fro(G[r:, :r]),
+                                   structural_tol * max(1.0, norm)))
         if i + 1 < len(flags):
             B, Bn = P.basis, flags[i + 1].basis
             mono_vals.append(
@@ -680,26 +676,14 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
             )
         inside_locs = [c.location for c in table.clusters[: i + 1]]
         outside_locs = [c.location for c in table.clusters[i + 1 :]]
-        if P.rank > 0:
-            vals = np.linalg.eigvals(G[: P.rank, : P.rank])
-            snapped = _snap_atoms(vals.tolist(), inside_locs)
-            inside_vals.append(
-                CheckValue(
-                    f"inside[{i}]",
-                    0.0 if snapped is not None else float("inf"),
-                    0.0,
-                )
-            )
-        if P.rank < table.n:
-            vals = np.linalg.eigvals(G[P.rank :, P.rank :])
-            snapped = _snap_atoms(vals.tolist(), outside_locs)
-            outside_vals.append(
-                CheckValue(
-                    f"outside[{i}]",
-                    0.0 if snapped is not None else float("inf"),
-                    0.0,
-                )
-            )
+        if r > 0:
+            snapped = _compression_snaps(G[:r, :r], inside_locs)
+            inside_vals.append(CheckValue(f"inside[{i}]",
+                                          0.0 if snapped is not None else float("inf"), 0.0))
+        if r < table.n:
+            snapped = _compression_snaps(G[r:, r:], outside_locs)
+            outside_vals.append(CheckValue(f"outside[{i}]",
+                                           0.0 if snapped is not None else float("inf"), 0.0))
     reports.append(
         make_report("flag-trace-law",
                     "flag traces accumulate the cluster multiplicities",
@@ -738,16 +722,16 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
     # corner compressions of a commuting input concentrate where they should;
     # a non-commuting input is preconditioned to its normal part
     xtable, precond = _commuting_input(dec)
-    X = xtable.matrix
+    GX = xtable.form.compression
     comm_vals = []
     for trial in range(5):
         B, members = _random_region(rng, xtable)
         if not members:
             continue
-        basis = xtable.cluster_columns(members)
-        vals = np.linalg.eigvals(basis.conj().T @ X @ basis)
+        cols = np.concatenate([np.arange(xtable.ranks[i], xtable.ranks[i + 1])
+                               for i in members])
         locs = [xtable.clusters[i].location for i in members]
-        snapped = _snap_atoms(vals.tolist(), locs)
+        snapped = _compression_snaps(GX[np.ix_(cols, cols)], locs)
         ok = snapped is not None and all(B.contains(z) for z in set(snapped))
         comm_vals.append(
             CheckValue(f"support[{trial}]", 0.0 if ok else float("inf"), 0.0)

@@ -6,23 +6,38 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import specord
-from specord.brown import empirical_brown, measure_distance
-from specord.core import fk_determinant, openblas_threads, operator_norm, schur_form
-from specord.projections import hs_projection
+from specord.brown import _measure_from_values, empirical_brown, measure_distance, mixture
+from specord.core import (
+    SchurForm,
+    fk_determinant,
+    openblas_threads,
+    operator_norm,
+    schur_form,
+)
+from specord.projections import hs_projection, invariance_leak
 from specord.curves import CurveSegment, LexicographicCurve, parse_curve
 from specord.ensembles import EnsembleSpec, sample
 from specord.regions import CellUnion, EmptyRegion, FullPlane, ambient_square, disk
 from specord.spectral import (
     CurveValidationError,
+    SpectralTable,
     build_table,
     decompose,
     write_bundle,
+)
+from specord.verify import (
+    _snap_atoms,
+    verify_block_split,
+    verify_convergence,
+    verify_decomposition,
 )
 
 T12 = np.array([[1, 1], [0, 2]], dtype=complex)
@@ -369,6 +384,117 @@ def test_commuting_table_matches_a_table_built_from_n(T):
         assert diff <= 1e-12 * got.norm, lvl
     assert got.normal_part().tobytes() == dec.N.tobytes()
     assert sum(c.multiplicity for c in got.clusters) == T.shape[0]
+
+
+def normal_matrix():
+    """A random unitary conjugate of six distinct eigenvalues."""
+    rng = np.random.default_rng(12)
+    V, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    d = np.array([0.6, -0.3 + 0.4j, 0.1 - 0.7j, -0.5 - 0.2j, 0.2 + 0.2j, 0.8j])
+    return (V * d) @ V.conj().T
+
+
+COMPRESSION_INPUTS = [sample(EnsembleSpec("ginibre", 12, seed=17)), jordan_beside_simple(),
+                      normal_matrix()]
+COMPRESSION_IDS = ["ginibre-12", "jordan-beside-simple", "normal"]
+
+
+def sandwich_expectation(table, level):
+    """E_{D_n}(T) summed cell by cell as tau(E_k T E_k)/tau(E_k) E_k, each
+    compression formed from the cell's columns."""
+    T = table.matrix
+    out = np.zeros_like(T)
+    for _, idxs in sorted(table.cell_assignment(level).items()):
+        cols = table.cluster_columns(idxs)
+        scalar = np.trace(cols.conj().T @ T @ cols) / cols.shape[1]
+        out += scalar * (cols @ cols.conj().T)
+    return out
+
+
+def leak_commutes(table):
+    """T P = P T for every cluster projection, from the leaks of T and T*."""
+    T = table.matrix
+    bound = 1e-9 * max(1.0, table.norm)
+    return all(
+        np.hypot(invariance_leak(T, B), invariance_leak(T.conj().T, B)) <= bound
+        for B in (table.range_projection(i, i + 1).basis
+                  for i in range(len(table.clusters)))
+    )
+
+
+def sandwich_block_split(form, k):
+    """The leak, determinant error and matching distance of
+    `verify_block_split`, from compressions formed from U's columns."""
+    T, n, tol = form.matrix, form.n, form.tol
+    B, Bc = form.unitary[:, :k], form.unitary[:, k:]
+    A, C = B.conj().T @ T @ B, Bc.conj().T @ T @ Bc
+    dT, dA, dC = fk_determinant(T), fk_determinant(A), fk_determinant(C)
+    split = dA ** (k / n) * dC ** ((n - k) / n)
+    nu_T = empirical_brown(T, tol=tol)
+    parts = [_measure_from_values(_snap_atoms(np.linalg.eigvals(M).tolist(),
+                                              list(nu_T.locations)), tol)
+             for M in (A, C)]
+    mix = mixture([(parts[0], k / n), (parts[1], (n - k) / n)], tol)
+    return (invariance_leak(T, B), abs(dT - split) / max(dT, split, 1e-300),
+            measure_distance(mix, nu_T))
+
+
+@pytest.mark.parametrize("T", COMPRESSION_INPUTS, ids=COMPRESSION_IDS)
+def test_compression_blocks_match_the_sandwich_formulas(T):
+    # expectations, the commutation test and the block split read blocks of
+    # G = U* T U; forming each compression from U's columns is the reference
+    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+    table = dec.table
+    scale = 1e-12 * max(1.0, table.norm)
+    for lvl in range(7):
+        diff = np.linalg.norm(table.expectation(lvl) - sandwich_expectation(table, lvl))
+        assert diff <= scale, lvl
+    assert table.commutes_with_cluster_projs() == leak_commutes(table)
+    xtable = dec.commuting_table
+    assert xtable.commutes_with_cluster_projs() and leak_commutes(xtable)
+    k = table.ranks[len(table.clusters) // 2 + 1]
+    leak, det_err, dist = sandwich_block_split(table.form, k)
+    assert abs(np.linalg.norm(table.form.compression[k:, :k]) - leak) <= scale
+    det, meas = verify_block_split(table.form, k)
+    assert [v.name for v in det.values] == ["relative-error"]
+    assert [v.name for v in meas.values] == ["matching-distance"]
+    assert abs(det.values[0].measured - det_err) <= 1e-12
+    assert abs(meas.values[0].measured - dist) <= 1e-12
+
+
+@pytest.mark.parametrize("T", COMPRESSION_INPUTS, ids=COMPRESSION_IDS)
+def test_each_form_is_compressed_once(monkeypatch, T):
+    # the self-check families read T's ordered form, and N's when the input
+    # is preconditioned, through one cached G each
+    compressed = []
+    compression = SchurForm.__dict__["compression"].func
+
+    def counted(form):
+        compressed.append(form)
+        return compression(form)
+
+    prop = cached_property(counted)
+    prop.__set_name__(SchurForm, "compression")
+    monkeypatch.setattr(SchurForm, "compression", prop)
+    expectations = Counter()
+    expectation = SpectralTable.expectation
+
+    def counted_expectation(table, level):
+        expectations[id(table), level] += 1
+        return expectation(table, level)
+
+    monkeypatch.setattr(SpectralTable, "expectation", counted_expectation)
+    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+    assert compressed == []
+    verify_decomposition(dec, seed=1)
+    verify_convergence(dec, n_max=3)
+    verify_block_split(dec.table.form, dec.table.ranks[len(dec.table.clusters) // 2 + 1])
+    xtable = dec.commuting_table
+    forms = [dec.table.form] + ([] if xtable is dec.table else [xtable.form])
+    assert compressed == forms
+    # the radius loop reuses the rate loop's E_n when X is T
+    assert expectations == Counter({(id(t), lvl): 1 for t in {dec.table, xtable}
+                                    for lvl in (1, 2, 3)})
 
 
 def test_curve_validation_failure_raises():

@@ -14,8 +14,9 @@ by wrapping the names the CLI and the verifier call:
 * `wall_s`: the whole command;
 * `verify_s`: `verify_decomposition`;
 * `hyperinvariance_s`: `hyperinvariance_check`, inside `verify_s`;
-* `eigvals_s`: `np.linalg.eigvals` called from `verify_decomposition`: the
-  compression spectra, two per flag, and at most five commutant-support
+* `eigvals_s`: `np.linalg.eigvals` called from `verify_decomposition` or
+  from `_compression_snaps`, through which the self-check tests every
+  compression spectrum: two per flag, and at most five commutant-support
   corners;
 * `hyperinvariance_share`, `eigvals_share`: those two over `verify_s`;
 * `peak_rss_mb`: the child's peak resident set;
@@ -55,10 +56,11 @@ def timed(name, fn, probe=False):
 cli.verify_decomposition = timed("verify_s", cli.verify_decomposition, probe=True)
 verify.hyperinvariance_check = timed("hyperinvariance_s", verify.hyperinvariance_check)
 eigvals, eigvals_timed = np.linalg.eigvals, timed("eigvals_s", np.linalg.eigvals)
+SELF_CHECK_CALLERS = ("verify_decomposition", "_compression_snaps")
 
 def eigvals_by_caller(*args, **kwargs):
     caller = sys._getframe(1).f_code.co_name
-    fn = eigvals_timed if caller == "verify_decomposition" else eigvals
+    fn = eigvals_timed if caller in SELF_CHECK_CALLERS else eigvals
     return fn(*args, **kwargs)
 
 np.linalg.eigvals = eigvals_by_caller
