@@ -785,6 +785,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
 # ---------------------------------------------------------------------------
 # suite driver
 
+@single_thread_blas()
 def run_suite(
     matrices: list[tuple[str, np.ndarray]],
     curve_specs: tuple[str, ...] = ("hilbert:depth=32", "morton:depth=32", "lex"),
@@ -800,7 +801,10 @@ def run_suite(
     Only the families that emit a requested id run.  Each family seeds its
     own generator, so skipping one changes no other family's values.  Each
     matrix is factored once, and its form sizes every curve and serves
-    every decomposition.
+    every decomposition.  Every loaded OpenBLAS library runs on one thread
+    (`core.single_thread_blas`), as in the CLI: the checks' many small
+    products gain nothing from a second thread, and an idle BLAS thread
+    spinning between them would hold a second core for the whole run.
     """
     wanted = set(KNOWN_CHECKS if checks is None else checks)
     unknown = wanted - set(KNOWN_CHECKS)
@@ -812,8 +816,7 @@ def run_suite(
 
     out: list[CheckReport] = []
     for label, T in matrices:
-        with single_thread_blas():
-            form = schur_form(T)
+        form = schur_form(T)
         for cspec in curve_specs:
             dec = decompose(T, parse_curve(cspec, form.norm), form=form)
             k = len(dec.table.clusters)
