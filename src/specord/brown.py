@@ -39,12 +39,10 @@ class PointMeasure:
     """Finite atomic probability measure on C.
 
     `atoms` holds (location, weight) pairs with positive weights summing to
-    one; `counts` optionally records the integer multiplicities behind the
-    weights for exact rank arithmetic.
+    one.
     """
 
     atoms: tuple[tuple[complex, float], ...]
-    counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         total = sum(w for _, w in self.atoms)
@@ -52,8 +50,6 @@ class PointMeasure:
             raise ValueError(f"weights sum to {total}, not 1")
         if any(w <= 0 for _, w in self.atoms):
             raise ValueError("weights must be positive")
-        if self.counts is not None and len(self.counts) != len(self.atoms):
-            raise ValueError("counts must parallel atoms")
 
     @property
     def locations(self) -> tuple[complex, ...]:
@@ -66,9 +62,7 @@ class PointMeasure:
 
 def _measure_from_clusters(clusters, n: int) -> PointMeasure:
     """Counting measure of n eigenvalues already grouped into `clusters`."""
-    atoms = tuple((c.location, c.multiplicity / n) for c in clusters)
-    counts = tuple(c.multiplicity for c in clusters)
-    return PointMeasure(atoms=atoms, counts=counts)
+    return PointMeasure(atoms=tuple((c.location, c.multiplicity / n) for c in clusters))
 
 
 def _measure_from_values(values, tol: float) -> PointMeasure:

@@ -233,7 +233,7 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
         curve_specs=(cfg.curve,) if cfg.curve2 is None else (cfg.curve, cfg.curve2),
         seed=cfg.seed,
         checks=tuple(cfg.checks) or None,
-        n_max=cfg.level if cfg.level > 0 else 6,
+        n_max=cfg.level,
         structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
         det_tol=float(cfg.tolerances.get("determinant", TOL_DETERMINANT)),
     )

@@ -187,21 +187,24 @@ def _bottleneck(dist: np.ndarray) -> float:
 class SchurForm:
     """Unitary U and upper triangular R with U R U* equal to `matrix`.
 
-    `diag_order` records the diagonal of R, i.e. the eigenvalues in the
-    order the form realizes.  The form is the input context of everything
-    computed from T: `norm` is ||T||, which sizes the working square, the
-    cluster tolerance `tol` and every bound that scales with T.
+    The form is the input context of everything computed from T: `norm`
+    is ||T||, which sizes the working square, the cluster tolerance `tol`
+    and every bound that scales with T.
     """
 
     matrix: np.ndarray
     norm: float
     unitary: np.ndarray
     triangular: np.ndarray
-    diag_order: tuple[complex, ...]
 
     @property
     def n(self) -> int:
         return self.triangular.shape[0]
+
+    @property
+    def diag_order(self) -> tuple[complex, ...]:
+        """The diagonal of R: the eigenvalues in the order the form realizes."""
+        return tuple(np.diag(self.triangular))
 
     @property
     def tol(self) -> float:
@@ -237,8 +240,7 @@ def schur_form(T) -> SchurForm:
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise SchurConvergenceError(f"QR iteration did not converge: {exc}") from exc
     R = np.triu(R)  # discard strictly-lower roundoff noise
-    return SchurForm(matrix=T, norm=float(np.linalg.norm(T, 2)), unitary=U,
-                     triangular=R, diag_order=tuple(np.diag(R)))
+    return SchurForm(matrix=T, norm=float(np.linalg.norm(T, 2)), unitary=U, triangular=R)
 
 
 # targets carried per pass of the blocked reorder; windows hold at most 2b rows
@@ -268,7 +270,7 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
     at = list(range(n))  # at[p]: input position of the entry now at p
     if n <= 2 * b:
         R, U = _ztrexc_moves(R, U, at, order)
-        return replace(form, unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
+        return replace(form, unitary=U, triangular=R)
     for p0 in range(0, n, b):
         targets = order[p0 : p0 + b]
         carried = set(targets)
@@ -290,7 +292,7 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
             if lo == p0:
                 break
             hi = lo + len(inside)
-    return replace(form, unitary=U, triangular=R, diag_order=tuple(np.diag(R)))
+    return replace(form, unitary=U, triangular=R)
 
 
 def _ztrexc_moves(R, Q, at, wanted):

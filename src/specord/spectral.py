@@ -268,8 +268,7 @@ class Decomposition:
             return table
         d = table._locations()
         form = SchurForm(matrix=self.N, norm=float(np.linalg.norm(self.N, 2)),
-                         unitary=table.unitary, triangular=np.diag(d),
-                         diag_order=tuple(d))
+                         unitary=table.unitary, triangular=np.diag(d))
         clusters = tuple(Cluster(c.location, (c.location,) * c.multiplicity)
                          for c in table.clusters)
         return replace(table, form=form, clusters=clusters)

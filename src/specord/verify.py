@@ -22,7 +22,7 @@ import numpy as np
 from .brown import PointMeasure, empirical_brown, measure_distance, mixture, region_mass
 from .core import SchurForm, fk_determinant, schur_form, single_thread_blas
 from .curves import CurveSegment, OrderingCurve, parse_curve
-from .projections import hyperinvariance_check, projection_from_columns
+from .projections import hyperinvariance_check
 from .regions import (
     AmbiguousRegionError,
     CellUnion,
@@ -39,6 +39,7 @@ from .spectral import Decomposition, SpectralTable, build_table, decompose  # no
 TOL_STRUCTURAL = 1e-9
 TOL_DETERMINANT = 1e-10
 TOL_GROWTH = 0.1
+_RANDOM_SEGMENTS = 10  # random curve segments checked against the flags
 
 # check ids by the family that emits them
 _MEASURE_LAW_CHECKS = (
@@ -148,6 +149,28 @@ def _fro(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
+def _shifted(A: np.ndarray, lam: complex) -> np.ndarray:
+    """A - lam I, with lam subtracted on the diagonal alone."""
+    S = A.copy()
+    S[np.diag_indices_from(S)] -= lam
+    return S
+
+
+def _indicator(table: SpectralTable, members) -> np.ndarray:
+    """Per cluster of `table`: 1 at the indices `members`, 0 elsewhere."""
+    out = np.zeros(len(table.clusters), dtype=np.int64)
+    out[members] = 1
+    return out
+
+
+def _cluster_sum_norm(table: SpectralTable, coeffs) -> float:
+    """||sum_i c_i P_i||_F for the cluster projections P_i of `table` and
+    integers c_i = `coeffs[i]`: the P_i span disjoint column ranges of one
+    unitary, so this is sqrt(sum_i m_i c_i^2), m_i the multiplicity of
+    cluster i.  E(B), the flags and the identity are all such sums."""
+    return math.sqrt(sum(c.multiplicity * int(k) ** 2 for c, k in zip(table.clusters, coeffs)))
+
+
 def _context_digest(form: SchurForm, curve: OrderingCurve | None = None,
                     extra: str = "") -> str:
     """sha256 of T's canonical bytes, the curve spec and `extra`; T's bytes
@@ -218,7 +241,8 @@ def verify_measure_laws(
     table: SpectralTable, trials: int = 100, seed: int = 0,
     structural_tol: float = TOL_STRUCTURAL,
 ) -> list[CheckReport]:
-    """Trace, intersection, and additivity laws of the spectral measure E."""
+    """Trace, intersection, and additivity laws of the spectral measure E,
+    each identity a `_cluster_sum_norm` of member indicators."""
     T = table.matrix
     TOL = structural_tol
     rng = np.random.default_rng(seed)
@@ -229,70 +253,49 @@ def verify_measure_laws(
     inter_vals: list[CheckValue] = []
     add_vals: list[CheckValue] = []
     n = table.n
-    eye = np.eye(n, dtype=np.complex128)
 
     for t in range(trials):
         B1, members1 = _random_region(rng, table)
         B2, members2 = _random_region(rng, table)
-        # E(B1), E(B2) from the members just decided; compound regions decide anew
-        E1 = projection_from_columns(table.cluster_columns(members1), n)
-        E2 = projection_from_columns(table.cluster_columns(members2), n)
-        # trace law, exact rank arithmetic against the counting measure
-        for tag, B, E, members in (("a", B1, E1, members1), ("b", B2, E2, members2)):
+        # trace law, exact rank arithmetic against the counting measure; the
+        # rank of E(B) is the number of columns its members span
+        for tag, B, members in (("a", B1, members1), ("b", B2, members2)):
+            rank = sum(table.ranks[i + 1] - table.ranks[i] for i in members)
             count = sum(table.clusters[i].multiplicity for i in members)
             mass = region_mass(nu, B)
             trace_vals.append(
-                CheckValue(f"rank-vs-count[{t}{tag}]", float(abs(E.rank - count)), 0.0)
+                CheckValue(f"rank-vs-count[{t}{tag}]", float(abs(rank - count)), 0.0)
             )
             trace_vals.append(
-                CheckValue(f"rank-vs-measure[{t}{tag}]", abs(E.rank - mass * n), 1e-6)
+                CheckValue(f"rank-vs-measure[{t}{tag}]", abs(rank - mass * n), 1e-6)
             )
-        # intersection law
+        E1, E2 = _indicator(table, members1), _indicator(table, members2)
+        # intersection law; compound regions are decided anew, the way
+        # `spectral_projection` decides them
         try:
-            both = table.spectral_projection(B1 & B2)
+            both = _indicator(table, table.member_clusters(B1 & B2))
         except AmbiguousRegionError:
             continue
-        inter_vals.append(
-            CheckValue(
-                f"product[{t}]",
-                _fro(E1.matrix @ E2.matrix - both.matrix),
-                TOL,
-            )
-        )
+        inter_vals.append(CheckValue(f"product[{t}]",
+                                     _cluster_sum_norm(table, E1 * E2 - both), TOL))
         # additivity across a disjoint split
         try:
-            rest = table.spectral_projection(B2 & ~B1)
-            union = table.spectral_projection(B1 | (B2 & ~B1))
+            rest = _indicator(table, table.member_clusters(B2 & ~B1))
+            union = _indicator(table, table.member_clusters(B1 | (B2 & ~B1)))
         except AmbiguousRegionError:
             continue
-        add_vals.append(
-            CheckValue(
-                f"disjoint-union[{t}]",
-                _fro(E1.matrix + rest.matrix - union.matrix),
-                TOL,
-            )
-        )
+        add_vals.append(CheckValue(f"disjoint-union[{t}]",
+                                   _cluster_sum_norm(table, E1 + rest - union), TOL))
 
-    # complements and a full cell partition
-    add_vals.append(
-        CheckValue(
-            "complement",
-            _fro(
-                table.spectral_projection(FullPlane()).matrix
-                - table.spectral_projection(EmptyRegion()).matrix
-                - eye
-            ),
-            TOL,
-        )
-    )
+    # complements and a full cell partition, against the identity
+    full = _indicator(table, table.member_clusters(FullPlane()))
+    empty = _indicator(table, table.member_clusters(EmptyRegion()))
+    add_vals.append(CheckValue("complement", _cluster_sum_norm(table, full - empty - 1), TOL))
     level = 2
-    total = np.zeros((n, n), dtype=np.complex128)
+    cover = _indicator(table, [])
     for k in range(1, (1 << (2 * level)) + 1):
-        cell = CellUnion(table.curve.square, level, {k})
-        total += table.spectral_projection(cell).matrix
-    add_vals.append(
-        CheckValue("cell-partition", _fro(total - eye), TOL)
-    )
+        cover[table.member_clusters(CellUnion(table.curve.square, level, {k}))] += 1
+    add_vals.append(CheckValue("cell-partition", _cluster_sum_norm(table, cover - 1), TOL))
 
     return [
         make_report(
@@ -577,7 +580,6 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0,
 # full decomposition verification
 
 def verify_decomposition(dec: Decomposition, seed: int = 0,
-                         random_t: int = 10,
                          structural_tol: float = TOL_STRUCTURAL) -> list[CheckReport]:
     """End-to-end checks of the decomposition pipeline for one input."""
     table = dec.table
@@ -626,19 +628,18 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         )
     )
 
-    # flags against the spectral projections of curve segments: both are
-    # spans of cluster columns of one unitary U, so ||E - P||_F^2 is the
-    # total multiplicity of the clusters in one set and not the other
+    # flags against the spectral projections of curve segments
     agree_vals = []
     ks = list(table.params)
     bits = 2 * table.curve.depth
-    for _ in range(random_t):
+    for _ in range(_RANDOM_SEGMENTS):
         ks.append(_random_param(rng, bits))
+    order = np.arange(len(table.clusters))
     for i, k in enumerate(ks):
-        inside = set(table.member_clusters(CurveSegment(table.curve, k)))
-        apart = inside ^ set(range(bisect_right(table.params, k)))
-        moved = sum(table.clusters[j].multiplicity for j in apart)
-        agree_vals.append(CheckValue(f"agreement[{i}]", math.sqrt(moved), structural_tol))
+        inside = _indicator(table, table.member_clusters(CurveSegment(table.curve, k)))
+        flag = order < bisect_right(table.params, k)
+        agree_vals.append(CheckValue(f"agreement[{i}]",
+                                     _cluster_sum_norm(table, inside - flag), structural_tol))
     reports.append(
         make_report(
             "flag-spectral-agreement",
@@ -657,16 +658,16 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
     trace_vals, inv_vals, mono_vals = [], [], []
     inside_vals, outside_vals = [], []
     cum = 0
-    G = table.form.compression
-    flags = [table.range_projection(0, i + 1) for i in range(len(table.clusters))]
-    for i, P in enumerate(flags):
-        r = P.rank
+    U, G = table.unitary, table.form.compression
+    nclust = len(table.clusters)
+    for i in range(nclust):
+        r = table.ranks[i + 1]
         cum += table.clusters[i].multiplicity
         trace_vals.append(CheckValue(f"rank[{i}]", float(abs(r - cum)), 0.0))
         inv_vals.append(CheckValue(f"invariance[{i}]", _fro(G[r:, :r]),
                                    structural_tol * max(1.0, norm)))
-        if i + 1 < len(flags):
-            B, Bn = P.basis, flags[i + 1].basis
+        if i + 1 < nclust:
+            B, Bn = U[:, :r], U[:, : table.ranks[i + 2]]
             mono_vals.append(
                 CheckValue(
                     f"monotone[{i}]",
@@ -704,8 +705,8 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
                     digest, outside_vals, 0.0, seed))
 
     # hyperinvariance of a sampled flag
-    if flags:
-        mid = flags[len(flags) // 2]
+    if nclust:
+        mid = table.range_projection(0, nclust // 2 + 1)
         hrep = hyperinvariance_check(table.form, mid, samples=12, seed=seed)
         reports.append(
             make_report(
@@ -759,8 +760,8 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         lam = complex(rng.uniform(sq.x0, sq.x1), rng.uniform(sq.y0, sq.y1))
         if min(abs(lam - z) for z in locs) < margin:
             continue
-        d1 = fk_determinant(T - lam * np.eye(table.n))
-        d2 = fk_determinant(D - lam * np.eye(table.n))
+        d1 = fk_determinant(_shifted(T, lam))
+        d2 = fk_determinant(_shifted(D, lam))
         det_vals.append(
             CheckValue(
                 f"shift[{count}]",
@@ -810,6 +811,8 @@ def run_suite(
     unknown = wanted - set(KNOWN_CHECKS)
     if unknown:
         raise ValueError(f"unknown check ids: {sorted(unknown)}")
+    if n_max < 1:
+        raise ValueError(f"n_max, the deepest grid level checked, must be >= 1, got {n_max}")
 
     def wants(family_checks) -> bool:
         return not wanted.isdisjoint(family_checks)

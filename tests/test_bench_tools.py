@@ -107,3 +107,12 @@ def test_report_diff_counts_moved_values_and_flags_mismatches(tmp_path, capsys):
     b.write_text(json.dumps(docs[1:]))
     assert tool.main([str(a), str(b)]) == 1
     assert f"only in A: {docs[0]['check_id']}" in capsys.readouterr().out
+
+    # so does any change to a report's claim, note, digest, seed or tolerance
+    for key, value in (("claim", "other"), ("note", "why"), ("inputs_digest", "0" * 64),
+                       ("seed", 7), ("tolerance", 0.5)):
+        docs = json.loads(a.read_text())
+        docs[0][key] = value
+        b.write_text(json.dumps(docs))
+        assert tool.main([str(a), str(b)]) == 1, key
+        assert f"{key} differs: {docs[0]['check_id']}" in capsys.readouterr().out

@@ -224,6 +224,17 @@ def test_verify_unknown_check_exits_2(tmp_path):
                  "--check", "bogus", "--out", str(tmp_path / "v")]) == 2
 
 
+def test_verify_level_below_one_exits_2(tmp_path, capsys):
+    # --level is the deepest grid level checked; none below 1 exists
+    for level in (0, -1):
+        out = tmp_path / f"v{level}"
+        assert main(["verify", "--ensemble", "ginibre:n=4,seed=1", "--level", str(level),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: n_max, the deepest grid level checked, must be >= 1, got {level}\n")
+        assert not out.exists()
+
+
 def test_verify_list_corpus(tmp_path, capsys):
     assert main(["verify", "--list-corpus", "--out", str(tmp_path / "x")]) == 0
     man = json.loads(capsys.readouterr().out)

@@ -22,6 +22,7 @@ from specord.spectral import build_table, decompose
 from specord.verify import (
     CheckValue,
     KNOWN_CHECKS,
+    _cluster_sum_norm,
     _commuting_input,
     _snap_atoms,
     make_report,
@@ -301,6 +302,84 @@ def test_flag_spectral_agreement_counts_the_columns_a_segment_misses(monkeypatch
     want = [math.sqrt(3) if i >= j else 0.0 for i in range(len(table.clusters))]
     assert [v.measured for v in rep.values[: len(want)]] == want
     assert {v.measured for v in rep.values} <= {0.0, math.sqrt(3)}
+
+
+def jordan_beside_two_simple():
+    """A 3 x 3 Jordan block at 0.5 beside two simple eigenvalues: one cluster
+    of multiplicity 3."""
+    T = np.diag([0.5, 0.5, 0.5, -0.4 + 0.3j, 0.2 - 0.6j]).astype(complex)
+    T[0, 1] = T[1, 2] = 1.0
+    return T
+
+
+def multi_member_cluster():
+    """Three eigenvalues closer than the cluster tolerance, and two apart,
+    in a random unitary basis: one cluster of three distinct members."""
+    Q, _ = np.linalg.qr(sample(EnsembleSpec("ginibre", 5, seed=5)))
+    D = np.diag([0.3, 0.3 + 2e-9, 0.3 - 3e-9j, -0.5 + 0.2j, 0.1 - 0.4j])
+    return Q @ D @ Q.conj().T
+
+
+@pytest.mark.parametrize("make", [lambda: sample(EnsembleSpec("ginibre", 12, seed=3)),
+                                  jordan_beside_two_simple, multi_member_cluster],
+                         ids=["ginibre", "jordan", "multi-member"])
+def test_cluster_sum_norm_matches_the_dense_sum(make):
+    # sqrt(sum_i m_i c_i^2) against ||sum_i c_i P_i||_F over dense cluster projections
+    T = make()
+    table = build_table(T, curve_for(T))
+    k = len(table.clusters)
+    if make is multi_member_cluster:
+        assert sorted(len(set(c.members)) for c in table.clusters) == [1, 1, 3]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        coeffs = rng.integers(-2, 3, size=k)
+        dense = sum((int(c) * table.range_projection(i, i + 1).matrix
+                     for i, c in enumerate(coeffs)),
+                    np.zeros((table.n, table.n), dtype=complex))
+        got = _cluster_sum_norm(table, coeffs)
+        assert abs(got - np.linalg.norm(dense)) <= 1e-12, (coeffs, got)
+
+
+def test_measure_laws_count_the_columns_a_compound_region_misses(monkeypatch):
+    # compound regions that drop a cluster of multiplicity 3 leave E(B1 & B2)
+    # and E(B1 | rest) 3 columns short: each law then reads 0 or sqrt(3)
+    from specord.regions import CellUnion, FullPlane, _And, _Not, _Or
+    from specord.spectral import SpectralTable
+
+    T = jordan_beside_two_simple()
+    table = build_table(T, curve_for(T))
+    (j,) = [i for i, c in enumerate(table.clusters) if c.multiplicity == 3]
+    member_clusters = SpectralTable.member_clusters
+    monkeypatch.setattr(
+        SpectralTable, "member_clusters",
+        lambda self, B: [i for i in member_clusters(self, B)
+                         if i != j or not isinstance(B, (_And, _Or, _Not))])
+    reports = {r.check_id: r for r in verify_measure_laws(table, trials=20, seed=4)}
+    for cid in ("spectral-intersection-law", "spectral-additivity-law"):
+        rep = reports[cid]
+        assert rep.verdict == "fail", cid
+        assert {v.measured for v in rep.values} == {0.0, math.sqrt(3)}, cid
+    # dropped from the whole plane and from every cell, it leaves the
+    # complement and the cell partition 3 columns short of the identity
+    monkeypatch.setattr(
+        SpectralTable, "member_clusters",
+        lambda self, B: [i for i in member_clusters(self, B)
+                         if i != j or not isinstance(B, (CellUnion, FullPlane))])
+    values = {v.name: v.measured for r in verify_measure_laws(table, trials=1, seed=4)
+              for v in r.values}
+    assert values["complement"] == values["cell-partition"] == math.sqrt(3)
+
+
+def test_projection_identities_build_no_dense_matrix(monkeypatch):
+    from specord.projections import Projection
+
+    reads = []
+    monkeypatch.setattr(Projection, "matrix", property(lambda P: reads.append(P)))
+    for T in (sample(EnsembleSpec("ginibre", 12, seed=3)), jordan_beside_two_simple()):
+        dec = decompose(T, curve_for(T))
+        verify_measure_laws(dec.table, trials=20, seed=1)
+        verify_decomposition(dec, seed=1)
+    assert reads == []
 
 
 def test_verify_decomposition_formats_the_matrix_once(monkeypatch):

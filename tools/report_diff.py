@@ -12,7 +12,8 @@ Prints one row per check family (the check id before its first `@`):
 
 Reports are matched by check id, values by position, so that a value name
 that differs is reported as such.  Exits 1 when a check id is in one file
-only, a value name differs or a verdict flips, and 0 otherwise.
+only, a value name differs, a verdict flips or a report's claim, note,
+inputs digest, seed or tolerance differs, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import json
 import math
 import sys
 from collections import defaultdict
+
+
+# report fields that must not change between two runs of the same checks
+_FIXED = ("claim", "note", "inputs_digest", "seed", "tolerance")
 
 
 def _differ(a: float, b: float) -> bool:
@@ -33,7 +38,8 @@ def _delta(a: float, b: float) -> float:
 
 
 def diff(a_docs: list[dict], b_docs: list[dict]) -> tuple[dict, list[str]]:
-    """Per-family counts and the list of id, name and verdict differences."""
+    """Per-family counts and the list of id, name, verdict and report field
+    differences."""
     a = {r["check_id"]: r for r in a_docs}
     b = {r["check_id"]: r for r in b_docs}
     problems = [f"only in A: {cid}" for cid in sorted(a.keys() - b.keys())]
@@ -46,6 +52,9 @@ def diff(a_docs: list[dict], b_docs: list[dict]) -> tuple[dict, list[str]]:
         if ra["verdict"] != rb["verdict"]:
             row["flips"] += 1
             problems.append(f"verdict {ra['verdict']} -> {rb['verdict']}: {cid}")
+        for key in _FIXED:
+            if ra[key] != rb[key]:
+                problems.append(f"{key} differs: {cid}")
         names_a = [v["name"] for v in ra["values"]]
         names_b = [v["name"] for v in rb["values"]]
         if names_a != names_b:
