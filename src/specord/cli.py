@@ -25,6 +25,8 @@ import argparse
 import json
 import re
 import sys
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -57,8 +59,6 @@ from .regions import ambient_square, parse_region
 from .spectral import decompose, write_bundle
 from .verify import (
     KNOWN_CHECKS,
-    TOL_DETERMINANT,
-    TOL_STRUCTURAL,
     reports_to_json,
     run_suite,
     suite_summary,
@@ -87,7 +87,6 @@ class RunConfig:
     seed: int = 0
     checks: list[str] = field(default_factory=list)
     count: int = 16
-    tolerances: dict = field(default_factory=dict)
 
     def to_json(self, matrix_text: bytes | None = None) -> str:
         """Indented, key-sorted JSON.  `matrix_text`, when given, is inlined
@@ -108,16 +107,40 @@ class RunConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("config.json must hold a JSON object")
+        # earlier versions record an empty "tolerances" in every config;
+        # check bounds are constants, so no other value replays
+        legacy = doc.pop("tolerances", {})
+        if legacy != {}:
+            raise ValueError(f"config.json sets tolerances {json.dumps(legacy)}; "
+                             "check bounds are fixed")
         unknown = set(doc) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValueError(f"config.json has unknown keys: {sorted(unknown)}")
         if "command" not in doc:
             raise ValueError("config.json has no command")
+        hints = typing.get_type_hints(RunConfig)
+        for f in fields(RunConfig):
+            if f.name in doc and not _has_json_type(doc[f.name], hints[f.name]):
+                raise ValueError(f"config.json field {f.name!r} must be {f.type}, "
+                                 f"got {type(doc[f.name]).__name__}")
         if isinstance(doc.get("matrix_data"), dict) and _NEG_ZERO_INT.search(text):
             # json reads -0 as the integer 0: re-read the matrix so that its
             # -0.0 entries keep their sign, and only the matrix
             doc["matrix_data"] = json.loads(text, parse_int=json_int)["matrix_data"]
         return RunConfig(**doc)
+
+
+def _has_json_type(value, hint) -> bool:
+    """Whether a value read from JSON has the type of a `RunConfig` field:
+    a JSON true or false is not an int."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_json_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_json_type(v, item) for v in value)
+    if hint is int:
+        return type(value) is int
+    return isinstance(value, hint)
 
 
 def _fail(msg: str) -> int:
@@ -159,10 +182,7 @@ def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
     # to the digests, config.json and T.json
     form = schur_form(T)
     dec = decompose(T, parse_curve(cfg.curve, form.norm), form=form)
-    reports = verify_decomposition(
-        dec, seed=cfg.seed,
-        structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
-    )
+    reports = verify_decomposition(dec, seed=cfg.seed)
     _write_config(cfg, outdir, dec.table.form)
     write_bundle(dec, outdir)
     write_output(outdir / "report.json", reports_to_json(reports).encode("ascii"))
@@ -234,8 +254,6 @@ def _run_verify(cfg: RunConfig, outdir: Path) -> int:
         seed=cfg.seed,
         checks=tuple(cfg.checks) or None,
         n_max=cfg.level,
-        structural_tol=float(cfg.tolerances.get("structural", TOL_STRUCTURAL)),
-        det_tol=float(cfg.tolerances.get("determinant", TOL_DETERMINANT)),
     )
     _write_config(cfg, outdir, T)
     write_output(outdir / "report.json", reports_to_json(reports).encode("ascii"))
@@ -321,57 +339,61 @@ def _run(cfg: RunConfig, outdir: Path) -> int:
     return _RUNNERS[command](cfg, outdir)
 
 
-def _add_common(p: argparse.ArgumentParser, need_out: bool = True) -> None:
-    p.add_argument("--matrix", dest="matrix_path", help="path to a matrix JSON file")
-    p.add_argument("--ensemble", help="ensemble spec, e.g. ginibre:n=32,seed=7")
-    p.add_argument("--curve", default=RunConfig.curve,
-                   help="curve spec: hilbert:depth=32, morton:depth=32, lex, radial")
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--level", type=int, default=RunConfig.level,
-                   help="dyadic grid level (verify: deepest level checked)")
-    p.add_argument("--tol-structural", type=float, default=None,
-                   help="override the structural identity tolerance (default 1e-9)")
-    p.add_argument("--tol-determinant", type=float, default=None,
-                   help="override the determinant identity tolerance (default 1e-10)")
-    p.add_argument("--out", required=need_out, help="output directory")
+# every option of the commands; an optional dest is a RunConfig field name
+# (or list_corpus), and an option not given is left out of the parse, so its
+# field keeps the RunConfig default
+_OPTIONS = {
+    "config": dict(help="path to config.json"),
+    "--matrix": dict(dest="matrix_path", help="path to a matrix JSON file"),
+    "--ensemble": dict(help="ensemble spec, e.g. ginibre:n=32,seed=7"),
+    "--curve": dict(help="curve spec: hilbert:depth=32, morton:depth=32, lex, radial"),
+    "--curve2": dict(help="second curve spec"),
+    "--seed": dict(type=int),
+    "--level": dict(type=int, help="deepest dyadic grid level checked"),
+    "--grid": dict(type=int, help="grid points per side"),
+    "--count": dict(type=int, help="steps along the curve: count + 1 samples"),
+    "--region": dict(dest="regions", action="append",
+                     help="region spec, repeatable: disk:cx,cy,r | halfplane:a,b,c"
+                          " | cells:n=3,k=1,5,9 with & | ! combinators"),
+    "--check": dict(dest="checks", action="append",
+                    help=f"restrict to check ids; known: {', '.join(KNOWN_CHECKS)}"),
+    "--list-corpus": dict(action="store_true", help="print the corpus manifest and exit"),
+}
+_INPUT = ("--matrix", "--ensemble")
+# each command with its help and the options it reads besides --out; the
+# modes of `curve` are commands of their own
+_COMMANDS = {
+    "decompose": ("split T into N + Q along a curve", (*_INPUT, "--curve", "--seed")),
+    "brown": ("counting measure and density heatmap", (*_INPUT, "--grid")),
+    "project": ("invariant projection for region(s)", (*_INPUT, "--region")),
+    "verify": ("run the check suite", (*_INPUT, "--curve", "--curve2", "--seed", "--level",
+                                       "--check", "--list-corpus")),
+    "curve": ("tabulate/order/compare curves", {
+        "tabulate": ("sample a curve's cell anchors", ("--curve", "--count")),
+        "order": ("order a spectrum along a curve", (*_INPUT, "--curve")),
+        "compare": ("decompose along two curves", (*_INPUT, "--curve", "--curve2")),
+    }),
+    "replay": ("re-run a recorded config.json", ("config",)),
+}
+
+
+def _add_commands(sub, commands: dict) -> None:
+    for name, (text, options) in commands.items():
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        if isinstance(options, dict):
+            _add_commands(p.add_subparsers(dest="mode", required=True), options)
+            continue
+        for opt in options:
+            p.add_argument(opt, **_OPTIONS[opt])
+        # a run that only lists the corpus writes no file
+        p.add_argument("--out", required="--list-corpus" not in options,
+                       help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="specord",
                                  description="spectral orderings and decompositions")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="split T into N + Q along a curve")
-    _add_common(p)
-
-    p = sub.add_parser("brown", help="counting measure and density heatmap")
-    _add_common(p)
-    p.add_argument("--grid", type=int, default=RunConfig.grid)
-
-    p = sub.add_parser("project", help="invariant projection for region(s)")
-    _add_common(p)
-    p.add_argument("--region", dest="regions", action="append", default=[],
-                   help="region spec, repeatable: disk:cx,cy,r | halfplane:a,b,c"
-                        " | cells:n=3,k=1,5,9 with & | ! combinators")
-
-    p = sub.add_parser("verify", help="run the check suite")
-    _add_common(p, need_out=False)
-    p.add_argument("--curve2", help="second curve spec for the suite")
-    p.add_argument("--check", dest="checks", action="append", default=[],
-                   help=f"restrict to check ids; known: {', '.join(KNOWN_CHECKS)}")
-    p.add_argument("--list-corpus", action="store_true",
-                   help="print the corpus manifest and exit")
-
-    p = sub.add_parser("curve", help="tabulate/order/compare curves")
-    p.add_argument("mode", choices=["tabulate", "order", "compare"])
-    _add_common(p)
-    p.add_argument("--curve2", help="second curve for compare")
-    p.add_argument("--count", type=int, default=RunConfig.count,
-                   help="samples for tabulate")
-
-    p = sub.add_parser("replay", help="re-run a recorded config.json")
-    p.add_argument("config", help="path to config.json")
-    p.add_argument("--out", required=True)
+    _add_commands(ap.add_subparsers(dest="command", required=True), _COMMANDS)
     return ap
 
 
@@ -383,23 +405,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify" and args.list_corpus:
+        if getattr(args, "list_corpus", False):
             print(ensembles.corpus_manifest_json(), end="")
             return 0
-        if args.out is None:
+        if not hasattr(args, "out"):
             return _fail("the following arguments are required: --out")
         outdir = Path(args.out)
         if args.command == "replay":
             return _run(RunConfig.from_json(Path(args.config).read_text(encoding="ascii")),
                         outdir)
-        # the parser's dests are RunConfig's field names; a field that the
-        # command has no option for keeps its RunConfig default
         opts = {k: v for k, v in vars(args).items()
                 if k in {f.name for f in fields(RunConfig)}}
         opts["command"] = f"curve:{args.mode}" if args.command == "curve" else args.command
-        opts["tolerances"] = {key: v for key, v in (("structural", args.tol_structural),
-                                                    ("determinant", args.tol_determinant))
-                              if v is not None}
         return _run(RunConfig(**opts), outdir)
     except (ValueError, OSError, json.JSONDecodeError, SchurConvergenceError) as exc:
         return _fail(str(exc))

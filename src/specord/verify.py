@@ -237,14 +237,11 @@ def _random_param(rng: np.random.Generator, bits: int) -> int:
 # ---------------------------------------------------------------------------
 # measure laws
 
-def verify_measure_laws(
-    table: SpectralTable, trials: int = 100, seed: int = 0,
-    structural_tol: float = TOL_STRUCTURAL,
-) -> list[CheckReport]:
+def verify_measure_laws(table: SpectralTable, trials: int = 100,
+                        seed: int = 0) -> list[CheckReport]:
     """Trace, intersection, and additivity laws of the spectral measure E,
     each identity a `_cluster_sum_norm` of member indicators."""
     T = table.matrix
-    TOL = structural_tol
     rng = np.random.default_rng(seed)
     digest = _context_digest(table.form, table.curve, f"measure-laws:{seed}:{trials}")
 
@@ -276,8 +273,8 @@ def verify_measure_laws(
             both = _indicator(table, table.member_clusters(B1 & B2))
         except AmbiguousRegionError:
             continue
-        inter_vals.append(CheckValue(f"product[{t}]",
-                                     _cluster_sum_norm(table, E1 * E2 - both), TOL))
+        inter_vals.append(CheckValue(f"product[{t}]", _cluster_sum_norm(table, E1 * E2 - both),
+                                     TOL_STRUCTURAL))
         # additivity across a disjoint split
         try:
             rest = _indicator(table, table.member_clusters(B2 & ~B1))
@@ -285,17 +282,20 @@ def verify_measure_laws(
         except AmbiguousRegionError:
             continue
         add_vals.append(CheckValue(f"disjoint-union[{t}]",
-                                   _cluster_sum_norm(table, E1 + rest - union), TOL))
+                                   _cluster_sum_norm(table, E1 + rest - union),
+                                   TOL_STRUCTURAL))
 
     # complements and a full cell partition, against the identity
     full = _indicator(table, table.member_clusters(FullPlane()))
     empty = _indicator(table, table.member_clusters(EmptyRegion()))
-    add_vals.append(CheckValue("complement", _cluster_sum_norm(table, full - empty - 1), TOL))
+    add_vals.append(CheckValue("complement", _cluster_sum_norm(table, full - empty - 1),
+                               TOL_STRUCTURAL))
     level = 2
     cover = _indicator(table, [])
     for k in range(1, (1 << (2 * level)) + 1):
         cover[table.member_clusters(CellUnion(table.curve.square, level, {k}))] += 1
-    add_vals.append(CheckValue("cell-partition", _cluster_sum_norm(table, cover - 1), TOL))
+    add_vals.append(CheckValue("cell-partition", _cluster_sum_norm(table, cover - 1),
+                               TOL_STRUCTURAL))
 
     return [
         make_report(
@@ -311,7 +311,7 @@ def verify_measure_laws(
             "E(B1) E(B2) = E(B1 intersect B2)",
             digest,
             inter_vals,
-            TOL,
+            TOL_STRUCTURAL,
             seed,
         ),
         make_report(
@@ -319,7 +319,7 @@ def verify_measure_laws(
             "E is additive over disjoint regions and cell partitions",
             digest,
             add_vals,
-            TOL,
+            TOL_STRUCTURAL,
             seed,
         ),
     ]
@@ -527,8 +527,7 @@ def _corner_measure(block: np.ndarray, reference: PointMeasure,
     return _measure_from_values(snapped, tol)
 
 
-def verify_block_split(form: SchurForm, k: int, seed: int = 0,
-                       det_tol: float = TOL_DETERMINANT) -> list[CheckReport]:
+def verify_block_split(form: SchurForm, k: int, seed: int = 0) -> list[CheckReport]:
     """Determinant and measure splitting across a T-invariant projection.
 
     T is `form.matrix`; the leading k columns of `form.unitary` span a
@@ -550,14 +549,14 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0,
     nu_T = empirical_brown(T, tol=tol)
 
     if k == 0 or k == n:
-        det_vals = [CheckValue("degenerate", 0.0, det_tol)]
+        det_vals = [CheckValue("degenerate", 0.0, TOL_DETERMINANT)]
         meas_vals = [CheckValue("degenerate", 0.0, tol)]
     else:
         A, C = G[:k, :k], G[k:, k:]
         dT, dA, dC = fk_determinant(T), fk_determinant(A), fk_determinant(C)
         split = (dA ** (k / n)) * (dC ** ((n - k) / n))
         scale = max(dT, split, 1e-300)
-        det_vals = [CheckValue("relative-error", abs(dT - split) / scale, det_tol)]
+        det_vals = [CheckValue("relative-error", abs(dT - split) / scale, TOL_DETERMINANT)]
         nu_A = _corner_measure(A, nu_T, tol)
         nu_C = _corner_measure(C, nu_T, tol)
         if nu_A is None or nu_C is None:
@@ -569,7 +568,7 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0,
     return [
         make_report("corner-determinant-product",
                     "Delta(T) = Delta(A)^{tau(p)} Delta(C)^{tau(1-p)}",
-                    digest, det_vals, det_tol, seed),
+                    digest, det_vals, TOL_DETERMINANT, seed),
         make_report("corner-measure-split",
                     "nu_T = tau(p) nu_A + tau(1-p) nu_C",
                     digest, meas_vals, tol, seed),
@@ -579,8 +578,7 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0,
 # ---------------------------------------------------------------------------
 # full decomposition verification
 
-def verify_decomposition(dec: Decomposition, seed: int = 0,
-                         structural_tol: float = TOL_STRUCTURAL) -> list[CheckReport]:
+def verify_decomposition(dec: Decomposition, seed: int = 0) -> list[CheckReport]:
     """End-to-end checks of the decomposition pipeline for one input."""
     table = dec.table
     T = table.matrix
@@ -596,8 +594,8 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
             "N N* = N* N",
             digest,
             [CheckValue("defect", dec.report["normality_defect"],
-                        structural_tol * max(dec.report["normal_fro_sq"], 1e-30))],
-            structural_tol,
+                        TOL_STRUCTURAL * max(dec.report["normal_fro_sq"], 1e-30))],
+            TOL_STRUCTURAL,
             seed,
         )
     )
@@ -621,7 +619,7 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
             [
                 CheckValue("diagonal", dec.report["quasinilpotent_diag"], qn_bound),
                 CheckValue("lower-residual", dec.report["quasinilpotent_lower"],
-                           structural_tol * max(1.0, norm)),
+                           TOL_STRUCTURAL * max(1.0, norm)),
             ],
             qn_bound,
             seed,
@@ -639,14 +637,14 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         inside = _indicator(table, table.member_clusters(CurveSegment(table.curve, k)))
         flag = order < bisect_right(table.params, k)
         agree_vals.append(CheckValue(f"agreement[{i}]",
-                                     _cluster_sum_norm(table, inside - flag), structural_tol))
+                                     _cluster_sum_norm(table, inside - flag), TOL_STRUCTURAL))
     reports.append(
         make_report(
             "flag-spectral-agreement",
             "E of a curve segment equals the flag projection at its endpoint",
             digest,
             agree_vals,
-            structural_tol,
+            TOL_STRUCTURAL,
             seed,
         )
     )
@@ -665,14 +663,14 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
         cum += table.clusters[i].multiplicity
         trace_vals.append(CheckValue(f"rank[{i}]", float(abs(r - cum)), 0.0))
         inv_vals.append(CheckValue(f"invariance[{i}]", _fro(G[r:, :r]),
-                                   structural_tol * max(1.0, norm)))
+                                   TOL_STRUCTURAL * max(1.0, norm)))
         if i + 1 < nclust:
             B, Bn = U[:, :r], U[:, : table.ranks[i + 2]]
             mono_vals.append(
                 CheckValue(
                     f"monotone[{i}]",
                     _fro(B - Bn @ (Bn.conj().T @ B)),
-                    structural_tol,
+                    TOL_STRUCTURAL,
                 )
             )
         inside_locs = [c.location for c in table.clusters[: i + 1]]
@@ -691,10 +689,10 @@ def verify_decomposition(dec: Decomposition, seed: int = 0,
                     digest, trace_vals, 0.0, seed))
     reports.append(
         make_report("flag-invariance", "T maps each flag range into itself",
-                    digest, inv_vals, structural_tol, seed))
+                    digest, inv_vals, TOL_STRUCTURAL, seed))
     reports.append(
         make_report("flag-monotonicity", "the flag chain is increasing",
-                    digest, mono_vals, structural_tol, seed))
+                    digest, mono_vals, TOL_STRUCTURAL, seed))
     reports.append(
         make_report("flag-compression-inside",
                     "the inside compression's spectrum lies on the ordered prefix",
@@ -794,8 +792,6 @@ def run_suite(
     checks: tuple[str, ...] | None = None,
     measure_trials: int = 20,
     n_max: int = 6,
-    structural_tol: float = TOL_STRUCTURAL,
-    det_tol: float = TOL_DETERMINANT,
 ) -> list[CheckReport]:
     """Run every requested check over labeled matrices and curves.
 
@@ -813,6 +809,10 @@ def run_suite(
         raise ValueError(f"unknown check ids: {sorted(unknown)}")
     if n_max < 1:
         raise ValueError(f"n_max, the deepest grid level checked, must be >= 1, got {n_max}")
+    repeated = sorted({c for c in curve_specs if curve_specs.count(c) > 1})
+    if repeated:
+        # a repeated spec would emit every check id of its runs twice
+        raise ValueError(f"curve specs repeat: {repeated}")
 
     def wants(family_checks) -> bool:
         return not wanted.isdisjoint(family_checks)
@@ -825,16 +825,13 @@ def run_suite(
             k = len(dec.table.clusters)
             batch = []
             if wants(_DECOMPOSITION_CHECKS):
-                batch += verify_decomposition(dec, seed=seed,
-                                              structural_tol=structural_tol)
+                batch += verify_decomposition(dec, seed=seed)
             if wants(_MEASURE_LAW_CHECKS):
-                batch += verify_measure_laws(dec.table, trials=measure_trials,
-                                             seed=seed, structural_tol=structural_tol)
+                batch += verify_measure_laws(dec.table, trials=measure_trials, seed=seed)
             if wants(_CONVERGENCE_CHECKS):
                 batch += verify_convergence(dec, n_max=n_max, seed=seed)
             if k and wants(_BLOCK_SPLIT_CHECKS):
-                batch += verify_block_split(dec.table.form, dec.table.ranks[k // 2 + 1],
-                                            seed=seed, det_tol=det_tol)
+                batch += verify_block_split(dec.table.form, dec.table.ranks[k // 2 + 1], seed)
             out += [replace(rep, check_id=f"{rep.check_id}@{label}@{cspec}")
                     for rep in batch if rep.check_id in wanted]
     return sorted(out, key=lambda r: r.check_id)

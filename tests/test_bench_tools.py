@@ -116,3 +116,13 @@ def test_report_diff_counts_moved_values_and_flags_mismatches(tmp_path, capsys):
         b.write_text(json.dumps(docs))
         assert tool.main([str(a), str(b)]) == 1, key
         assert f"{key} differs: {docs[0]['check_id']}" in capsys.readouterr().out
+
+    # and a check id that occurs twice in one file, which a match by id
+    # would otherwise resolve silently to its last report
+    docs = json.loads(a.read_text())
+    twice = docs + [docs[0]]
+    b.write_text(json.dumps(twice))
+    assert tool.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"repeated in B: {docs[0]['check_id']}"
+    rows, problems = tool.diff(twice, twice)
+    assert problems == [f"repeated in {side}: {docs[0]['check_id']}" for side in "AB"]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -35,6 +36,19 @@ MATRIX_COMMANDS = {
     "curve order": ["curve", "order"],
     "curve compare": ["curve", "compare", "--curve2", "morton:depth=32"],
     "verify": ["verify", "--level", "2"],
+}
+# the options each command and `curve` mode reads, besides --out
+INPUT_OPTIONS = ["--matrix", "--ensemble"]
+COMMAND_OPTIONS = {
+    ("decompose",): INPUT_OPTIONS + ["--curve", "--seed"],
+    ("brown",): INPUT_OPTIONS + ["--grid"],
+    ("project",): INPUT_OPTIONS + ["--region"],
+    ("verify",): INPUT_OPTIONS + ["--curve", "--curve2", "--seed", "--level", "--check",
+                                  "--list-corpus"],
+    ("curve", "tabulate"): ["--curve", "--count"],
+    ("curve", "order"): INPUT_OPTIONS + ["--curve"],
+    ("curve", "compare"): INPUT_OPTIONS + ["--curve", "--curve2"],
+    ("replay",): [],
 }
 # json reads the literal -0.0 as a float and `-0`, which the writer puts, as 0
 NEGATIVE_ZERO_FILE = '{"n":2,"entries":[[-0.0,1.0],[0.5,-0.0],[0,0],[1,-0.25]]}'
@@ -258,6 +272,62 @@ def test_replay_reproduces_report_bytes(tmp_path):
     assert (out1 / "N.json").read_bytes() == (out2 / "N.json").read_bytes()
 
 
+def test_parser_gives_each_command_the_options_it_reads():
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def options(parser):
+        return sorted(s for a in parser._actions for s in a.option_strings
+                      if s not in ("-h", "--help"))
+
+    top = commands(cli.build_parser())
+    assert sorted(top) == ["brown", "curve", "decompose", "project", "replay", "verify"]
+    assert options(top["curve"]) == []
+    for path, want in COMMAND_OPTIONS.items():
+        parser = top[path[0]] if len(path) == 1 else commands(top["curve"])[path[1]]
+        assert options(parser) == sorted(want + ["--out"]), path
+    assert sorted(commands(top["curve"])) == ["compare", "order", "tabulate"]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["decompose", "--ensemble", "ginibre:n=4,seed=1"], ["--level", "2"]),
+    (["decompose", "--ensemble", "ginibre:n=4,seed=1"], ["--tol-structural", "inf"]),
+    (["brown", "--ensemble", "ginibre:n=4,seed=1", "--grid", "16"], ["--curve", "lex"]),
+    (["brown", "--ensemble", "ginibre:n=4,seed=1"], ["--seed", "5"]),
+    (["project", "--ensemble", "ginibre:n=4,seed=1", "--region", "disk:0,0,1"],
+     ["--seed", "1"]),
+    (["project", "--ensemble", "ginibre:n=4,seed=1", "--region", "disk:0,0,1"],
+     ["--curve", "lex"]),
+    (["verify", "--ensemble", "ginibre:n=4,seed=1"], ["--tol-structural", "1"]),
+    (["verify", "--ensemble", "ginibre:n=4,seed=1"], ["--tol-determinant", "1"]),
+    (["verify", "--ensemble", "ginibre:n=4,seed=1"], ["--grid", "16"]),
+    (["curve", "tabulate", "--count", "4"], ["--matrix", "T.json"]),
+    (["curve", "tabulate"], ["--seed", "1"]),
+    (["curve", "order", "--ensemble", "ginibre:n=4,seed=1"], ["--curve2", "lex"]),
+    (["curve", "order", "--ensemble", "ginibre:n=4,seed=1"], ["--count", "4"]),
+    (["curve", "compare", "--ensemble", "ginibre:n=4,seed=1", "--curve2", "lex"],
+     ["--level", "2"]),
+    (["replay", "config.json"], ["--seed", "1"]),
+])
+def test_an_option_the_command_does_not_read_exits_2(tmp_path, capsys, argv, unread):
+    out = tmp_path / "o"
+    assert main(argv + unread + ["--out", str(out)]) == 2
+    assert f"error: unrecognized arguments: {' '.join(unread)}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_repeated_curve_exits_2(tmp_path, capsys):
+    # each check id of a repeated curve would occur twice in the report
+    for curves, spec in ((["--curve", "lex", "--curve2", "lex"], "lex"),
+                         (["--curve2", "hilbert:depth=32"], "hilbert:depth=32")):
+        out = tmp_path / "v"
+        assert main(["verify", "--ensemble", "ginibre:n=4,seed=1", *curves,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: curve specs repeat: [{spec!r}]\n"
+        assert not out.exists()
+
+
 def test_replay_rejects_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     for text in ("[1,2]", '{"command":"decompose","bogus":1}', '{"seed":1}'):
@@ -417,6 +487,78 @@ def test_replay_reproduces_every_matrix_command(tmp_path, command, kind):
         json.dumps(json.loads(text, parse_int=json_int), indent=1, sort_keys=True) + "\n")
     assert main(["replay", str(indented), "--out", str(tmp_path / "old")]) == 0
     assert_same_files(run, tmp_path / "old")
+
+
+@pytest.mark.parametrize("command", sorted(MATRIX_COMMANDS))
+def test_replay_of_a_config_that_records_empty_tolerances(tmp_path, command):
+    # earlier versions wrote `"tolerances": {}` as the last key of every
+    # config.json; such a config replays, and the line is gone from its
+    # config.json
+    src = tmp_path / "T.json"
+    write_input(src, "ginibre")
+    run = tmp_path / "run"
+    assert main(MATRIX_COMMANDS[command] + ["--matrix", str(src), "--out", str(run)]) == 0
+    text = (run / "config.json").read_text()
+    assert text.endswith('\n "seed": 0\n}\n')
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(text[:-len("\n}\n")] + ',\n "tolerances": {}\n}\n')
+    again = tmp_path / "again"
+    assert main(["replay", str(legacy), "--out", str(again)]) == 0
+    assert_same_files(run, again)
+
+
+def test_replay_rejects_tolerances(tmp_path, capsys):
+    # every check runs at its fixed bound
+    cfg, out = tmp_path / "config.json", tmp_path / "o"
+    for tolerances in ('{"structural": 1}', '{"determinant": 0.001}', "null"):
+        cfg.write_text(f'{{"command": "curve:tabulate", "tolerances": {tolerances}}}')
+        assert main(["replay", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config.json sets tolerances {tolerances}; check bounds are fixed\n")
+        assert not out.exists()
+
+
+# a valid config of each command that a field below belongs to
+TYPED_CONFIGS = {
+    "decompose": {"command": "decompose", "ensemble": "ginibre:n=4,seed=1"},
+    "project": {"command": "project", "ensemble": "ginibre:n=4,seed=1",
+                "regions": ["disk:0,0,1"]},
+    "verify": {"command": "verify", "ensemble": "ginibre:n=4,seed=1", "level": 1,
+               "checks": ["flag-invariance"]},
+    "curve:tabulate": {"command": "curve:tabulate", "count": 4},
+    "curve:compare": {"command": "curve:compare", "ensemble": "ginibre:n=4,seed=1",
+                      "curve2": "lex"},
+}
+
+
+@pytest.mark.parametrize("command, name, value", [
+    ("decompose", "seed", "3"),
+    ("decompose", "seed", None),  # would run on an unseeded generator
+    ("decompose", "seed", True),  # JSON true is not an int
+    ("decompose", "curve", 5),
+    ("decompose", "ensemble", 7),
+    ("decompose", "matrix_path", 3),  # would open file descriptor 3
+    ("decompose", "matrix_data", [[1, 0]]),
+    ("decompose", "command", 5),
+    ("curve:compare", "curve2", 1),
+    ("verify", "level", "2"),
+    ("verify", "level", False),
+    ("verify", "checks", "flag-invariance"),  # would be read letter by letter
+    ("verify", "checks", [1]),
+    ("curve:tabulate", "count", "4"),
+    ("curve:tabulate", "count", 4.0),
+    ("project", "regions", "disk:0,0,1"),
+])
+def test_replay_checks_the_json_type_of_each_field(tmp_path, capsys, command, name, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TYPED_CONFIGS[command]))
+    assert main(["replay", str(cfg), "--out", str(tmp_path / "valid")]) == 0
+    capsys.readouterr()
+    cfg.write_text(json.dumps({**TYPED_CONFIGS[command], name: value}))
+    out = tmp_path / "o"
+    assert main(["replay", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config.json field {name!r} must be ")
+    assert not out.exists()
 
 
 def test_config_reads_negative_zero_only_in_the_matrix():

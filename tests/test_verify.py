@@ -194,6 +194,9 @@ def test_run_suite_and_summary():
     assert all("@jordan4@lex" in r.check_id for r in reports)
     with pytest.raises(ValueError):
         run_suite(mats, checks=("no-such-check",))
+    # a repeated curve would emit each of its check ids twice
+    with pytest.raises(ValueError, match=r"^curve specs repeat: \['lex'\]$"):
+        run_suite(mats, curve_specs=("lex", "hilbert:depth=32", "lex"))
 
 
 def test_known_checks_cover_suite_ids():

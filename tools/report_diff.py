@@ -11,9 +11,10 @@ Prints one row per check family (the check id before its first `@`):
 * `flips`: reports whose verdict differs.
 
 Reports are matched by check id, values by position, so that a value name
-that differs is reported as such.  Exits 1 when a check id is in one file
-only, a value name differs, a verdict flips or a report's claim, note,
-inputs digest, seed or tolerance differs, and 0 otherwise.
+that differs is reported as such.  Exits 1 when a check id occurs more than
+once in one file or in one file only, a value name differs, a verdict flips
+or a report's claim, note, inputs digest, seed or tolerance differs, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 
 # report fields that must not change between two runs of the same checks
@@ -40,9 +41,13 @@ def _delta(a: float, b: float) -> float:
 def diff(a_docs: list[dict], b_docs: list[dict]) -> tuple[dict, list[str]]:
     """Per-family counts and the list of id, name, verdict and report field
     differences."""
+    problems = [f"repeated in {side}: {cid}"
+                for side, docs in (("A", a_docs), ("B", b_docs))
+                for cid, count in sorted(Counter(r["check_id"] for r in docs).items())
+                if count > 1]
     a = {r["check_id"]: r for r in a_docs}
     b = {r["check_id"]: r for r in b_docs}
-    problems = [f"only in A: {cid}" for cid in sorted(a.keys() - b.keys())]
+    problems += [f"only in A: {cid}" for cid in sorted(a.keys() - b.keys())]
     problems += [f"only in B: {cid}" for cid in sorted(b.keys() - a.keys())]
     rows = defaultdict(lambda: {"values": 0, "moved": 0, "max_delta": 0.0,
                                 "bounds": 0, "flips": 0})
