@@ -123,6 +123,16 @@ class RunConfig:
             if f.name in doc and not _has_json_type(doc[f.name], hints[f.name]):
                 raise ValueError(f"config.json field {f.name!r} must be {f.type}, "
                                  f"got {type(doc[f.name]).__name__}")
+        # a field the command does not read may only hold its default, as
+        # in every config.json the CLI writes
+        read = _fields_read_by(doc["command"])
+        if read is not None:
+            default = RunConfig(command=doc["command"])
+            unread = sorted(name for name in set(doc) - read
+                            if doc[name] != getattr(default, name))
+            if unread:
+                raise ValueError(f"config.json sets {unread}, which command "
+                                 f"{doc['command']!r} does not read")
         if isinstance(doc.get("matrix_data"), dict) and _NEG_ZERO_INT.search(text):
             # json reads -0 as the integer 0: re-read the matrix so that its
             # -0.0 entries keep their sign, and only the matrix
@@ -377,11 +387,46 @@ _COMMANDS = {
 }
 
 
+def _fields_read_by(command: str) -> set[str] | None:
+    """The `RunConfig` fields that `command` (a name or `curve:<mode>`)
+    reads, from `_COMMANDS`; `matrix_data` belongs to the matrix input.
+    None for a command the table does not hold."""
+    name, _, mode = command.partition(":")
+    entry = _COMMANDS.get(name)
+    if entry is not None and isinstance(entry[1], dict):
+        entry = entry[1].get(mode)
+    elif mode:
+        entry = None
+    if entry is None:
+        return None
+    read = {"command"}
+    for opt in entry[1]:
+        if opt.startswith("--"):
+            read.add(_OPTIONS[opt].get("dest", opt[2:].replace("-", "_")))
+    if "matrix_path" in read:
+        read.add("matrix_data")
+    return read & {f.name for f in fields(RunConfig)}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command or `curve` mode.  argparse hands the
+    arguments a subparser does not know up to the root parser, which
+    reports them under the top-level usage line; this parser reports them
+    under its own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
+
+
 def _add_commands(sub, commands: dict) -> None:
     for name, (text, options) in commands.items():
         p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         if isinstance(options, dict):
-            _add_commands(p.add_subparsers(dest="mode", required=True), options)
+            _add_commands(p.add_subparsers(dest="mode", required=True,
+                                           parser_class=_CommandParser), options)
             continue
         for opt in options:
             p.add_argument(opt, **_OPTIONS[opt])
@@ -393,7 +438,8 @@ def _add_commands(sub, commands: dict) -> None:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="specord",
                                  description="spectral orderings and decompositions")
-    _add_commands(ap.add_subparsers(dest="command", required=True), _COMMANDS)
+    _add_commands(ap.add_subparsers(dest="command", required=True,
+                                    parser_class=_CommandParser), _COMMANDS)
     return ap
 
 

@@ -12,14 +12,24 @@ to 0.1 additive.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import cython_lapack, lapack
 
-from .brown import PointMeasure, empirical_brown, measure_distance, mixture, region_mass
+from .brown import (
+    PointMeasure,
+    _bind,
+    _int_p,
+    empirical_brown,
+    measure_distance,
+    mixture,
+    region_mass,
+)
 from .core import SchurForm, fk_determinant, schur_form, single_thread_blas
 from .curves import CurveSegment, OrderingCurve, parse_curve
 from .projections import hyperinvariance_check
@@ -513,13 +523,184 @@ def _compression_snaps(block: np.ndarray,
                        targets: list[complex]) -> list[complex] | None:
     """The spectrum of the compression `block`, a block of a form's
     `compression`, snapped onto `targets` by `_snap_atoms`; None when it
-    does not snap."""
+    does not snap.  A snap onto one target never reads the spectrum, so a
+    finite block skips its eigensolve; `eigvals` still refuses any other."""
+    if len(targets) == 1 and np.isfinite(block).all():
+        return [targets[0]] * block.shape[0]
     return _snap_atoms(np.linalg.eigvals(block).tolist(), targets)
 
 
-def _corner_measure(block: np.ndarray, reference: PointMeasure,
-                    tol: float) -> PointMeasure | None:
-    snapped = _compression_snaps(block, list(reference.locations))
+# ---------------------------------------------------------------------------
+# disc certificates for compression spectra
+#
+# For R = form.triangular and G = form.compression, the leading and trailing
+# blocks of R's unit upper triangular eigenvector matrix V, and of W = V^-1,
+# diagonalize the matching blocks of R.  With E = G - R, F = RV - V diag(R)
+# and K = I - WV, restricted to a block:
+#     V^-1 G V = diag(R) + (I - K)^-1 W (F + E V),
+# so by Bauer-Fike (Numer. Math. 2, 1960) every eigenvalue of the block lies within
+#     rho = ||W|| (||F|| + ||E|| ||V||) / (1 - ||K||)
+# of some R_ii of the block, whenever ||K|| < 1.  The norms are Frobenius
+# upper bounds on the stored V, W, G and R, with the rounding of F, K, E and
+# of the norms themselves added (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, sections 3.1-3.6), so rho bounds the exact spectrum.
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+_ztrevc = _bind(cython_lapack, "ztrevc",
+                b"void (char *, char *, int *, int *, __pyx_t_double_complex *, int *, "
+                b"__pyx_t_double_complex *, int *, __pyx_t_double_complex *, int *, int *, "
+                b"int *, __pyx_t_double_complex *, "
+                b"__pyx_t_5scipy_6linalg_13cython_lapack_d *, int *)",
+                ctypes.c_char_p, ctypes.c_char_p, _int_p, _int_p, ctypes.c_void_p, _int_p,
+                ctypes.c_void_p, _int_p, ctypes.c_void_p, _int_p, _int_p, _int_p,
+                ctypes.c_void_p, ctypes.c_void_p, _int_p)
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative error bound of k rounded operations."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _eigenvectors(R: np.ndarray) -> np.ndarray:
+    """V with R V = V diag(R) up to rounding: LAPACK ztrevc's right
+    eigenvectors of the upper triangular R, each column scaled to a unit
+    diagonal entry, so V is unit upper triangular."""
+    n = R.shape[0]
+    T = np.array(R, dtype=np.complex128, order="F")  # ztrevc writes and restores it
+    V = np.empty((n, n), dtype=np.complex128, order="F")
+    work = np.empty(2 * n, dtype=np.complex128)
+    rwork = np.empty(n, dtype=np.float64)
+    order, found, info, unused = (ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(0),
+                                  ctypes.c_int(0))
+    # side R: no left eigenvectors, so VL is not referenced
+    _ztrevc(b"R", b"A", unused, order, T.ctypes.data, order, None, order,
+            V.ctypes.data, order, order, found, work.ctypes.data, rwork.ctypes.data, info)
+    V /= np.diag(V).copy()   # ztrevc zeroes the entries below the diagonal
+    np.fill_diagonal(V, 1.0)
+    return V
+
+
+def _block_norms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds on ||A[:r, :r]||_F and ||A[r:, r:]||_F for r = 0..n;
+    inf or nan for a block that holds a non-finite entry.
+
+    The squares are summed by 2-D cumulative sums of |A|^2 / s^2, with s the
+    power of two that brings the largest finite |A_ij| below 2^480 (1 when
+    it is), so no square or sum of up to 2^60 squares overflows.  The
+    result carries the rounding of the squares, of the sums of at most 2n
+    terms, of the square root and of the scaling back, and an absolute term
+    for the squares that underflow, each off by at most 3 * 2^-1074.
+    """
+    n = A.shape[0]
+    mag = np.abs(A)
+    amax = float(mag.max(initial=0.0, where=np.isfinite(mag)))
+    scale = math.ldexp(1.0, max(0, math.frexp(amax)[1] - 480))
+    B = A / scale
+    sq = B.real * B.real + B.imag * B.imag
+    lead, trail = np.zeros(n + 1), np.zeros(n + 1)
+    lead[1:] = np.diagonal(sq.cumsum(axis=0).cumsum(axis=1))
+    trail[:-1] = np.diagonal(sq[::-1, ::-1].cumsum(axis=0).cumsum(axis=1))[::-1]
+    grow = (1.0 + _gamma(2 * n + 8)) * scale
+    floor = 2 * n * math.ldexp(1.0, -537) * scale
+    return np.sqrt(lead) * grow + floor, np.sqrt(trail) * grow + floor
+
+
+def _disc_radii(form: SchurForm) -> tuple[np.ndarray, np.ndarray]:
+    """Radii for r = 0..n: every eigenvalue of G[:r, :r], and of G[r:, r:],
+    lies within `lead[r]`, and `trail[r]`, of some R_ii of the block (see
+    the section comment).  inf where no bound holds, and everywhere when G
+    is not finite."""
+    R, G, n = form.triangular, form.compression, form.n
+    if n == 0 or not np.isfinite(G).all():
+        return np.full(n + 1, np.inf), np.full(n + 1, np.inf)
+    with np.errstate(all="ignore"):
+        d = np.diag(R)
+        V = _eigenvectors(R)
+        W = lapack.ztrtri(V, lower=0, unitdiag=1)[0]
+        F = R @ V - V * d
+        K = np.eye(n) - W @ V
+        norms = [_block_norms(A) for A in (V, W, G - R, F, K, R)]
+        # g bounds the rounding of an inner product of length n in complex
+        # arithmetic and of one more operation on its result
+        g = _gamma(n + 5)
+        radii = []
+        for v, w, e, f, k, m in zip(*norms):   # leading blocks, then trailing
+            # |fl(RV - V diag(R)) - F| <= g (|R||V| + |V||R|)
+            f = f + 2 * g * m * v
+            # |fl(I - WV) - K| <= g |W||V| + u |K|
+            k = (k * (1 + g) + g * w * v) * (1 + _gamma(8))
+            # |fl(G - R) - E| <= u |E|
+            e = e * (1 + g)
+            # these lines round a dozen more times, all in sums and products
+            # of nonnegative bounds: k is raised before 1 - k, and rho here
+            rho = w * (f + e * v) / (1.0 - k) * (1 + _gamma(16))
+            radii.append(np.where(k < 1.0, rho, np.inf))
+    return tuple(np.nan_to_num(r, nan=np.inf, posinf=np.inf) for r in radii)
+
+
+def _fits(dev, radius, sep):
+    """Whether discs of `radius` about centers at most `dev` from their
+    targets lie strictly within half the targets' separation `sep`, with
+    the rounding of this test; False where any term is nan."""
+    with np.errstate(all="ignore"):
+        return (dev + radius) * (1 + _gamma(4)) < sep / 2
+
+
+def _disc_snaps(centers: np.ndarray, radius: float, targets: list[complex],
+                apart: float = 0.0) -> list[complex] | None:
+    """`_compression_snaps` of a block none of whose eigenvalues, nor those
+    of any block on the segment from diag(centers) to it, lies farther than
+    `radius` from every center: each center's nearest target, when each
+    target's discs sit inside its half-separation ball.  The balls are
+    disjoint, so by continuity each holds as many eigenvalues as centers.
+    None when that is not shown, or when two targets are at most `apart`
+    apart."""
+    if len(targets) < 2:
+        return None
+    t = np.array(targets, dtype=np.complex128)
+    pair = np.hypot(t.real[:, None] - t.real, t.imag[:, None] - t.imag)
+    sep = float(pair[np.triu_indices(len(targets), 1)].min())
+    dist = np.hypot(centers.real[:, None] - t.real, centers.imag[:, None] - t.imag)
+    if not (sep > apart and _fits(float(dist.min(axis=1).max()), radius, sep)):
+        return None
+    return [targets[i] for i in dist.argmin(axis=1).tolist()]
+
+
+def _certified_flags(table: SpectralTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per cluster i, with r = ranks[i + 1]: whether the discs of
+    `_disc_radii` show that G[:r, :r] snaps onto the locations of clusters
+    0..i, and G[r:, r:] onto those of clusters i+1.. (False for the last).
+    An index's center is its R_ii and its target its cluster's location,
+    and the separations are the pairwise ones `_snap_atoms` computes."""
+    lead, trail = _disc_radii(table.form)
+    ranks = np.asarray(table.ranks)
+    locs = np.array([c.location for c in table.clusters], dtype=np.complex128)
+    d, own = np.diag(table.form.triangular), table._locations()
+    dev = np.maximum.reduceat(np.hypot(d.real - own.real, d.imag - own.imag), ranks[:-1])
+    pair = np.hypot(locs.real[:, None] - locs.real, locs.imag[:, None] - locs.imag)
+    pair[np.tril_indices(len(locs))] = np.inf   # pair[a, b] for a < b only
+    # clusters 0..i and clusters j.. as running extremes over clusters
+    sep_head = np.minimum.accumulate(pair.min(axis=0))
+    sep_tail = np.minimum.accumulate(pair.min(axis=1)[::-1])[::-1]
+    dev_head = np.maximum.accumulate(dev)
+    dev_tail = np.maximum.accumulate(dev[::-1])[::-1]
+    r = ranks[1:]
+    inside = _fits(dev_head, lead[r], sep_head)
+    outside = np.zeros(len(locs), dtype=bool)
+    outside[:-1] = _fits(dev_tail[1:], trail[r[:-1]], sep_tail[1:])
+    return inside, outside
+
+
+def _corner_measure(block: np.ndarray, centers: np.ndarray, radius: float,
+                    reference: PointMeasure, tol: float) -> PointMeasure | None:
+    """The counting measure of `block`'s spectrum snapped onto `reference`,
+    from its discs when they decide it; targets more than tol apart make
+    the measure independent of the order of the snapped values."""
+    targets = list(reference.locations)
+    snapped = _disc_snaps(centers, radius, targets, apart=tol)
+    if snapped is None:
+        snapped = _compression_snaps(block, targets)
     if snapped is None:
         return None
     from .brown import _measure_from_values
@@ -557,8 +738,10 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0) -> list[CheckRepo
         split = (dA ** (k / n)) * (dC ** ((n - k) / n))
         scale = max(dT, split, 1e-300)
         det_vals = [CheckValue("relative-error", abs(dT - split) / scale, TOL_DETERMINANT)]
-        nu_A = _corner_measure(A, nu_T, tol)
-        nu_C = _corner_measure(C, nu_T, tol)
+        lead, trail = _disc_radii(form)
+        d = np.diag(form.triangular)
+        nu_A = _corner_measure(A, d[:k], lead[k], nu_T, tol)
+        nu_C = _corner_measure(C, d[k:], trail[k], nu_T, tol)
         if nu_A is None or nu_C is None:
             meas_vals = [CheckValue("atom-snap", float("inf"), tol)]
         else:
@@ -658,6 +841,9 @@ def verify_decomposition(dec: Decomposition, seed: int = 0) -> list[CheckReport]
     cum = 0
     U, G = table.unitary, table.form.compression
     nclust = len(table.clusters)
+    # flag sides whose discs decide the snap skip their eigensolve
+    inside_ok, outside_ok = _certified_flags(table) if nclust else ((), ())
+    cluster_locs = [c.location for c in table.clusters]
     for i in range(nclust):
         r = table.ranks[i + 1]
         cum += table.clusters[i].multiplicity
@@ -673,16 +859,12 @@ def verify_decomposition(dec: Decomposition, seed: int = 0) -> list[CheckReport]
                     TOL_STRUCTURAL,
                 )
             )
-        inside_locs = [c.location for c in table.clusters[: i + 1]]
-        outside_locs = [c.location for c in table.clusters[i + 1 :]]
         if r > 0:
-            snapped = _compression_snaps(G[:r, :r], inside_locs)
-            inside_vals.append(CheckValue(f"inside[{i}]",
-                                          0.0 if snapped is not None else float("inf"), 0.0))
+            ok = inside_ok[i] or _compression_snaps(G[:r, :r], cluster_locs[: i + 1]) is not None
+            inside_vals.append(CheckValue(f"inside[{i}]", 0.0 if ok else float("inf"), 0.0))
         if r < table.n:
-            snapped = _compression_snaps(G[r:, r:], outside_locs)
-            outside_vals.append(CheckValue(f"outside[{i}]",
-                                           0.0 if snapped is not None else float("inf"), 0.0))
+            ok = outside_ok[i] or _compression_snaps(G[r:, r:], cluster_locs[i + 1 :]) is not None
+            outside_vals.append(CheckValue(f"outside[{i}]", 0.0 if ok else float("inf"), 0.0))
     reports.append(
         make_report("flag-trace-law",
                     "flag traces accumulate the cluster multiplicities",
@@ -722,6 +904,10 @@ def verify_decomposition(dec: Decomposition, seed: int = 0) -> list[CheckReport]
     # a non-commuting input is preconditioned to its normal part
     xtable, precond = _commuting_input(dec)
     GX = xtable.form.compression
+    # N's triangular factor is diag(d), so V = I and the disc radius of a
+    # finite corner C is ||C - diag(d)||_F
+    d = np.diag(xtable.form.triangular)
+    diagonal = xtable is not table and np.array_equal(xtable.form.triangular, np.diag(d))
     comm_vals = []
     for trial in range(5):
         B, members = _random_region(rng, xtable)
@@ -730,7 +916,13 @@ def verify_decomposition(dec: Decomposition, seed: int = 0) -> list[CheckReport]
         cols = np.concatenate([np.arange(xtable.ranks[i], xtable.ranks[i + 1])
                                for i in members])
         locs = [xtable.clusters[i].location for i in members]
-        snapped = _compression_snaps(GX[np.ix_(cols, cols)], locs)
+        corner = GX[np.ix_(cols, cols)]
+        snapped = None
+        if diagonal and np.isfinite(corner).all():
+            off = corner - np.diag(d[cols])
+            snapped = _disc_snaps(d[cols], float(_block_norms(off)[0][-1]), locs)
+        if snapped is None:
+            snapped = _compression_snaps(corner, locs)
         ok = snapped is not None and all(B.contains(z) for z in set(snapped))
         comm_vals.append(
             CheckValue(f"support[{trial}]", 0.0 if ok else float("inf"), 0.0)
@@ -749,14 +941,13 @@ def verify_decomposition(dec: Decomposition, seed: int = 0) -> list[CheckReport]
     D = table.block_diagonal_part()
     det_vals = []
     margin = 0.05 * max(1.0, norm)
-    locs = [c.location for c in table.clusters]
     count = 0
     attempts = 0
     sq = table.curve.square
     while count < 20 and attempts < 400:
         attempts += 1
         lam = complex(rng.uniform(sq.x0, sq.x1), rng.uniform(sq.y0, sq.y1))
-        if min(abs(lam - z) for z in locs) < margin:
+        if min(abs(lam - z) for z in cluster_locs) < margin:
             continue
         d1 = fk_determinant(_shifted(T, lam))
         d2 = fk_determinant(_shifted(D, lam))

@@ -1,5 +1,5 @@
 """`tools/bench_decompose.py` and `tools/bench_cli_decompose.py` name every
-side they measure, the committed CLI sweep holds its recorded claims, and
+side they measure, the committed CLI sweeps hold their recorded claims, and
 `tools/report_diff.py` counts what moved between two reports."""
 
 import importlib.util
@@ -54,7 +54,10 @@ def test_cli_sweep_rows_hold_every_stage(tmp_path, monkeypatch):
     # the self-check runs inside the command, and its parts inside it
     assert 0 < row["median_verify_s"] < row["median_wall_s"]
     assert 0 < row["median_hyperinvariance_share"] < 1
-    assert 0 < row["median_eigvals_share"] < 1
+    # the disc certificate decides every compression spectrum of ginibre
+    # n=16, so no eigensolve runs; its time is the compression stage
+    assert row["median_eigvals_s"] == 0
+    assert 0 < row["median_compression_s"] < row["median_verify_s"]
     assert set(row["blas_threads_in_verify"]) == set(row["blas_threads"])
 
 
@@ -69,6 +72,26 @@ def test_committed_cli_sweep_records_the_self_check_claims():
     assert big["change"]["median_peak_rss_mb"] <= 130
     assert (big["change"]["median_hyperinvariance_s"]
             <= big["parent"]["median_hyperinvariance_s"] / 3)
+
+
+def test_committed_compression_sweep_records_the_certificate_claims():
+    tool = load_tool("bench_cli_decompose")
+    doc = json.loads((ROOT / "BENCH_cli_compression.json").read_text())
+    parent, change = (doc["sides"][label] for label in ("parent", "change"))
+    for side in (parent, change):
+        assert [row["n"] for row in side["rows"]] == [64, 128, 256]
+        assert all(len(row["runs"]) == doc["repeats"] == 3 for row in side["rows"])
+        assert all(set(run) == set(tool.METRICS) for row in side["rows"] for run in row["runs"])
+    for old, new in zip(parent["rows"], change["rows"]):
+        # the certificate decides every compression spectrum of the sweep
+        assert new["median_eigvals_s"] == 0 < old["median_eigvals_s"]
+        assert new["median_peak_rss_mb"] <= old["median_peak_rss_mb"] + 2
+    big = {label: side["rows"][-1] for label, side in (("parent", parent),
+                                                       ("change", change))}
+    # compression spectra at n = 256 in at most 5% of the parent's time
+    assert (big["change"]["median_compression_s"]
+            <= big["parent"]["median_compression_s"] / 20)
+    assert big["change"]["median_wall_s"] < big["parent"]["median_wall_s"] / 2
 
 
 def test_report_diff_counts_moved_values_and_flags_mismatches(tmp_path, capsys):

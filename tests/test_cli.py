@@ -313,7 +313,20 @@ def test_parser_gives_each_command_the_options_it_reads():
 def test_an_option_the_command_does_not_read_exits_2(tmp_path, capsys, argv, unread):
     out = tmp_path / "o"
     assert main(argv + unread + ["--out", str(out)]) == 2
-    assert f"error: unrecognized arguments: {' '.join(unread)}\n" in capsys.readouterr().err
+    # reported under the usage line of the command (or curve mode) itself
+    prog = " ".join(["specord", *argv[: 2 if argv[0] == "curve" else 1]])
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: {' '.join(unread)}\n")
+    assert not out.exists()
+
+
+def test_brown_reports_an_unread_curve_under_its_own_usage(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert main(["brown", "--curve", "nonsense", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: specord brown [-h]") and "{decompose," not in err
+    assert err.endswith("specord brown: error: unrecognized arguments: --curve nonsense\n")
     assert not out.exists()
 
 
@@ -518,6 +531,25 @@ def test_replay_rejects_tolerances(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_replay_rejects_a_field_its_command_does_not_read(tmp_path, capsys):
+    cfg, out = tmp_path / "config.json", tmp_path / "o"
+    cfg.write_text('{"command":"curve:tabulate","count":2,"curve":"hilbert:depth=1",'
+                   '"matrix_path":"/nonexistent","seed":5,"grid":-3}')
+    assert main(["replay", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: config.json sets ['grid', 'matrix_path', "
+                                       "'seed'], which command 'curve:tabulate' does not read\n")
+    assert not out.exists()
+    # an unread field at its default replays, as in every config the CLI writes
+    cfg.write_text('{"command":"curve:tabulate","count":2,"curve":"hilbert:depth=1",'
+                   '"seed":0,"grid":256,"matrix_data":null}')
+    assert main(["replay", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["count"] == 2
+    # matrix_data belongs to the matrix input of the commands that read it
+    assert cli._fields_read_by("brown") == {"command", "matrix_path", "matrix_data",
+                                            "ensemble", "grid"}
+    assert cli._fields_read_by("curve:tabulate") == {"command", "curve", "count"}
+
+
 # a valid config of each command that a field below belongs to
 TYPED_CONFIGS = {
     "decompose": {"command": "decompose", "ensemble": "ginibre:n=4,seed=1"},
@@ -563,12 +595,12 @@ def test_replay_checks_the_json_type_of_each_field(tmp_path, capsys, command, na
 
 def test_config_reads_negative_zero_only_in_the_matrix():
     cfg = RunConfig.from_json(
-        '{"command":"brown","seed":-0,"matrix_data":{"n":1,"entries":[[-0,0]]}}')
+        '{"command":"decompose","seed":-0,"matrix_data":{"n":1,"entries":[[-0,0]]}}')
     assert type(cfg.seed) is int and cfg.seed == 0
     z = cli._resolve_matrix(cfg)[0, 0]
     assert np.signbit(z.real) and not np.signbit(z.imag)
     # "-0.5" and "-0e1" are not the integer literal -0
-    cfg = RunConfig.from_json('{"command":"brown","seed":3,"matrix_data":'
+    cfg = RunConfig.from_json('{"command":"decompose","seed":3,"matrix_data":'
                               '{"n":1,"entries":[[-0.5,-0e1]]}}')
     assert cfg.matrix_data == {"n": 1, "entries": [[-0.5, -0.0]]}
 

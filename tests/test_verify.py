@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import specord
 from specord import core
+from specord.brown import empirical_brown
 from specord.core import operator_norm, schur_form
 from specord.curves import HilbertCurve, RadialCurve, _interleave, parse_curve
 from specord.ensembles import EnsembleSpec, corpus_matrices, parse_ensemble, sample
@@ -22,8 +24,12 @@ from specord.spectral import build_table, decompose
 from specord.verify import (
     CheckValue,
     KNOWN_CHECKS,
+    _certified_flags,
     _cluster_sum_norm,
     _commuting_input,
+    _compression_snaps,
+    _disc_radii,
+    _disc_snaps,
     _snap_atoms,
     make_report,
     reports_to_json,
@@ -563,3 +569,165 @@ def test_corpus_reports_independent_of_blas_threads():
         assert proc.returncode == 0, (threads, proc.stderr[-2000:])
         digests[threads] = proc.stdout.split()[-1]
     assert digests["1"] == digests["2"], digests
+
+
+# ---------------------------------------------------------------------------
+# disc certificates of compression spectra
+
+def snap_eigvals_by_caller(monkeypatch):
+    """Counter of the `eigvals` calls that `_compression_snaps` makes, by the
+    function that called it, filled as the calls happen."""
+    calls = Counter()
+    eigvals = np.linalg.eigvals
+
+    def counted(*args, **kwargs):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_compression_snaps":
+            calls[frame.f_back.f_code.co_name] += 1
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def without_certificates(monkeypatch):
+    """Make every disc test inconclusive, so each compression spectrum is
+    solved for and snapped as it was before the certificate."""
+    from specord import verify
+
+    monkeypatch.setattr(verify, "_fits", lambda dev, radius, sep: np.zeros(
+        np.broadcast(dev, radius, sep).shape, dtype=bool))
+
+
+def flag_sides_holding(table, clusters):
+    """Per flag i: whether its inside block, clusters 0..i, and its outside
+    block, clusters i+1.., hold every cluster index in `clusters`."""
+    flags = np.arange(len(table.clusters))
+    return flags >= max(clusters), flags < min(clusters)
+
+
+def decomposition_checks(dec):
+    return reports_to_json(verify_decomposition(dec, seed=2))
+
+
+def test_a_jordan_block_falls_back_to_eigvals_and_keeps_its_verdict(monkeypatch):
+    T = jordan_beside_two_simple()
+    dec = decompose(T, curve_for(T))
+    (jordan,) = [i for i, c in enumerate(dec.table.clusters) if c.multiplicity == 3]
+    inside, outside = _certified_flags(dec.table)
+    held_in, held_out = flag_sides_holding(dec.table, [jordan])
+    # a block that holds the defective cluster has no disc bound
+    assert not inside[held_in].any() and not outside[held_out].any()
+    assert inside.any() and outside.any()
+    calls = snap_eigvals_by_caller(monkeypatch)
+    got = decomposition_checks(dec)
+    assert calls["verify_decomposition"] > 0
+    without_certificates(monkeypatch)
+    assert got == decomposition_checks(dec)
+
+
+def close_pair_beside_three_simple():
+    """Eigenvalues 0.5 and 0.5 + 1e-6, coupled by unit entries, beside three
+    simple ones in a random unitary basis: two clusters whose discs, at
+    eigenvector condition about 1e6, are wider than half their separation."""
+    Q, _ = np.linalg.qr(sample(EnsembleSpec("ginibre", 5, seed=3)))
+    R = np.diag([0.5, 0.5 + 1e-6, 1.0, 2.0 + 1.0j, -1.0]) + np.triu(np.ones((5, 5)), 1)
+    return Q @ R @ Q.conj().T
+
+
+def test_a_close_pair_falls_back_to_eigvals_and_keeps_its_verdict(monkeypatch):
+    T = close_pair_beside_three_simple()
+    dec = decompose(T, curve_for(T))
+    table = dec.table
+    pair = [i for i, c in enumerate(table.clusters) if abs(c.location - 0.5) < 1e-5]
+    assert len(pair) == 2
+    inside, outside = _certified_flags(table)
+    held_in, held_out = flag_sides_holding(table, pair)
+    # exactly the blocks that hold both eigenvalues of the pair fall back
+    # (the last flag has no outside)
+    assert np.array_equal(inside, ~held_in)
+    assert np.array_equal(outside[:-1], ~held_out[:-1]) and not outside[-1]
+    calls = snap_eigvals_by_caller(monkeypatch)
+    got = decomposition_checks(dec)
+    assert calls["verify_decomposition"] > 0
+    for doc in json.loads(got):
+        if doc["check_id"].startswith("flag-compression"):
+            assert doc["verdict"] == "pass"
+    without_certificates(monkeypatch)
+    assert got == decomposition_checks(dec)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from([("ginibre", ()), ("elliptic", (("rho", 0.9),)),
+                             ("elliptic", (("rho", -0.5),)),
+                             ("normal_plus_nilpotent", (("scale", 0.5),)),
+                             ("normal_plus_nilpotent", (("scale", 2.0),))]),
+       n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
+def test_every_certified_compression_spectrum_snaps(kind, n, seed):
+    T = sample(EnsembleSpec(kind[0], n, seed=seed, params=kind[1]))
+    table = decompose(T, curve_for(T)).table
+    G = table.form.compression
+    locs = [c.location for c in table.clusters]
+    inside, outside = _certified_flags(table)
+    for i, r in enumerate(table.ranks[1:]):
+        if inside[i]:
+            assert _snap_atoms(np.linalg.eigvals(G[:r, :r]).tolist(), locs[: i + 1]) is not None
+        if outside[i]:
+            assert _snap_atoms(np.linalg.eigvals(G[r:, r:]).tolist(), locs[i + 1 :]) is not None
+    # a corner split's snaps, multiplicities included
+    lead, trail = _disc_radii(table.form)
+    d = np.diag(table.form.triangular)
+    targets = list(empirical_brown(T, tol=table.tol).locations)
+    for k in range(1, n):
+        for block, centers, radius in ((G[:k, :k], d[:k], lead[k]),
+                                       (G[k:, k:], d[k:], trail[k])):
+            got = _disc_snaps(centers, radius, targets)
+            if got is not None:
+                want = _snap_atoms(np.linalg.eigvals(block).tolist(), targets)
+                assert want is not None and Counter(got) == Counter(want)
+
+
+def test_ginibre_self_check_solves_no_compression_spectrum(monkeypatch):
+    T = sample(parse_ensemble("ginibre:n=32,seed=1"))
+    dec = decompose(T, curve_for(T))
+    calls = snap_eigvals_by_caller(monkeypatch)
+    got = decomposition_checks(dec)
+    assert calls == {}
+    without_certificates(monkeypatch)
+    assert got == decomposition_checks(dec)
+    # both flag sides of every flag but the two single-cluster ones
+    assert calls["verify_decomposition"] >= 2 * len(dec.table.clusters) - 3
+
+
+@pytest.mark.parametrize("spec", ["ginibre:n=16,seed=4", "normal_plus_nilpotent:n=12,seed=9",
+                                  "jordan:n=4,lam=0.5"])
+def test_corner_measure_split_reads_the_discs_like_the_spectrum(monkeypatch, spec):
+    form = schur_form(sample(parse_ensemble(spec)))
+    k = form.n // 2
+    calls = snap_eigvals_by_caller(monkeypatch)
+    got = reports_to_json(verify_block_split(form, k, seed=1))
+    solved = calls["_corner_measure"]
+    without_certificates(monkeypatch)
+    assert got == reports_to_json(verify_block_split(form, k, seed=1))
+    # a single-atom Jordan reference never solves; the others solve only
+    # without their certificate
+    assert solved == 0 and calls["_corner_measure"] == (0 if "jordan" in spec else 2)
+
+
+def test_a_non_finite_compression_is_never_certified_or_shortcut():
+    block = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    for targets in ([1 + 0j], [0j, 1 + 0j]):
+        with pytest.raises(np.linalg.LinAlgError):
+            _compression_snaps(block, targets)
+    T = sample(EnsembleSpec("ginibre", 6, seed=2))
+    table = decompose(T, curve_for(T)).table
+    inside, outside = _certified_flags(table)
+    assert inside.all() and outside[:-1].all()   # the last flag has no outside
+    bad = T.copy()
+    bad[3, 1] = np.inf
+    form = replace(table.form, matrix=bad)   # its G = U* T U is not finite
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(form.compression).all()
+    assert all(np.isinf(radii).all() for radii in _disc_radii(form))
+    assert not any(side.any() for side in _certified_flags(replace(table, form=form)))
+    assert _disc_snaps(np.zeros(2, dtype=complex), np.inf, [0j, 1 + 0j]) is None

@@ -1,7 +1,7 @@
-"""n-sweep of the CLI `specord decompose`, written to BENCH_cli_decompose.json.
+"""n-sweep of the CLI `specord decompose`, written to a BENCH_cli_*.json.
 
     python3 tools/bench_cli_decompose.py --side parent=../old --side change=. \
-        --out BENCH_cli_decompose.json
+        --out BENCH_cli_compression.json
 
 Sides, child processes, repeats and the file layout are those of
 `tools/bench_decompose.py`, whose helpers this tool runs.  A child runs
@@ -16,8 +16,12 @@ by wrapping the names the CLI and the verifier call:
 * `hyperinvariance_s`: `hyperinvariance_check`, inside `verify_s`;
 * `eigvals_s`: `np.linalg.eigvals` called from `verify_decomposition` or
   from `_compression_snaps`, through which the self-check tests every
-  compression spectrum: two per flag, and at most five commutant-support
-  corners;
+  compression spectrum it solves for: two per flag, and at most five
+  commutant-support corners;
+* `compression_s`: the time in `_compression_snaps` and in the disc
+  certificate that decides most compression spectra without an eigensolve
+  (`_certified_flags`, `_disc_radii`, `_disc_snaps`, `_block_norms`, each
+  where the side has it), counted once when one calls another;
 * `hyperinvariance_share`, `eigvals_share`: those two over `verify_s`;
 * `peak_rss_mb`: the child's peak resident set;
 * `blas_threads`: `core.openblas_threads()` outside the command, and
@@ -39,8 +43,9 @@ from time import perf_counter
 import numpy as np, scipy
 from specord import cli, core, verify
 
-stage = {"verify_s": 0.0, "hyperinvariance_s": 0.0, "eigvals_s": 0.0}
+stage = {"verify_s": 0.0, "hyperinvariance_s": 0.0, "eigvals_s": 0.0, "compression_s": 0.0}
 inside = {}
+depth = [0]
 
 def timed(name, fn, probe=False):
     def wrapper(*args, **kwargs):
@@ -53,7 +58,24 @@ def timed(name, fn, probe=False):
             stage[name] += perf_counter() - t
     return wrapper
 
+def outermost(name, fn):
+    def wrapper(*args, **kwargs):
+        if depth[0]:
+            return fn(*args, **kwargs)
+        depth[0] += 1
+        t = perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+            stage[name] += perf_counter() - t
+    return wrapper
+
 cli.verify_decomposition = timed("verify_s", cli.verify_decomposition, probe=True)
+for name in ("_compression_snaps", "_certified_flags", "_disc_radii", "_disc_snaps",
+             "_block_norms"):
+    if hasattr(verify, name):
+        setattr(verify, name, outermost("compression_s", getattr(verify, name)))
 verify.hyperinvariance_check = timed("hyperinvariance_s", verify.hyperinvariance_check)
 eigvals, eigvals_timed = np.linalg.eigvals, timed("eigvals_s", np.linalg.eigvals)
 SELF_CHECK_CALLERS = ("verify_decomposition", "_compression_snaps")
@@ -82,7 +104,7 @@ run(int(sys.argv[1]))
 extra = {"blas_threads_in_verify": dict(inside)}
 """
 
-METRICS = ("wall_s", "verify_s", "hyperinvariance_s", "eigvals_s",
+METRICS = ("wall_s", "verify_s", "hyperinvariance_s", "eigvals_s", "compression_s",
            "hyperinvariance_share", "eigvals_share", "peak_rss_mb")
 SIZES = (64, 128, 256)
 REPEATS = 3
