@@ -21,7 +21,9 @@ from scipy.linalg import cython_blas, cython_lapack
 from scipy.linalg.blas import zgemm
 
 from .core import (
+    _bind,
     _g17_text,
+    _int_p,
     as_matrix,
     cluster_labels,
     cluster_tolerance,
@@ -186,24 +188,6 @@ _GRID_SCALE_EXP = 500
 # scipy and on numpy's dispatch of `np.log` (see `brown_density_grid`)
 _CHUNK = 16
 
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _bind(module, name: str, signature: bytes, *argtypes):
-    """Routine `name` of a scipy `cython_blas`/`cython_lapack` module, through ctypes.
-
-    The capsule name is the routine's C signature, and a capsule read under
-    another name raises ValueError, so a scipy whose routine has other
-    argument types fails here, at import, instead of inside a call.  A
-    ctypes call releases the GIL while the routine runs, so the grid's
-    workers run their batches in parallel.
-    """
-    address = _capsule_pointer(module.__pyx_capi__[name], signature)
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
-
-
-_int_p = ctypes.POINTER(ctypes.c_int)
 _double_p = ctypes.POINTER(ctypes.c_double)
 _d_ptr = "__pyx_t_5scipy_6linalg_11cython_blas_d *"  # cython_blas's double *
 

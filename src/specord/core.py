@@ -1,7 +1,9 @@
 """Dense complex matrix primitives.
 
 Schur triangularization with a prescribed eigenvalue order (LAPACK ztrexc
-exchanges of adjacent diagonal entries), eigenvalue clustering and matching,
+exchanges of adjacent diagonal entries), the eigenvectors of its triangular
+factor (ztrevc) and disc radii for the spectra of its compression's diagonal
+blocks, eigenvalue clustering and matching,
 the Fuglede-Kadison determinant |det T|^(1/n), and the matrix file format.
 All functions are pure; returned arrays are freshly allocated and inputs
 are never mutated.  The one exception is `single_thread_blas`, which sets
@@ -13,6 +15,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import json
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -24,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 
 
 class SchurConvergenceError(RuntimeError):
@@ -181,6 +185,38 @@ def _bottleneck(dist: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# LAPACK and BLAS routines by ctypes
+
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _bind(module, name: str, signature: bytes, *argtypes):
+    """Routine `name` of a scipy `cython_blas`/`cython_lapack` module, through ctypes.
+
+    The capsule name is the routine's C signature, and a capsule read under
+    another name raises ValueError, so a scipy whose routine has other
+    argument types fails here, at import, instead of inside a call.  A
+    ctypes call releases the GIL while the routine runs, so the density
+    grid's workers run their batches in parallel.
+    """
+    address = _capsule_pointer(module.__pyx_capi__[name], signature)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_int_p = ctypes.POINTER(ctypes.c_int)
+
+_ztrevc = _bind(cython_lapack, "ztrevc",
+                b"void (char *, char *, int *, int *, __pyx_t_double_complex *, int *, "
+                b"__pyx_t_double_complex *, int *, __pyx_t_double_complex *, int *, int *, "
+                b"int *, __pyx_t_double_complex *, "
+                b"__pyx_t_5scipy_6linalg_13cython_lapack_d *, int *)",
+                ctypes.c_char_p, ctypes.c_char_p, _int_p, _int_p, ctypes.c_void_p, _int_p,
+                ctypes.c_void_p, _int_p, ctypes.c_void_p, _int_p, _int_p, _int_p,
+                ctypes.c_void_p, ctypes.c_void_p, _int_p)
+
+
+# ---------------------------------------------------------------------------
 # Schur forms
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +225,8 @@ class SchurForm:
 
     The form is the input context of everything computed from T: `norm`
     is ||T||, which sizes the working square, the cluster tolerance `tol`
-    and every bound that scales with T.
+    and every bound that scales with T.  The cached properties are computed
+    once per form, when first read; a reordered form computes its own.
     """
 
     matrix: np.ndarray
@@ -215,6 +252,44 @@ class SchurForm:
         """G = U* T U, formed fresh from `matrix` (unlike `triangular`): T's
         compression to any span of the form's columns is a block of G."""
         return self.unitary.conj().T @ self.matrix @ self.unitary
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """V with R V = V diag(R) up to rounding: LAPACK ztrevc's right
+        eigenvectors of R, each column scaled to a unit diagonal entry, so V
+        is unit upper triangular and U V is an eigenvector matrix of T.  A
+        column whose diagonal entry underflows (a defective R) is inf or nan."""
+        n = self.n
+        R = np.array(self.triangular, dtype=np.complex128, order="F")  # ztrevc restores it
+        V = np.empty((n, n), dtype=np.complex128, order="F")
+        work = np.empty(2 * n, dtype=np.complex128)
+        rwork = np.empty(n, dtype=np.float64)
+        order, found, info, unused = (ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(0),
+                                      ctypes.c_int(0))
+        # side R: no left eigenvectors, so VL is not referenced
+        _ztrevc(b"R", b"A", unused, order, R.ctypes.data, order, None, order,
+                V.ctypes.data, order, order, found, work.ctypes.data, rwork.ctypes.data, info)
+        with np.errstate(all="ignore"):
+            V /= np.diag(V).copy()   # ztrevc zeroes the entries below the diagonal
+        np.fill_diagonal(V, 1.0)
+        return V
+
+    @cached_property
+    def inverse_eigenvectors(self) -> np.ndarray:
+        """W = V^-1 by LAPACK ztrtri, so W U* is the inverse of U V."""
+        return scipy.linalg.lapack.ztrtri(self.eigenvectors, lower=0, unitdiag=1)[0]
+
+    @cached_property
+    def disc_radii(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lead, trail) of `_disc_radii`, Bauer-Fike radii for the leading
+        and trailing blocks of `compression`."""
+        return _disc_radii(self)
+
+    @cached_property
+    def eigvals(self) -> np.ndarray:
+        """`np.linalg.eigvals(matrix)`: T's eigenvalues from an eigensolve of
+        their own, not the diagonal of `triangular`."""
+        return np.linalg.eigvals(self.matrix)
 
     @cached_property
     def json_text(self) -> bytes:
@@ -309,6 +384,87 @@ def _ztrexc_moves(R, Q, at, wanted):
             raise RuntimeError(f"ztrexc failed with info={info}")
         at.insert(p, at.pop(q))
     return R, Q
+
+
+# ---------------------------------------------------------------------------
+# disc radii of the diagonal blocks of a form's compression
+#
+# For R = form.triangular and G = form.compression, the leading and trailing
+# blocks of R's unit upper triangular eigenvector matrix V = form.eigenvectors
+# (which the commutant samples of `projections` read too), and of W = V^-1,
+# diagonalize the matching blocks of R.  With E = G - R, F = RV - V diag(R)
+# and K = I - WV, restricted to a block:
+#     V^-1 G V = diag(R) + (I - K)^-1 W (F + E V),
+# so by Bauer-Fike (Numer. Math. 2, 1960) every eigenvalue of the block lies within
+#     rho = ||W|| (||F|| + ||E|| ||V||) / (1 - ||K||)
+# of some R_ii of the block, whenever ||K|| < 1.  The norms are Frobenius
+# upper bounds on the stored V, W, G and R, with the rounding of F, K, E and
+# of the norms themselves added (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, sections 3.1-3.6), so rho bounds the exact spectrum.
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(k: int) -> float:
+    """k u / (1 - k u): the relative error bound of k rounded operations."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _block_norms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds on ||A[:r, :r]||_F and ||A[r:, r:]||_F for r = 0..n;
+    inf or nan for a block that holds a non-finite entry.
+
+    The squares are summed by 2-D cumulative sums of |A|^2 / s^2, with s the
+    power of two that brings the largest finite |A_ij| below 2^480 (1 when
+    it is), so no square or sum of up to 2^60 squares overflows.  The
+    result carries the rounding of the squares, of the sums of at most 2n
+    terms, of the square root and of the scaling back, and an absolute term
+    for the squares that underflow, each off by at most 3 * 2^-1074.
+    """
+    n = A.shape[0]
+    mag = np.abs(A)
+    amax = float(mag.max(initial=0.0, where=np.isfinite(mag)))
+    scale = math.ldexp(1.0, max(0, math.frexp(amax)[1] - 480))
+    B = A / scale
+    sq = B.real * B.real + B.imag * B.imag
+    lead, trail = np.zeros(n + 1), np.zeros(n + 1)
+    lead[1:] = np.diagonal(sq.cumsum(axis=0).cumsum(axis=1))
+    trail[:-1] = np.diagonal(sq[::-1, ::-1].cumsum(axis=0).cumsum(axis=1))[::-1]
+    grow = (1.0 + _gamma(2 * n + 8)) * scale
+    floor = 2 * n * math.ldexp(1.0, -537) * scale
+    return np.sqrt(lead) * grow + floor, np.sqrt(trail) * grow + floor
+
+
+def _disc_radii(form: SchurForm) -> tuple[np.ndarray, np.ndarray]:
+    """Radii for r = 0..n: every eigenvalue of G[:r, :r], and of G[r:, r:],
+    lies within `lead[r]`, and `trail[r]`, of some R_ii of the block (see
+    the section comment).  inf where no bound holds, and everywhere when G
+    is not finite."""
+    R, G, n = form.triangular, form.compression, form.n
+    if n == 0 or not np.isfinite(G).all():
+        return np.full(n + 1, np.inf), np.full(n + 1, np.inf)
+    V, W = form.eigenvectors, form.inverse_eigenvectors
+    with np.errstate(all="ignore"):
+        d = np.diag(R)
+        F = R @ V - V * d
+        K = np.eye(n) - W @ V
+        norms = [_block_norms(A) for A in (V, W, G - R, F, K, R)]
+        # g bounds the rounding of an inner product of length n in complex
+        # arithmetic and of one more operation on its result
+        g = _gamma(n + 5)
+        radii = []
+        for v, w, e, f, k, m in zip(*norms):   # leading blocks, then trailing
+            # |fl(RV - V diag(R)) - F| <= g (|R||V| + |V||R|)
+            f = f + 2 * g * m * v
+            # |fl(I - WV) - K| <= g |W||V| + u |K|
+            k = (k * (1 + g) + g * w * v) * (1 + _gamma(8))
+            # |fl(G - R) - E| <= u |E|
+            e = e * (1 + g)
+            # these lines round a dozen more times, all in sums and products
+            # of nonnegative bounds: k is raised before 1 - k, and rho here
+            rho = w * (f + e * v) / (1.0 - k) * (1 + _gamma(16))
+            radii.append(np.where(k < 1.0, rho, np.inf))
+    return tuple(np.nan_to_num(r, nan=np.inf, posinf=np.inf) for r in radii)
 
 
 # ---------------------------------------------------------------------------

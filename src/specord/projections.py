@@ -102,11 +102,11 @@ def hyperinvariance_check(
     """Leakage of range(P) under sampled elements of the commutant of T.
 
     T is `form.matrix`.  Samples are random polynomials in T of degree <= n
-    and, when T is diagonalizable within the form's tolerance, random
-    combinations of the cluster spectral idempotents.  For defective T the
-    idempotent family is unreliable, so sampling falls back to polynomials
-    only (reported).  The samples are drawn by `_commutant_samples` in
-    O(n^2) memory.
+    and, when T is diagonalizable, random combinations of the cluster
+    spectral idempotents, from the form's V and W (`_eigenvector_factors`).
+    For defective T the idempotent family is unreliable, so sampling falls
+    back to polynomials only (reported).  The samples are drawn by
+    `_commutant_samples` in O(n^2) memory.
     """
     T = form.matrix
     factors = _eigenvector_factors(form)
@@ -132,14 +132,19 @@ def hyperinvariance_check(
 
 
 def _eigenvector_factors(form: SchurForm):
-    """(V, V^-1, owner, m) with T = V diag(w) V^-1 and owner[j] the index of
-    w[j]'s cluster, of m, at the form's tolerance; None when cond(V) >= 1e8,
-    where T counts as defective."""
-    w, V = np.linalg.eig(form.matrix)
-    if float(np.linalg.cond(V)) >= 1e8:
+    """(Z, Z^-1, owner, m): Z = U V and Z^-1 = W U* from the form's V and W,
+    so T = Z diag(R) Z^-1, and owner[j] the index of R_jj's cluster, of m,
+    at the form's tolerance.  None when T counts as defective: a column of Z
+    has no finite norm (ztrevc's columns of a defective R scale to inf or
+    nan), or Z with unit-norm columns, `np.linalg.eig`'s scaling, has
+    cond >= 1e8."""
+    with np.errstate(all="ignore"):
+        Z = form.unitary @ form.eigenvectors
+        norms = np.linalg.norm(Z, axis=0)
+    if not np.isfinite(norms).all() or np.linalg.cond(Z / norms) >= 1e8:
         return None
-    clusters, labels = cluster_labels(w.tolist(), form.tol)
-    return V, np.linalg.inv(V), np.array(labels), len(clusters)
+    clusters, labels = cluster_labels(form.diag_order, form.tol)
+    return Z, form.inverse_eigenvectors @ form.unitary.conj().T, np.array(labels), len(clusters)
 
 
 def _commutant_samples(form: SchurForm, factors, count: int, seed: int):
@@ -147,24 +152,24 @@ def _commutant_samples(form: SchurForm, factors, count: int, seed: int):
 
     Each is, with probability 1/2 when `factors` (`_eigenvector_factors`)
     is given, a combination sum_c a_c E_c of the cluster idempotents
-    E_c = V 1_c V^-1, formed as V diag(a[owner]) V^-1 by one matmul with no
-    E_c stored; otherwise a polynomial of degree d <= n in
-    X = T/max(1, ||T||), evaluated by `_paterson_stockmeyer` on the powers
-    X^0..X^s, s = ceil(sqrt(n + 1)).  The powers are computed when a
-    polynomial is first drawn and shared by the samples; they are the
-    largest store, about s n^2 values.  Complex coefficients enter by
-    matmul or by real-component arithmetic only, so the bits do not depend
-    on numpy's CPU dispatch.
+    E_c = Z 1_c Z^-1, formed as Z diag(a[owner]) Z^-1 (a column scaling of
+    Z cancels) by one matmul with no E_c stored; otherwise a polynomial of
+    degree d <= n in X = T/max(1, ||T||), evaluated by `_paterson_stockmeyer`
+    on the powers X^0..X^s, s = ceil(sqrt(n + 1)).  The powers are computed
+    when a polynomial is first drawn and shared by the samples; they are the
+    largest store, about s n^2 values.  Complex coefficients enter by matmul
+    or by real-component arithmetic only, so the bits do not depend on
+    numpy's CPU dispatch.
     """
     rng = np.random.default_rng(seed)
     n = form.n
     powers = None
     for _ in range(count):
         if factors is not None and rng.random() < 0.5:
-            V, Vinv, owner, m = factors
+            Z, Zinv, owner, m = factors
             re = rng.standard_normal(m)
             im = rng.standard_normal(m)
-            yield _times_columns(V, re[owner], im[owner]) @ Vinv
+            yield _times_columns(Z, re[owner], im[owner]) @ Zinv
         else:
             deg = int(rng.integers(1, n + 1))
             re = rng.standard_normal(deg + 1)

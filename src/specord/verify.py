@@ -12,25 +12,29 @@ to 0.1 additive.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cython_lapack, lapack
 
-from .brown import (
+from .brown import (  # noqa: F401 (empirical_brown, as build_table below)
     PointMeasure,
-    _bind,
-    _int_p,
+    _measure_from_values,
     empirical_brown,
     measure_distance,
     mixture,
     region_mass,
 )
-from .core import SchurForm, fk_determinant, schur_form, single_thread_blas
+from .core import (
+    SchurForm,
+    _block_norms,
+    _gamma,
+    fk_determinant,
+    schur_form,
+    single_thread_blas,
+)
 from .curves import CurveSegment, OrderingCurve, parse_curve
 from .projections import hyperinvariance_check
 from .regions import (
@@ -42,8 +46,8 @@ from .regions import (
     disk,
     halfplane,
 )
-# build_table is unused here but stays importable from this module: the
-# benchmark's traced run (perfbench/spans.py) wraps it at this site
+# build_table and empirical_brown are unused here but stay importable from
+# this module: the benchmark's traced run (perfbench/spans.py) wraps them here
 from .spectral import Decomposition, SpectralTable, build_table, decompose  # noqa: F401
 
 TOL_STRUCTURAL = 1e-9
@@ -251,11 +255,10 @@ def verify_measure_laws(table: SpectralTable, trials: int = 100,
                         seed: int = 0) -> list[CheckReport]:
     """Trace, intersection, and additivity laws of the spectral measure E,
     each identity a `_cluster_sum_norm` of member indicators."""
-    T = table.matrix
     rng = np.random.default_rng(seed)
     digest = _context_digest(table.form, table.curve, f"measure-laws:{seed}:{trials}")
 
-    nu = empirical_brown(T, tol=table.tol)
+    nu = _measure_from_values(table.form.eigvals.tolist(), table.tol)
     trace_vals: list[CheckValue] = []
     inter_vals: list[CheckValue] = []
     add_vals: list[CheckValue] = []
@@ -531,113 +534,7 @@ def _compression_snaps(block: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# disc certificates for compression spectra
-#
-# For R = form.triangular and G = form.compression, the leading and trailing
-# blocks of R's unit upper triangular eigenvector matrix V, and of W = V^-1,
-# diagonalize the matching blocks of R.  With E = G - R, F = RV - V diag(R)
-# and K = I - WV, restricted to a block:
-#     V^-1 G V = diag(R) + (I - K)^-1 W (F + E V),
-# so by Bauer-Fike (Numer. Math. 2, 1960) every eigenvalue of the block lies within
-#     rho = ||W|| (||F|| + ||E|| ||V||) / (1 - ||K||)
-# of some R_ii of the block, whenever ||K|| < 1.  The norms are Frobenius
-# upper bounds on the stored V, W, G and R, with the rounding of F, K, E and
-# of the norms themselves added (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, sections 3.1-3.6), so rho bounds the exact spectrum.
-
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-_ztrevc = _bind(cython_lapack, "ztrevc",
-                b"void (char *, char *, int *, int *, __pyx_t_double_complex *, int *, "
-                b"__pyx_t_double_complex *, int *, __pyx_t_double_complex *, int *, int *, "
-                b"int *, __pyx_t_double_complex *, "
-                b"__pyx_t_5scipy_6linalg_13cython_lapack_d *, int *)",
-                ctypes.c_char_p, ctypes.c_char_p, _int_p, _int_p, ctypes.c_void_p, _int_p,
-                ctypes.c_void_p, _int_p, ctypes.c_void_p, _int_p, _int_p, _int_p,
-                ctypes.c_void_p, ctypes.c_void_p, _int_p)
-
-
-def _gamma(k: int) -> float:
-    """k u / (1 - k u): the relative error bound of k rounded operations."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
-def _eigenvectors(R: np.ndarray) -> np.ndarray:
-    """V with R V = V diag(R) up to rounding: LAPACK ztrevc's right
-    eigenvectors of the upper triangular R, each column scaled to a unit
-    diagonal entry, so V is unit upper triangular."""
-    n = R.shape[0]
-    T = np.array(R, dtype=np.complex128, order="F")  # ztrevc writes and restores it
-    V = np.empty((n, n), dtype=np.complex128, order="F")
-    work = np.empty(2 * n, dtype=np.complex128)
-    rwork = np.empty(n, dtype=np.float64)
-    order, found, info, unused = (ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(0),
-                                  ctypes.c_int(0))
-    # side R: no left eigenvectors, so VL is not referenced
-    _ztrevc(b"R", b"A", unused, order, T.ctypes.data, order, None, order,
-            V.ctypes.data, order, order, found, work.ctypes.data, rwork.ctypes.data, info)
-    V /= np.diag(V).copy()   # ztrevc zeroes the entries below the diagonal
-    np.fill_diagonal(V, 1.0)
-    return V
-
-
-def _block_norms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bounds on ||A[:r, :r]||_F and ||A[r:, r:]||_F for r = 0..n;
-    inf or nan for a block that holds a non-finite entry.
-
-    The squares are summed by 2-D cumulative sums of |A|^2 / s^2, with s the
-    power of two that brings the largest finite |A_ij| below 2^480 (1 when
-    it is), so no square or sum of up to 2^60 squares overflows.  The
-    result carries the rounding of the squares, of the sums of at most 2n
-    terms, of the square root and of the scaling back, and an absolute term
-    for the squares that underflow, each off by at most 3 * 2^-1074.
-    """
-    n = A.shape[0]
-    mag = np.abs(A)
-    amax = float(mag.max(initial=0.0, where=np.isfinite(mag)))
-    scale = math.ldexp(1.0, max(0, math.frexp(amax)[1] - 480))
-    B = A / scale
-    sq = B.real * B.real + B.imag * B.imag
-    lead, trail = np.zeros(n + 1), np.zeros(n + 1)
-    lead[1:] = np.diagonal(sq.cumsum(axis=0).cumsum(axis=1))
-    trail[:-1] = np.diagonal(sq[::-1, ::-1].cumsum(axis=0).cumsum(axis=1))[::-1]
-    grow = (1.0 + _gamma(2 * n + 8)) * scale
-    floor = 2 * n * math.ldexp(1.0, -537) * scale
-    return np.sqrt(lead) * grow + floor, np.sqrt(trail) * grow + floor
-
-
-def _disc_radii(form: SchurForm) -> tuple[np.ndarray, np.ndarray]:
-    """Radii for r = 0..n: every eigenvalue of G[:r, :r], and of G[r:, r:],
-    lies within `lead[r]`, and `trail[r]`, of some R_ii of the block (see
-    the section comment).  inf where no bound holds, and everywhere when G
-    is not finite."""
-    R, G, n = form.triangular, form.compression, form.n
-    if n == 0 or not np.isfinite(G).all():
-        return np.full(n + 1, np.inf), np.full(n + 1, np.inf)
-    with np.errstate(all="ignore"):
-        d = np.diag(R)
-        V = _eigenvectors(R)
-        W = lapack.ztrtri(V, lower=0, unitdiag=1)[0]
-        F = R @ V - V * d
-        K = np.eye(n) - W @ V
-        norms = [_block_norms(A) for A in (V, W, G - R, F, K, R)]
-        # g bounds the rounding of an inner product of length n in complex
-        # arithmetic and of one more operation on its result
-        g = _gamma(n + 5)
-        radii = []
-        for v, w, e, f, k, m in zip(*norms):   # leading blocks, then trailing
-            # |fl(RV - V diag(R)) - F| <= g (|R||V| + |V||R|)
-            f = f + 2 * g * m * v
-            # |fl(I - WV) - K| <= g |W||V| + u |K|
-            k = (k * (1 + g) + g * w * v) * (1 + _gamma(8))
-            # |fl(G - R) - E| <= u |E|
-            e = e * (1 + g)
-            # these lines round a dozen more times, all in sums and products
-            # of nonnegative bounds: k is raised before 1 - k, and rho here
-            rho = w * (f + e * v) / (1.0 - k) * (1 + _gamma(16))
-            radii.append(np.where(k < 1.0, rho, np.inf))
-    return tuple(np.nan_to_num(r, nan=np.inf, posinf=np.inf) for r in radii)
-
+# disc certificates for compression spectra, from `SchurForm.disc_radii`
 
 def _fits(dev, radius, sep):
     """Whether discs of `radius` about centers at most `dev` from their
@@ -669,11 +566,11 @@ def _disc_snaps(centers: np.ndarray, radius: float, targets: list[complex],
 
 def _certified_flags(table: SpectralTable) -> tuple[np.ndarray, np.ndarray]:
     """Per cluster i, with r = ranks[i + 1]: whether the discs of
-    `_disc_radii` show that G[:r, :r] snaps onto the locations of clusters
+    `form.disc_radii` show that G[:r, :r] snaps onto the locations of clusters
     0..i, and G[r:, r:] onto those of clusters i+1.. (False for the last).
     An index's center is its R_ii and its target its cluster's location,
     and the separations are the pairwise ones `_snap_atoms` computes."""
-    lead, trail = _disc_radii(table.form)
+    lead, trail = table.form.disc_radii
     ranks = np.asarray(table.ranks)
     locs = np.array([c.location for c in table.clusters], dtype=np.complex128)
     d, own = np.diag(table.form.triangular), table._locations()
@@ -703,8 +600,6 @@ def _corner_measure(block: np.ndarray, centers: np.ndarray, radius: float,
         snapped = _compression_snaps(block, targets)
     if snapped is None:
         return None
-    from .brown import _measure_from_values
-
     return _measure_from_values(snapped, tol)
 
 
@@ -727,7 +622,7 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0) -> list[CheckRepo
         raise ValueError(
             f"projection is not T-invariant: ||(I-p) T p|| = {leak:.3e}"
         )
-    nu_T = empirical_brown(T, tol=tol)
+    nu_T = _measure_from_values(form.eigvals.tolist(), tol)
 
     if k == 0 or k == n:
         det_vals = [CheckValue("degenerate", 0.0, TOL_DETERMINANT)]
@@ -738,7 +633,7 @@ def verify_block_split(form: SchurForm, k: int, seed: int = 0) -> list[CheckRepo
         split = (dA ** (k / n)) * (dC ** ((n - k) / n))
         scale = max(dT, split, 1e-300)
         det_vals = [CheckValue("relative-error", abs(dT - split) / scale, TOL_DETERMINANT)]
-        lead, trail = _disc_radii(form)
+        lead, trail = form.disc_radii
         d = np.diag(form.triangular)
         nu_A = _corner_measure(A, d[:k], lead[k], nu_T, tol)
         nu_C = _corner_measure(C, d[k:], trail[k], nu_T, tol)

@@ -61,6 +61,17 @@ def test_cli_sweep_rows_hold_every_stage(tmp_path, monkeypatch):
     assert set(row["blas_threads_in_verify"]) == set(row["blas_threads"])
 
 
+def test_sweep_ratio_over_a_zero_median_is_null(tmp_path, monkeypatch):
+    # neither side solves a compression spectrum, so eigvals_s is 0 on both
+    tool = load_tool("bench_cli_decompose")
+    monkeypatch.setattr(tool, "SIZES", (16,))
+    monkeypatch.setattr(tool, "REPEATS", 1)
+    out = tmp_path / "bench.json"
+    assert tool.main(["--side", f"a={ROOT}", "--side", f"b={ROOT}", "--out", str(out)]) == 0
+    (ratio,) = json.loads(out.read_text())["ratios"]["b/a"]
+    assert ratio["eigvals_s"] is None and ratio["wall_s"] > 0
+
+
 def test_committed_cli_sweep_records_the_self_check_claims():
     doc = json.loads((ROOT / "BENCH_cli_decompose.json").read_text())
     parent, change = (doc["sides"][label] for label in ("parent", "change"))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import specord
-from specord import brown
+from specord import brown, core
 from specord.brown import (
     PointMeasure,
     brown_density_grid,
@@ -155,11 +155,11 @@ def test_lapack_binding_checks_signature():
     from scipy.linalg import cython_blas, cython_lapack
 
     with pytest.raises(ValueError):
-        brown._bind(cython_lapack, "zpotrf", b"void (char *, int *, double *, int *, int *)",
-                    ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                    ctypes.c_void_p)
+        core._bind(cython_lapack, "zpotrf", b"void (char *, int *, double *, int *, int *)",
+                   ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                   ctypes.c_void_p)
     with pytest.raises(ValueError):
-        brown._bind(cython_blas, "dgemm", b"void (char *)", ctypes.c_char_p)
+        core._bind(cython_blas, "dgemm", b"void (char *)", ctypes.c_char_p)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself

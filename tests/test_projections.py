@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from specord.brown import empirical_brown, region_mass
 from specord.core import cluster_labels, operator_norm, schur_form, _reorder_by_keys
-from specord.ensembles import EnsembleSpec, sample
+from specord.ensembles import EnsembleSpec, parse_ensemble, sample
 from specord.projections import (
     Projection,
     hs_projection,
@@ -139,6 +139,24 @@ def test_hyperinvariance():
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("spec", ["jordan:n=2,lam=0,lam_im=0,seed=0",
+                                  "strict_upper:n=4,seed=21"])
+def test_a_non_finite_eigenvector_matrix_counts_as_defective(spec):
+    # ztrevc's columns of these defective forms, scaled to a unit diagonal,
+    # hold inf or nan or have a norm beyond the float range, where
+    # np.linalg.cond would raise; eig calls both matrices defective
+    T = sample(parse_ensemble(spec))
+    form = schur_form(T)
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(form.unitary @ form.eigenvectors, axis=0)
+    assert not np.isfinite(norms).all()
+    assert np.linalg.cond(np.linalg.eig(T)[1]) >= 1e8
+    assert _eigenvector_factors(form) is None
+    P = hs_projection(T, halfplane(1, 0, 0), form=form)
+    rep = hyperinvariance_check(form, P, samples=6, seed=0)
+    assert rep.polynomials_only and rep.samples > 0 and rep.verdict == "pass"
+
+
 def test_basis_projection_rank_zero_and_complement():
     P0 = projection_from_columns(np.zeros((3, 0), dtype=complex), 3)
     assert P0.rank == 0 and P0.n == 3
@@ -249,16 +267,27 @@ def test_commutant_samples_match_stored_idempotents_and_power_sums(n, kind, seed
     form = schur_form(small_matrix(n, kind, seed))
     polynomials_only, want = reference_samples(form, 12, draw_seed)
     factors = _eigenvector_factors(form)
-    assert (factors is None) == polynomials_only
-    got = list(_commutant_samples(form, factors, 12, draw_seed))
-    assert len(got) == len(want)
-    for S, R in zip(got, want):
-        assert np.linalg.norm(S - R, 2) <= 1e-12 * np.linalg.norm(R, 2)
+    # the form's eigenvectors and eig's come from two eigensolvers: their
+    # idempotents agree to about u cond(V)^2 relative, and their condition
+    # numbers within a factor 4, so a rounded Jordan block (cond near the
+    # 1e8 threshold) may fall on either side and accept other samples
+    cond = float(np.linalg.cond(np.linalg.eig(form.matrix)[1]))
+    near = 2.5e7 <= cond < 4e8
+    if not near:
+        assert (factors is None) == polynomials_only
+    if (factors is None) == polynomials_only:
+        got = list(_commutant_samples(form, factors, 12, draw_seed))
+        assert len(got) == len(want)
+        for S, R in zip(got, want):
+            bound = 1e-12 + 2.0**-50 * cond**2
+            assert np.linalg.norm(S - R, 2) <= bound * np.linalg.norm(R, 2)
     P = hs_projection(form.matrix, halfplane(1, 0, 0), form=form)
     rep = hyperinvariance_check(form, P, samples=12, seed=draw_seed)
     used, polys, verdict, max_leak = reference_check(form, P, 12, draw_seed)
-    assert (rep.samples, rep.polynomials_only, rep.verdict) == (used, polys, verdict)
-    assert abs(rep.max_leak - max_leak) <= 1e-12
+    assert rep.verdict == verdict
+    if not near:
+        assert (rep.samples, rep.polynomials_only) == (used, polys)
+        assert abs(rep.max_leak - max_leak) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 15])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import specord
 from specord import core
 from specord.brown import empirical_brown
-from specord.core import operator_norm, schur_form
+from specord.core import _disc_radii, operator_norm, schur_form
 from specord.curves import HilbertCurve, RadialCurve, _interleave, parse_curve
 from specord.ensembles import EnsembleSpec, corpus_matrices, parse_ensemble, sample
 from specord.projections import hs_projection, invariance_leak
@@ -28,7 +28,6 @@ from specord.verify import (
     _cluster_sum_norm,
     _commuting_input,
     _compression_snaps,
-    _disc_radii,
     _disc_snaps,
     _snap_atoms,
     make_report,
@@ -273,6 +272,40 @@ def test_run_suite_factors_each_matrix_once(monkeypatch):
     assert reports_to_json(got) == reports_to_json(want)
     # one form per matrix, its norm by one SVD; one JSON text per table
     assert counts == {"schur": 2, "svd": 2, "json": 6}
+
+
+def test_run_suite_solves_each_form_once(monkeypatch):
+    # the certificate and the commutant samples read one eigenvector matrix
+    # of each (matrix, curve) form, and both measure-law families one
+    # eigvals(T); no eig or inv runs
+    specs = ("ginibre:n=12,seed=5", "jordan:n=2,lam=0,lam_im=0,seed=0",
+             "normal_plus_nilpotent:n=12,scale=1,seed=32", "strict_upper:n=4,seed=21")
+    mats = [(spec, sample(parse_ensemble(spec))) for spec in specs]
+    curves = ("hilbert:depth=32", "lex")
+    # a block of G = U* T U, or a grid residual, of a triangular T may have
+    # T's bytes, so eigvals(T) is counted on the others
+    keys = {core.as_matrix(T).tobytes() for _, T in mats if not np.array_equal(T, np.triu(T))}
+    calls, radii_forms = Counter(), []
+
+    def count(owner, attr, name, when=lambda *args: True):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            if when(*args):
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    count(np.linalg, "eig", "eig")
+    count(np.linalg, "inv", "inv")
+    count(np.linalg, "eigvals", "eigvals(T)", when=lambda A: np.asarray(A).tobytes() in keys)
+    count(core, "_ztrevc", "ztrevc")
+    count(core, "_disc_radii", "radii", when=lambda form: not radii_forms.append(form))
+    run_suite(mats, curve_specs=curves, seed=0, measure_trials=2, n_max=2)
+    forms = len(mats) * len(curves)
+    assert calls == {"eigvals(T)": len(keys) * len(curves), "ztrevc": forms, "radii": forms}
+    assert len({id(form) for form in radii_forms}) == forms
 
 
 @pytest.mark.parametrize("spec", ["ginibre:n=12,seed=3", "jordan:n=6,lam=0.5",

@@ -20,8 +20,13 @@ by wrapping the names the CLI and the verifier call:
   commutant-support corners;
 * `compression_s`: the time in `_compression_snaps` and in the disc
   certificate that decides most compression spectra without an eigensolve
-  (`_certified_flags`, `_disc_radii`, `_disc_snaps`, `_block_norms`, each
-  where the side has it), counted once when one calls another;
+  (`_certified_flags`, `_disc_radii`, `_disc_snaps`, `_block_norms`),
+  counted once when one calls another.  Each is wrapped in `verify` and
+  in `core`, wherever the side defines or imports it, and a side with
+  none of them stops the child.  The form's eigenvector matrices V and
+  W = V^-1 are computed when `_disc_radii` first reads them, so this
+  stage holds their `ztrevc` and `ztrtri`, and `hyperinvariance_s` reads
+  them from the form;
 * `hyperinvariance_share`, `eigvals_share`: those two over `verify_s`;
 * `peak_rss_mb`: the child's peak resident set;
 * `blas_threads`: `core.openblas_threads()` outside the command, and
@@ -72,10 +77,13 @@ def outermost(name, fn):
     return wrapper
 
 cli.verify_decomposition = timed("verify_s", cli.verify_decomposition, probe=True)
-for name in ("_compression_snaps", "_certified_flags", "_disc_radii", "_disc_snaps",
-             "_block_norms"):
-    if hasattr(verify, name):
-        setattr(verify, name, outermost("compression_s", getattr(verify, name)))
+wrapped = [(module, name) for module in (verify, core)
+           for name in ("_compression_snaps", "_certified_flags", "_disc_radii",
+                        "_disc_snaps", "_block_norms") if hasattr(module, name)]
+if not wrapped:
+    sys.exit("no compression-stage function found in specord.verify or specord.core")
+for module, name in wrapped:
+    setattr(module, name, outermost("compression_s", getattr(module, name)))
 verify.hyperinvariance_check = timed("hyperinvariance_s", verify.hyperinvariance_check)
 eigvals, eigvals_timed = np.linalg.eigvals, timed("eigvals_s", np.linalg.eigvals)
 SELF_CHECK_CALLERS = ("verify_decomposition", "_compression_snaps")

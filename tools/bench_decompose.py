@@ -23,9 +23,10 @@ stages of `decompose` read by wrapping the module globals that
   `blas_threads_in_reorder` as seen inside the reorder.
 
 Per (side, n) the file keeps every repeat and the median of each time;
-`ratios` divides the last side's medians by the first's.  Each side is
-named by its git commit (null when ROOT is not a git checkout) and by
-`source_sha256`, a hash of its `src/specord/*.py`.
+`ratios` divides the last side's medians by the first's (null where the
+first's is 0).  Each side is named by its git commit (null when ROOT is
+not a git checkout) and by `source_sha256`, a hash of its
+`src/specord/*.py`.
 """
 
 from __future__ import annotations
@@ -207,7 +208,8 @@ def sweep(argv, *, doc: str, child: str, sizes, repeats: int, metrics, extra,
         result["ratios"] = {
             f"{labels[-1]}/{labels[0]}": [
                 {"n": a["n"],
-                 **{k: round(b[f"median_{k}"] / a[f"median_{k}"], 3) for k in metrics}}
+                 **{k: round(b[f"median_{k}"] / a[f"median_{k}"], 3) if a[f"median_{k}"]
+                    else None for k in metrics}}
                 for a, b in zip(base, new)
             ]
         }
