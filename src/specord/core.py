@@ -1,9 +1,7 @@
 """Dense complex matrix primitives.
 
 Schur triangularization with a prescribed eigenvalue order (LAPACK ztrexc
-exchanges of adjacent diagonal entries), the eigenvectors of its triangular
-factor (ztrevc) and disc radii for the spectra of its compression's diagonal
-blocks, eigenvalue clustering and matching,
+adjacent swaps), R's eigenvectors, disc radii, eigenvalue clustering and matching,
 the Fuglede-Kadison determinant |det T|^(1/n), and the matrix file format.
 All functions are pure; returned arrays are freshly allocated and inputs
 are never mutated.  The one exception is `single_thread_blas`, which sets
@@ -184,22 +182,14 @@ def _bottleneck(dist: np.ndarray) -> float:
     return float(levels[lo])
 
 
-# ---------------------------------------------------------------------------
-# LAPACK and BLAS routines by ctypes
-
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 def _bind(module, name: str, signature: bytes, *argtypes):
-    """Routine `name` of a scipy `cython_blas`/`cython_lapack` module, through ctypes.
-
-    The capsule name is the routine's C signature, and a capsule read under
-    another name raises ValueError, so a scipy whose routine has other
-    argument types fails here, at import, instead of inside a call.  A
-    ctypes call releases the GIL while the routine runs, so the density
-    grid's workers run their batches in parallel.
-    """
+    """Routine `name` of a scipy `cython_blas`/`cython_lapack` module, through
+    ctypes, which releases the GIL in the call.  A capsule read under another
+    C signature raises ValueError, so argument types are checked at import."""
     address = _capsule_pointer(module.__pyx_capi__[name], signature)
     return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
@@ -225,8 +215,7 @@ class SchurForm:
 
     The form is the input context of everything computed from T: `norm`
     is ||T||, which sizes the working square, the cluster tolerance `tol`
-    and every bound that scales with T.  The cached properties are computed
-    once per form, when first read; a reordered form computes its own.
+    and every bound that scales with T.
     """
 
     matrix: np.ndarray
@@ -255,17 +244,14 @@ class SchurForm:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """V with R V = V diag(R) up to rounding: LAPACK ztrevc's right
-        eigenvectors of R, each column scaled to a unit diagonal entry, so V
-        is unit upper triangular and U V is an eigenvector matrix of T.  A
-        column whose diagonal entry underflows (a defective R) is inf or nan."""
+        """Unit upper triangular V with R V = V diag(R): ztrevc's eigenvectors of
+        R over their diagonal entries (inf or nan where one underflows)."""
         n = self.n
         R = np.array(self.triangular, dtype=np.complex128, order="F")  # ztrevc restores it
         V = np.empty((n, n), dtype=np.complex128, order="F")
         work = np.empty(2 * n, dtype=np.complex128)
         rwork = np.empty(n, dtype=np.float64)
-        order, found, info, unused = (ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(0),
-                                      ctypes.c_int(0))
+        order, found, info, unused = ctypes.c_int(n), *(ctypes.c_int(0) for _ in range(3))
         # side R: no left eigenvectors, so VL is not referenced
         _ztrevc(b"R", b"A", unused, order, R.ctypes.data, order, None, order,
                 V.ctypes.data, order, order, found, work.ctypes.data, rwork.ctypes.data, info)
@@ -279,17 +265,9 @@ class SchurForm:
         """W = V^-1 by LAPACK ztrtri, so W U* is the inverse of U V."""
         return scipy.linalg.lapack.ztrtri(self.eigenvectors, lower=0, unitdiag=1)[0]
 
-    @cached_property
-    def disc_radii(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lead, trail) of `_disc_radii`, Bauer-Fike radii for the leading
-        and trailing blocks of `compression`."""
-        return _disc_radii(self)
-
-    @cached_property
-    def eigvals(self) -> np.ndarray:
-        """`np.linalg.eigvals(matrix)`: T's eigenvalues from an eigensolve of
-        their own, not the diagonal of `triangular`."""
-        return np.linalg.eigvals(self.matrix)
+    disc_radii = cached_property(lambda self: _disc_radii(self))
+    # T's eigenvalues by an eigensolve of their own, not `triangular`'s diagonal
+    eigvals = cached_property(lambda self: np.linalg.eigvals(self.matrix))
 
     @cached_property
     def json_text(self) -> bytes:
@@ -390,8 +368,7 @@ def _ztrexc_moves(R, Q, at, wanted):
 # disc radii of the diagonal blocks of a form's compression
 #
 # For R = form.triangular and G = form.compression, the leading and trailing
-# blocks of R's unit upper triangular eigenvector matrix V = form.eigenvectors
-# (which the commutant samples of `projections` read too), and of W = V^-1,
+# blocks of R's eigenvector matrix V = form.eigenvectors, and of W = V^-1,
 # diagonalize the matching blocks of R.  With E = G - R, F = RV - V diag(R)
 # and K = I - WV, restricted to a block:
 #     V^-1 G V = diag(R) + (I - K)^-1 W (F + E V),

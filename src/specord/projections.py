@@ -111,8 +111,7 @@ def hyperinvariance_check(
     T = form.matrix
     factors = _eigenvector_factors(form)
     commutator_tol = 1e-9 * max(form.norm, 1.0)
-    max_leak = 0.0
-    used = 0
+    used, max_leak = 0, 0.0
     for S in _commutant_samples(form, factors, samples, seed):
         nS = operator_norm(S)
         if nS == 0.0:
@@ -123,21 +122,14 @@ def hyperinvariance_check(
         used += 1
         max_leak = max(max_leak, invariance_leak(S, P.basis))
     verdict = "pass" if used > 0 and max_leak <= 1e-8 else "fail"
-    return HyperinvarianceReport(
-        samples=used,
-        max_leak=max_leak,
-        polynomials_only=factors is None,
-        verdict=verdict,
-    )
+    return HyperinvarianceReport(samples=used, max_leak=max_leak,
+                                 polynomials_only=factors is None, verdict=verdict)
 
 
 def _eigenvector_factors(form: SchurForm):
-    """(Z, Z^-1, owner, m): Z = U V and Z^-1 = W U* from the form's V and W,
-    so T = Z diag(R) Z^-1, and owner[j] the index of R_jj's cluster, of m,
-    at the form's tolerance.  None when T counts as defective: a column of Z
-    has no finite norm (ztrevc's columns of a defective R scale to inf or
-    nan), or Z with unit-norm columns, `np.linalg.eig`'s scaling, has
-    cond >= 1e8."""
+    """(Z, Z^-1, owner, m) with Z = U V, Z^-1 = W U* and owner[j] the index of
+    R_jj's cluster, of m; None (T defective) when Z's unit-norm columns, eig's
+    scaling, have cond >= 1e8 or a column of Z has no finite norm."""
     with np.errstate(all="ignore"):
         Z = form.unitary @ form.eigenvectors
         norms = np.linalg.norm(Z, axis=0)
@@ -167,13 +159,11 @@ def _commutant_samples(form: SchurForm, factors, count: int, seed: int):
     for _ in range(count):
         if factors is not None and rng.random() < 0.5:
             Z, Zinv, owner, m = factors
-            re = rng.standard_normal(m)
-            im = rng.standard_normal(m)
+            re, im = rng.standard_normal(m), rng.standard_normal(m)
             yield _times_columns(Z, re[owner], im[owner]) @ Zinv
         else:
             deg = int(rng.integers(1, n + 1))
-            re = rng.standard_normal(deg + 1)
-            im = rng.standard_normal(deg + 1)
+            re, im = rng.standard_normal(deg + 1), rng.standard_normal(deg + 1)
             if powers is None:
                 X = _real_divide(form.matrix, max(form.norm, 1.0))
                 powers = _powers(X, math.isqrt(n) + 1)

@@ -27,14 +27,7 @@ from .brown import (  # noqa: F401 (empirical_brown, as build_table below)
     mixture,
     region_mass,
 )
-from .core import (
-    SchurForm,
-    _block_norms,
-    _gamma,
-    fk_determinant,
-    schur_form,
-    single_thread_blas,
-)
+from .core import SchurForm, _block_norms, _gamma, fk_determinant, schur_form, single_thread_blas
 from .curves import CurveSegment, OrderingCurve, parse_curve
 from .projections import hyperinvariance_check
 from .regions import (

@@ -275,17 +275,19 @@ def test_commutant_samples_match_stored_idempotents_and_power_sums(n, kind, seed
     near = 2.5e7 <= cond < 4e8
     if not near:
         assert (factors is None) == polynomials_only
+    # both sides drawing polynomials only: the same samples, to 1e-12
+    same_draws = factors is None and polynomials_only
     if (factors is None) == polynomials_only:
         got = list(_commutant_samples(form, factors, 12, draw_seed))
         assert len(got) == len(want)
+        bound = 1e-12 if same_draws else 1e-12 + 2.0**-50 * cond**2
         for S, R in zip(got, want):
-            bound = 1e-12 + 2.0**-50 * cond**2
             assert np.linalg.norm(S - R, 2) <= bound * np.linalg.norm(R, 2)
     P = hs_projection(form.matrix, halfplane(1, 0, 0), form=form)
     rep = hyperinvariance_check(form, P, samples=12, seed=draw_seed)
     used, polys, verdict, max_leak = reference_check(form, P, 12, draw_seed)
     assert rep.verdict == verdict
-    if not near:
+    if same_draws or not near:
         assert (rep.samples, rep.polynomials_only) == (used, polys)
         assert abs(rep.max_leak - max_leak) <= 1e-12
 
