@@ -313,7 +313,8 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
     accumulates its unitary Z, and one matmul each applies Z to the rows
     right of the window, the columns above it and U.  A window in which no
     entry moves is left as it is, so a sorted input comes back with the
-    bits it has.  `form` is not mutated; its matrix and norm carry over.
+    bits it has.  `form` is not mutated; its matrix and norm, and its
+    `eigvals` and `json_text` once computed, carry over.
     """
     # private Fortran-ordered copies, so ztrexc can update them in place
     R = np.array(form.triangular, dtype=np.complex128, order="F")
@@ -323,7 +324,7 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
     at = list(range(n))  # at[p]: input position of the entry now at p
     if n <= 2 * b:
         R, U = _ztrexc_moves(R, U, at, order)
-        return replace(form, unitary=U, triangular=R)
+        return _reordered(form, U, R)
     for p0 in range(0, n, b):
         targets = order[p0 : p0 + b]
         carried = set(targets)
@@ -345,7 +346,15 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
             if lo == p0:
                 break
             hi = lo + len(inside)
-    return replace(form, unitary=U, triangular=R)
+    return _reordered(form, U, R)
+
+
+def _reordered(form: SchurForm, U: np.ndarray, R: np.ndarray) -> SchurForm:
+    """`form` with the factors (U, R), keeping the cached `eigvals` and
+    `json_text`, which depend on T alone; V, W and the radii depend on R."""
+    out = replace(form, unitary=U, triangular=R)
+    vars(out).update({k: v for k, v in vars(form).items() if k in ("eigvals", "json_text")})
+    return out
 
 
 def _ztrexc_moves(R, Q, at, wanted):

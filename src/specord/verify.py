@@ -899,6 +899,10 @@ def run_suite(
     out: list[CheckReport] = []
     for label, T in matrices:
         form = schur_form(T)
+        # T's text and nu_T, once per matrix: every curve's form carries them
+        form.json_text
+        if wants(_MEASURE_LAW_CHECKS + _BLOCK_SPLIT_CHECKS):
+            form.eigvals
         for cspec in curve_specs:
             dec = decompose(T, parse_curve(cspec, form.norm), form=form)
             k = len(dec.table.clusters)

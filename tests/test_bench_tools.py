@@ -72,6 +72,26 @@ def test_sweep_ratio_over_a_zero_median_is_null(tmp_path, monkeypatch):
     assert ratio["eigvals_s"] is None and ratio["wall_s"] > 0
 
 
+def test_sweep_reverses_the_side_order_on_every_other_repeat(tmp_path, monkeypatch):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "SIZES", (16, 32))
+    monkeypatch.setattr(tool, "REPEATS", 3)
+    order = []
+
+    def measure(root, n, child):
+        order.append((root.name, n))
+        return {**{k: 1.0 for k in tool.TIMES}, "blas_threads": {},
+                "blas_threads_in_reorder": {}, "numpy": "", "scipy": "",
+                "numpy_blas": None, "scipy_blas": None}
+
+    monkeypatch.setattr(tool, "measure", measure)
+    out = tmp_path / "bench.json"
+    assert tool.main(["--side", f"a={tmp_path / 'a'}", "--side", f"b={tmp_path / 'b'}",
+                      "--out", str(out)]) == 0
+    sides = ["a", "b", "b", "a", "a", "b"]
+    assert order == [(side, n) for n in (16, 32) for side in sides]
+
+
 def test_committed_cli_sweep_records_the_self_check_claims():
     doc = json.loads((ROOT / "BENCH_cli_decompose.json").read_text())
     parent, change = (doc["sides"][label] for label in ("parent", "change"))

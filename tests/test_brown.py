@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specord
 from specord import brown, core
@@ -23,8 +25,15 @@ from specord.brown import (
     write_density_csv,
     write_density_pgm,
 )
-from specord.core import openblas_threads
-from specord.ensembles import EnsembleSpec, sample
+from specord.core import (
+    cluster_tolerance,
+    eigenvalue_matching_distance,
+    openblas_threads,
+    operator_norm,
+)
+from specord.curves import curve_for_matrix
+from specord.ensembles import EnsembleSpec, corpus_matrices, parse_ensemble, sample
+from specord.spectral import decompose
 from specord.regions import EmptyRegion, FullPlane, Square, disk
 
 
@@ -390,3 +399,63 @@ def test_concurrent_density_grids_match_serial(monkeypatch):
     assert got == [want] * len(threads)
     assert 1 <= peak[0] <= brown._cpu_count()
     assert openblas_threads() == before
+
+
+def _unitary(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _normal(d, seed: int) -> np.ndarray:
+    """W diag(d) W* for a random unitary W."""
+    W = _unitary(len(d), seed)
+    return (W * np.asarray(d, dtype=np.complex128)) @ W.conj().T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 24), seed=st.integers(0, 2**32 - 1), scale=st.integers(-20, 20),
+       data=st.data())
+def test_normal_eigvals_match_eigvals(n, seed, scale, data):
+    # a few distinct eigenvalues, each repeated, on a scale of 2^scale
+    pool = data.draw(st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                                 allow_infinity=False),
+                              min_size=1, max_size=n))
+    d = [pool[i] * 2.0**scale
+         for i in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+    N = _normal(d, seed)
+    got = brown._normal_eigvals(N, cluster_tolerance(N))
+    dist = eigenvalue_matching_distance(got, np.linalg.eigvals(N))
+    assert dist <= 1e-12 * max(1.0, operator_norm(N))
+
+
+def test_normal_eigvals_tie_in_the_pencil_falls_back(monkeypatch):
+    # 0 and alpha - i are distinct but both have x + alpha y = 0, so they
+    # share an eigenspace of H + alpha K and eigh mixes their eigenvectors
+    alpha = brown._PENCIL_ALPHA
+    assert alpha + alpha * -1.0 == 0.0
+    N = _normal([0.0, alpha - 1j, 1.0, 2j], seed=3)
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: calls.append(A) or eigvals(A))
+    got = brown._normal_eigvals(N, cluster_tolerance(N))
+    assert len(calls) == 1
+    assert got.tobytes() == eigvals(N).tobytes()
+
+
+def test_normal_part_spectra_need_no_fallback(monkeypatch):
+    # every corpus entry, and the three n=256 matrices of the decompose-n256
+    # benchmark workload (seed 1) along its three curves: N's eigenvalues
+    # come from the pencil alone, and no decomposition runs eigvals
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: calls.append(A))
+    for _, T in corpus_matrices():
+        decompose(T, curve_for_matrix("hilbert:depth=32", T))
+    for spec in ("ginibre:n=256,seed=1", "elliptic:n=256,rho=0.5,seed=1",
+                 "normal_plus_nilpotent:n=256,scale=0.5,seed=1"):
+        T = sample(parse_ensemble(spec))
+        form = core.schur_form(T)
+        for curve in ("hilbert:depth=32", "morton:depth=32", "lex"):
+            decompose(T, curve_for_matrix(curve, T), form=form)
+    assert calls == []

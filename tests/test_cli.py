@@ -21,6 +21,7 @@ from specord.core import (
     json_int,
     load_matrix,
     matrix_json_bytes,
+    operator_norm,
     save_matrix,
 )
 from specord.curves import curve_for_matrix
@@ -613,12 +614,18 @@ def test_curve_compare_distance_equals_measures_of_both_normal_parts(tmp_path):
     assert main(["curve", "compare", "--matrix", str(src), "--curve", "hilbert:depth=32",
                  "--curve2", "lex", "--out", str(out)]) == 0
     doc = json.loads((out / "compare.json").read_text())
-    # reference: recompute the counting measure of each N from its eigenvalues
+    # reference: the counting measure of each N as `decompose` measures it,
+    # from N's Hermitian pencil
     da, db = (decompose(T, curve_for_matrix(spec, T))
               for spec in ("hilbert:depth=32", "lex"))
-    want = measure_distance(empirical_brown(da.N, tol=da.table.tol),
-                            empirical_brown(db.N, tol=db.table.tol))
+    want = measure_distance(da.normal_measure, db.normal_measure)
     assert repr(doc["normal_parts_equal_measure"]) == repr(want)
+    # cross-check: from each N's eigvals the distance moves by at most the
+    # pencil's matching error, 1e-12 max(1, ||N||) per side
+    by_eigvals = measure_distance(empirical_brown(da.N, tol=da.table.tol),
+                                  empirical_brown(db.N, tol=db.table.tol))
+    bound = 1e-12 * max(1.0, operator_norm(da.N), operator_norm(db.N))
+    assert abs(doc["normal_parts_equal_measure"] - by_eigvals) <= 2 * bound
 
 
 def test_project_and_compare_factor_the_matrix_once(tmp_path, monkeypatch):
@@ -632,6 +639,7 @@ def test_project_and_compare_factor_the_matrix_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     src = tmp_path / "T.json"
     save_matrix(sample(parse_ensemble("ginibre:n=12,seed=4")), src)
     assert main(["project", "--matrix", str(src), "--region", "disk:0,0,0.5",
@@ -641,8 +649,9 @@ def test_project_and_compare_factor_the_matrix_once(tmp_path, monkeypatch):
     counts.clear()
     assert main(["curve", "compare", "--matrix", str(src), "--curve", "hilbert:depth=32",
                  "--curve2", "morton:depth=32", "--out", str(tmp_path / "c")]) == 0
-    # one form for both curves; one eigvals(N) per decomposition, for its report
-    assert counts == {"schur": 1, "eigvals": 2}
+    # one form for both curves; one Hermitian eigensolve of N's pencil per
+    # decomposition, for its report, and no fallback to eigvals(N)
+    assert counts == {"schur": 1, "eigh": 2}
 
 
 def test_decompose_factors_and_formats_the_matrix_once(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from specord.projections import (
     _eigenvector_factors,
     _paterson_stockmeyer,
     _powers,
+    _real_divide,
 )
 from specord.regions import AmbiguousRegionError, EmptyRegion, FullPlane, disk, halfplane
 
@@ -137,6 +138,34 @@ def test_hyperinvariance():
     rep = hyperinvariance_check(schur_form(J), Pfull, samples=10, seed=4)
     assert rep.polynomials_only
     assert rep.verdict == "pass"
+
+
+@pytest.mark.parametrize("spec", ["ginibre:n=16,seed=6", "jordan:n=8,lam=1,lam_im=1,seed=0"])
+def test_commutator_filter_takes_an_svd_only_above_the_frobenius_bound(spec, monkeypatch):
+    # every commutator of these corpus entries' samples is below the bound in
+    # Frobenius norm, so the only SVDs are the samples' own norms; the report
+    # has the bits of the filter that takes ||S T - T S||_2 by an SVD
+    from specord import projections
+
+    T = sample(parse_ensemble(spec))
+    form = schur_form(T)
+    P = hs_projection(T, halfplane(1, 0, 0), form=form)
+    used, max_leak = 0, 0.0
+    for S in _commutant_samples(form, _eigenvector_factors(form), 12, 0):
+        nS = operator_norm(S)
+        if nS == 0.0:
+            continue
+        S = _real_divide(S, nS)
+        if operator_norm(S @ T - T @ S) > 1e-9 * max(form.norm, 1.0):
+            continue
+        used += 1
+        max_leak = max(max_leak, invariance_leak(S, P.basis))
+    svds = []
+    monkeypatch.setattr(projections, "operator_norm",
+                        lambda A: svds.append(A) or operator_norm(A))
+    rep = hyperinvariance_check(form, P, samples=12, seed=0)
+    assert (rep.samples, rep.max_leak) == (used, max_leak)
+    assert used == len(svds) == 12
 
 
 @pytest.mark.parametrize("spec", ["jordan:n=2,lam=0,lam_im=0,seed=0",

@@ -301,7 +301,12 @@ def test_decompose_with_shared_form_keeps_bits():
             assert got.table.unitary.tobytes() == want.table.unitary.tobytes()
             assert got.table.form.triangular.tobytes() == want.table.form.triangular.tobytes()
             assert repr(got.report) == repr(want.report)
-            assert got.normal_measure == empirical_brown(want.N, tol=want.table.tol)
+            assert got.normal_measure == want.normal_measure
+            # N's measure from its pencil is within 1e-12 max(1, ||N||) of
+            # the one from eigvals(N)
+            assert measure_distance(got.normal_measure,
+                                    empirical_brown(want.N, tol=want.table.tol)) \
+                <= 1e-12 * max(1.0, operator_norm(want.N))
         assert (form.unitary.tobytes(), form.triangular.tobytes(),
                 form.diag_order) == before
 

@@ -5,8 +5,9 @@
 
 Each `--side LABEL=ROOT` names a checkout whose `ROOT/src` holds specord;
 sides are measured alternately, one child process per (side, n, repeat)
-for n in SIZES and REPEATS repeats, so every number in the file comes
-from one session on one machine.  A child samples ginibre n with seed 1,
+for n in SIZES and REPEATS repeats, in the given order on even repeats
+and in reverse on odd ones, so every number in the file comes from one
+session on one machine.  A child samples ginibre n with seed 1,
 orders it along `hilbert:depth=32` and times one `decompose` and one
 `write_bundle` of its result (after a warm-up of both at n = 32), with the
 stages of `decompose` read by wrapping the module globals that
@@ -154,9 +155,10 @@ def cpu_model() -> str:
 
 def sweep(argv, *, doc: str, child: str, sizes, repeats: int, metrics, extra,
           workload: str, out: str) -> int:
-    """Measure `child` on every `--side` at each size, sides alternating,
-    and write the medians of `metrics`, the `extra` keys of the first
-    repeat and the ratios of the last side to the first to `--out`."""
+    """Measure `child` on every `--side` at each size, sides alternating
+    and their order reversed on every other repeat, and write the medians
+    of `metrics`, the `extra` keys of the first repeat and the ratios of
+    the last side to the first to `--out`."""
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--side", action="append", required=True,
                     help="LABEL=ROOT of a checkout; repeat for each side")
@@ -170,7 +172,10 @@ def sweep(argv, *, doc: str, child: str, sizes, repeats: int, metrics, extra,
     runs = {label: {n: [] for n in sizes} for label in sides}
     for n in sizes:
         for rep in range(repeats):
-            for label, root in sides.items():
+            # odd repeats run the sides in reverse, so a drift of the host
+            # within a repeat favours no side
+            order = list(sides.items())[:: -1 if rep % 2 else 1]
+            for label, root in order:
                 row = measure(root, n, child)
                 runs[label][n].append(row)
                 print(f"{label} n={n} rep={rep}: "
