@@ -15,6 +15,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import cython_blas, cython_lapack
@@ -22,7 +23,7 @@ from scipy.linalg.blas import zgemm
 
 from .core import (
     _bind,
-    _g17_text,
+    _g17_blocks,
     _int_p,
     as_matrix,
     cluster_labels,
@@ -97,21 +98,24 @@ def _normal_eigvals(N: np.ndarray, tol: float) -> np.ndarray:
     """N's eigenvalues from one `eigh` of H + alpha K (see above), or
     `np.linalg.eigvals(N)` when the residual exceeds `_PENCIL_RESIDUAL * tol`.
     Real-component arithmetic and matmul only, so the bits do not depend on
-    numpy's CPU dispatch."""
+    numpy's CPU dispatch.  Each temporary is dropped once the next is formed,
+    so the eigensolve holds N, A and `eigh`'s workspace, then N, V and NV."""
     with np.errstate(all="ignore"):
         Mr = N.real + _PENCIL_ALPHA * N.imag
         Mi = N.imag - _PENCIL_ALPHA * N.real
         A = np.empty_like(N)
         A.real = (Mr + Mr.T) / 2
         A.imag = (Mi - Mi.T) / 2
+        del Mr, Mi
         if np.isfinite(A).all():
             V = np.linalg.eigh(A)[1]
+            del A
             NV = N @ V
             lam = np.empty(N.shape[0], dtype=np.complex128)
             lam.real = (V.real * NV.real + V.imag * NV.imag).sum(axis=0)
             lam.imag = (V.real * NV.imag - V.imag * NV.real).sum(axis=0)
-            resid = np.linalg.norm(NV - _times_columns(V, lam.real, lam.imag))
-            if resid <= _PENCIL_RESIDUAL * tol:
+            NV -= _times_columns(V, lam.real, lam.imag)  # the residual, in place
+            if np.linalg.norm(NV) <= _PENCIL_RESIDUAL * tol:
                 return lam
     return np.linalg.eigvals(N)
 
@@ -372,14 +376,18 @@ def brown_density_grid(
 # ---------------------------------------------------------------------------
 # file output
 
+# both CSVs stream their `%.17g` blocks (`core.write_output` takes chunks);
+# the values are computed before the file is created and `%.17g` of a double
+# cannot fail, so a writer leaves no partial file behind
+
 def write_atoms_csv(m: PointMeasure, path) -> None:
     values = [v for z, w in m.atoms for v in (z.real, z.imag, w)]
-    write_output(path, b"re,im,weight\n" + _g17_text(values, (b",", b",", b"\n")))
+    write_output(path, chain((b"re,im,weight\n",), _g17_blocks(values, (b",", b",", b"\n"))))
 
 
 def write_density_csv(grid: DensityGrid, path) -> None:
     cols = grid.masses.shape[1]
-    write_output(path, _g17_text(grid.masses, (b",",) * (cols - 1) + (b"\n",)))
+    write_output(path, _g17_blocks(grid.masses, (b",",) * (cols - 1) + (b"\n",)))
 
 
 def write_density_pgm(grid: DensityGrid, path) -> None:

@@ -21,11 +21,90 @@ from functools import cached_property
 from hashlib import sha256
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cython_lapack
+
+
+# ---------------------------------------------------------------------------
+# OpenBLAS threads
+
+# (get, set) thread-count symbols: a plain OpenBLAS build, numpy's wheel
+# (64-bit integer interface) and scipy's wheel
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+# the thread counts are process-wide: the first pinned block to enter saves
+# them and the last one to exit restores them; pinned blocks may overlap
+_BLAS_PIN = threading.Lock()
+_blas_pin_depth = 0
+_blas_saved: list = []
+
+
+@functools.cache
+def _openblas_libraries() -> tuple:
+    """(file name, get, set) thread-count functions of every OpenBLAS
+    library loaded in this process; empty without /proc/self/maps.
+
+    Found once, at first use: this module imports numpy and scipy.linalg,
+    which load the OpenBLAS builds that specord calls into.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return ()
+    out = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone or not a library
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                out.append((Path(path).name, get, put))
+                break
+    return tuple(out)
+
+
+def openblas_threads() -> dict[str, int]:
+    """Thread count of every OpenBLAS library loaded in this process."""
+    return {name: int(get()) for name, get, _ in _openblas_libraries()}
+
+
+@contextmanager
+def single_thread_blas():
+    """Run the block with every loaded OpenBLAS library on one thread.
+
+    Yields whether any library was pinned; where none was, BLAS may still
+    run its own threads.  Blocks may nest and may run in concurrent
+    threads: the first block to enter saves the counts and pins them, and
+    the last one to exit restores them, also when a block raises.
+    """
+    global _blas_pin_depth
+    libs = _openblas_libraries()
+    with _BLAS_PIN:
+        if _blas_pin_depth == 0:
+            _blas_saved[:] = [(put, int(get())) for _, get, put in libs]
+            for _, _, put in libs:
+                put(1)
+        _blas_pin_depth += 1
+    try:
+        yield bool(libs)
+    finally:
+        with _BLAS_PIN:
+            _blas_pin_depth -= 1
+            if _blas_pin_depth == 0:
+                for put, count in _blas_saved:
+                    put(count)
 
 
 class SchurConvergenceError(RuntimeError):
@@ -42,8 +121,10 @@ def as_matrix(obj) -> np.ndarray:
     return A
 
 
+@single_thread_blas()
 def operator_norm(A) -> float:
-    """Largest singular value."""
+    """Largest singular value, by one SVD on one OpenBLAS thread, so its
+    bits do not depend on the BLAS thread count."""
     return float(np.linalg.norm(as_matrix(A), 2))
 
 
@@ -280,12 +361,14 @@ class SchurForm:
         return sha256(self.json_text)
 
 
+@single_thread_blas()
 def schur_form(T) -> SchurForm:
     """Complex Schur triangularization T = U R U*, with ||T|| by one SVD.
 
     Uses the LAPACK QR iteration (deterministic shift strategy, internal
     sweep cap); a non-converged iteration raises SchurConvergenceError
-    rather than returning a partial factorization.
+    rather than returning a partial factorization.  Runs on one OpenBLAS
+    thread, so U, R and the norm do not depend on the BLAS thread count.
     """
     T = as_matrix(T)
     try:
@@ -474,7 +557,7 @@ _G17_EXP_ROW = 21
 
 @functools.cache
 def _g17_tables() -> dict:
-    """The power-of-ten table and the text lookups of `_g17_text`.
+    """The power-of-ten table and the text lookups of `_g17_blocks`.
 
     10^m = (hi + lo) 2^b, with hi and lo the float64 roundings of 10^m / 2^b
     in [1/2, 1] and of its remainder, from exact integers; hi_h and hi_l
@@ -636,57 +719,78 @@ def _g17_block(x: np.ndarray, seps: np.ndarray, buffers: dict) -> bytearray:
     return buf.translate(None, b"\0")
 
 
-def _g17_text(values, seps: Sequence[bytes]) -> bytes:
+def _g17_blocks(values, seps: Sequence[bytes]) -> Iterator[bytearray]:
     """`'%.17g' % v` for every v in `values`, the i-th followed by
-    seps[i % len(seps)] (each at most 4 bytes, without NUL).
+    seps[i % len(seps)] (each at most 4 bytes, without NUL), one block of
+    `_G17_BLOCK` values at a time.
 
-    Byte for byte what `%` writes, in blocks of `_G17_BLOCK` values.  The
-    arithmetic is IEEE float64 add and multiply, exact power-of-two
-    scaling and integer division; `log10` only gives k a first guess, so
-    the text is the same on every CPU.
+    Byte for byte what `%` writes.  The arithmetic is IEEE float64 add
+    and multiply, exact power-of-two scaling and integer division; `log10`
+    only gives k a first guess, so the text is the same on every CPU.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     period = len(seps)
     words = np.frombuffer(b"".join(s.ljust(4, b"\0") for s in seps), dtype="<u4")
     pattern = words[np.arange(min(x.size, _G17_BLOCK) + period) % period]
     buffers: dict = {}
-    return b"".join(
-        _g17_block(x[start:start + _G17_BLOCK],
-                   pattern[start % period:][:min(x.size - start, _G17_BLOCK)], buffers)
-        for start in range(0, x.size, _G17_BLOCK)
-    )
+    for start in range(0, x.size, _G17_BLOCK):
+        yield _g17_block(x[start:start + _G17_BLOCK],
+                         pattern[start % period:][:min(x.size - start, _G17_BLOCK)], buffers)
 
 
 # ---------------------------------------------------------------------------
 # matrix file format
 
+def _matrix_json_chunks(T) -> Iterator[bytes]:
+    """The text of `matrix_json_bytes(T)` in pieces: the header, the
+    `%.17g` blocks (the last one without its trailing `],[`) and the footer."""
+    T = as_matrix(T)
+    yield b'{"n":%d,"entries":[[' % T.shape[0]
+    # ravel() first: it makes the row-major copy that .view needs
+    blocks = _g17_blocks(T.ravel().view(np.float64), (b",", b"],["))
+    last = next(blocks)  # T is nonempty, so there is at least one block
+    for block in blocks:
+        yield last
+        last = block
+    yield last[:-2]
+    yield b"]}"
+
+
 def matrix_json_bytes(T) -> bytes:
     """Serialize to the repo-wide JSON format with 17 significant digits.
 
-    Each number is exactly `'%.17g' % x` (see `_g17_text`).
+    Each number is exactly `'%.17g' % x` (see `_g17_blocks`).
     """
-    T = as_matrix(T)
-    # ravel() first: it makes the row-major copy that .view needs
-    cells = _g17_text(T.ravel().view(np.float64), (b",", b"],["))
-    return b'{"n":%d,"entries":[[%s]}' % (T.shape[0], cells[:-2])
+    return b"".join(_matrix_json_chunks(T))
 
 
-def write_output(path, data: bytes) -> None:
-    """Replace the file at `path` with `data`.
+def write_output(path, data: bytes | Iterable[bytes]) -> None:
+    """Replace the file at `path` with `data`: bytes, or an iterable of
+    byte chunks written in turn, so no chunk is joined to the next in memory.
 
     Any existing file (or symlink) is unlinked first and `data` goes to a
     newly created file, so a symlink is never followed.  Truncating a file
     that holds data and rewriting it in place can stall for tens of
     milliseconds on ext4 (its auto_da_alloc flush); unlink-and-create does
-    not.  Nothing is fsynced.
+    not.  Nothing is fsynced.  An iterable that raises leaves the chunks
+    before it in the file.
     """
     Path(path).unlink(missing_ok=True)
     with open(path, "xb") as fh:
-        fh.write(data)
+        fh.writelines((data,) if isinstance(data, (bytes, bytearray)) else data)
 
 
 def save_matrix(T, path) -> None:
-    write_output(path, matrix_json_bytes(T) + b"\n")
+    """Write `matrix_json_bytes(T)` and a newline to `path`, streamed one
+    `%.17g` block at a time, so the whole text is never held in memory.
+
+    T is validated (square, nonempty, finite) before the file is created,
+    and `%.17g` of a finite double cannot fail, so a call that raises
+    leaves no partial file behind.
+    """
+    chunks = _matrix_json_chunks(T)
+    header = next(chunks)  # runs the validation before the file exists
+    write_output(path, chain((header,), chunks, (b"\n",)))
 
 
 def json_int(literal: str):
@@ -757,82 +861,3 @@ def _entry_values(entries: list) -> np.ndarray | None:
 def matrix_digest(T) -> str:
     """sha256 hex digest of the canonical serialization."""
     return sha256(matrix_json_bytes(T)).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# OpenBLAS threads
-
-# (get, set) thread-count symbols: a plain OpenBLAS build, numpy's wheel
-# (64-bit integer interface) and scipy's wheel
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-# the thread counts are process-wide: the first pinned block to enter saves
-# them and the last one to exit restores them; pinned blocks may overlap
-_BLAS_PIN = threading.Lock()
-_blas_pin_depth = 0
-_blas_saved: list = []
-
-
-@functools.cache
-def _openblas_libraries() -> tuple:
-    """(file name, get, set) thread-count functions of every OpenBLAS
-    library loaded in this process; empty without /proc/self/maps.
-
-    Found once, at first use: this module imports numpy and scipy.linalg,
-    which load the OpenBLAS builds that specord calls into.
-    """
-    try:
-        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return ()
-    out = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping whose file is gone or not a library
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                out.append((Path(path).name, get, put))
-                break
-    return tuple(out)
-
-
-def openblas_threads() -> dict[str, int]:
-    """Thread count of every OpenBLAS library loaded in this process."""
-    return {name: int(get()) for name, get, _ in _openblas_libraries()}
-
-
-@contextmanager
-def single_thread_blas():
-    """Run the block with every loaded OpenBLAS library on one thread.
-
-    Yields whether any library was pinned; where none was, BLAS may still
-    run its own threads.  Blocks may nest and may run in concurrent
-    threads: the first block to enter saves the counts and pins them, and
-    the last one to exit restores them, also when a block raises.
-    """
-    global _blas_pin_depth
-    libs = _openblas_libraries()
-    with _BLAS_PIN:
-        if _blas_pin_depth == 0:
-            _blas_saved[:] = [(put, int(get())) for _, get, put in libs]
-            for _, _, put in libs:
-                put(1)
-        _blas_pin_depth += 1
-    try:
-        yield bool(libs)
-    finally:
-        with _BLAS_PIN:
-            _blas_pin_depth -= 1
-            if _blas_pin_depth == 0:
-                for put, count in _blas_saved:
-                    put(count)

@@ -36,7 +36,8 @@ from .core import (
     Cluster,
     SchurForm,
     cluster_labels,
-    matrix_json_bytes,
+    operator_norm,
+    save_matrix,
     schur_form,
     single_thread_blas,
     write_output,
@@ -271,7 +272,7 @@ class Decomposition:
         if table.commutes_with_cluster_projs():
             return table
         d = table._locations()
-        form = SchurForm(matrix=self.N, norm=float(np.linalg.norm(self.N, 2)),
+        form = SchurForm(matrix=self.N, norm=operator_norm(self.N),
                          unitary=table.unitary, triangular=np.diag(d))
         clusters = tuple(Cluster(c.location, (c.location,) * c.multiplicity)
                          for c in table.clusters)
@@ -295,17 +296,26 @@ def decompose(T, curve: OrderingCurve, *,
     `build_table`.  Runs with every OpenBLAS library pinned to one thread
     (`core.single_thread_blas`), so the bits do not depend on the BLAS
     thread count.
+
+    Besides T and the table's U and R, the op holds N and Q, which it
+    returns, and one working temporary at a time: N's eigensolve runs
+    before Q exists, and the products NN* - N*N and G = U*QU are each
+    dropped once reduced to their report values.
     """
     table = build_table(T, curve, form=form)
     N = table.normal_part()
+    normal_measure = _measure_from_values(_normal_eigvals(N, table.tol).tolist(), table.tol)
+    nn = N @ N.conj().T
+    nn -= N.conj().T @ N
+    normality_defect = float(np.linalg.norm(nn))
+    del nn
     Q = table.matrix - N
     G = table.unitary.conj().T @ Q @ table.unitary
     diag_mag = float(np.abs(np.diag(G)).max()) if table.n else 0.0
     lower = float(np.linalg.norm(np.tril(G, -1)))
-    nn = N @ N.conj().T - N.conj().T @ N
-    normal_measure = _measure_from_values(_normal_eigvals(N, table.tol).tolist(), table.tol)
+    del G
     report = {
-        "normality_defect": float(np.linalg.norm(nn)),
+        "normality_defect": normality_defect,
         "normal_fro_sq": float(np.linalg.norm(N) ** 2),
         "measure_distance": measure_distance(
             normal_measure, _measure_from_clusters(table.clusters, table.n),
@@ -323,13 +333,19 @@ def write_bundle(dec: Decomposition, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     # T's text as the digests and the CLI's config.json read it, when they
-    # have; a bundle on its own formats T without keeping the text (the
-    # size of three n x n matrices) on the form or in a local
+    # have; otherwise each matrix streams to its file one `%.17g` block at a
+    # time (`core.save_matrix`), so no whole text (the size of three n x n
+    # matrices) is held.  Streaming keeps the CLI's no-file-on-exit-2
+    # contract: a bundle is written only after `decompose` (and the CLI's
+    # self-check) returned, and `%.17g` of a finite double cannot fail.
     form = dec.table.form
-    write_output(out / "T.json",
-                 (vars(form).get("json_text") or matrix_json_bytes(form.matrix)) + b"\n")
+    text = vars(form).get("json_text")
+    if text is None:
+        save_matrix(form.matrix, out / "T.json")
+    else:
+        write_output(out / "T.json", (text, b"\n"))
     for name, M in (("N", dec.N), ("Q", dec.Q)):
-        write_output(out / f"{name}.json", matrix_json_bytes(M) + b"\n")
+        save_matrix(M, out / f"{name}.json")
     doc = dec.table.to_json_dict()
     doc["report"] = {
         k: (v if not isinstance(v, float) else float(f"{v:.17g}"))

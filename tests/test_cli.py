@@ -18,6 +18,7 @@ from specord.brown import empirical_brown, measure_distance
 from specord.cli import RunConfig, main
 from specord.core import (
     SchurConvergenceError,
+    _matrix_json_chunks,
     json_int,
     load_matrix,
     matrix_json_bytes,
@@ -113,16 +114,19 @@ def test_decompose_replaces_existing_outputs(tmp_path):
     args = ["decompose", "--ensemble", "ginibre:n=6,seed=3", "--out"]
     fresh, out = tmp_path / "fresh", tmp_path / "out"
     assert main(args + [str(fresh)]) == 0
-    outside = tmp_path / "outside.json"
-    outside.write_bytes(b"keep me\n")
+    # T.json and the streamed N.json and Q.json replace a symlink, not its target
+    linked = ("T.json", "N.json", "Q.json")
     out.mkdir()
-    (out / "T.json").symlink_to(outside)
+    for name in linked:
+        (tmp_path / f"outside-{name}").write_bytes(b"keep me\n")
+        (out / name).symlink_to(tmp_path / f"outside-{name}")
     for _ in range(2):
         assert main(args + [str(out)]) == 0
         for name in names:
             assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
-    assert not (out / "T.json").is_symlink()
-    assert outside.read_bytes() == b"keep me\n"
+    for name in linked:
+        assert not (out / name).is_symlink()
+        assert (tmp_path / f"outside-{name}").read_bytes() == b"keep me\n"
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -673,10 +677,10 @@ def test_decompose_factors_and_formats_the_matrix_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted(
         "svd", np.linalg.norm, when=lambda ord=None, *args, **kwargs: ord == 2))
-    # every module that formats matrices looks the formatter up by name
-    for module in ("specord.core", "specord.spectral", "specord.cli"):
-        monkeypatch.setattr(f"{module}.matrix_json_bytes",
-                            counted("json", matrix_json_bytes))
+    # every matrix text, joined (`matrix_json_bytes`) or streamed
+    # (`save_matrix`), starts from core's chunk generator
+    monkeypatch.setattr("specord.core._matrix_json_chunks",
+                        counted("json", _matrix_json_chunks))
     got = tmp_path / "got"
     assert main(["decompose", "--matrix", str(src), "--out", str(got)]) == 0
     # ||T|| sizes the curve, the tolerance and the bounds; one text of T

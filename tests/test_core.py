@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from specord.core import (
     Cluster,
@@ -18,13 +18,15 @@ from specord.core import (
     matrix_digest,
     matrix_from_dict,
     openblas_threads,
+    operator_norm,
     matrix_json_bytes,
     save_matrix,
     schur_form,
     single_thread_blas,
     _G17_BLOCK,
     _bottleneck,
-    _g17_text,
+    _openblas_libraries,
+    _g17_blocks,
     _reorder_by_keys,
 )
 from specord.ensembles import EnsembleSpec, sample
@@ -395,6 +397,10 @@ def per_entry_matrix_json_bytes(T) -> bytes:
     return f'{{"n":{n},"entries":[{cells}]}}'.encode("ascii")
 
 
+def _g17_text(values, seps) -> bytes:
+    return b"".join(_g17_blocks(values, seps))
+
+
 def percent_g17_text(values, seps) -> bytes:
     """Reference: `'%.17g' % v` for each value, the i-th followed by seps[i % len(seps)]."""
     text = "".join("%.17g" + sep.decode() for sep in seps) * (len(values) // len(seps))
@@ -462,6 +468,41 @@ def test_matrix_json_bytes_matches_percent_on_a_decomposition():
     dec = decompose(T, curve_for_matrix("hilbert:depth=32", T))
     for M in (dec.T, dec.N, dec.Q, dec.table.unitary):
         assert matrix_json_bytes(M) == percent_matrix_json_bytes(M)
+
+
+# edge values of the writer: signed zeros, subnormals, the ends of the range,
+# integers, and values at 10^16 and 10^17, where %.17g turns to exponents
+_SAVE_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                        np.finfo(np.float64).max, 1.0, -7.0, 123456789.0, 2.0**53,
+                        1e16, np.nextafter(1e16, 0.0), 1e17, np.nextafter(1e17, np.inf),
+                        -1e17, 0.1])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       edge_share=st.sampled_from([0.0, 0.5, 1.0]))
+@example(n=46, seed=1, edge_share=0.5)
+@example(n=70, seed=2, edge_share=1.0)
+def test_save_matrix_streams_the_bytes_of_matrix_json_bytes(tmp_path, n, seed, edge_share):
+    # n >= 46 has more than _G17_BLOCK values (2 n^2), so the file is
+    # written in several blocks and only the last loses its separator
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(2 * n * n) * 10.0 ** rng.integers(-20, 20, 2 * n * n)
+    edge = rng.random(2 * n * n) < edge_share
+    x[edge] = rng.choice(_SAVE_EDGES, np.count_nonzero(edge))
+    T = x.view(np.complex128).reshape(n, n)
+    path = tmp_path / "m.json"
+    save_matrix(T, path)
+    text = matrix_json_bytes(T)
+    assert path.read_bytes() == text + b"\n"
+    assert text == percent_matrix_json_bytes(T)
+
+
+def test_save_matrix_of_an_invalid_matrix_creates_no_file(tmp_path):
+    with pytest.raises(ValueError):
+        save_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]), tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_matrix_json_bytes_matches_per_entry_format_in_every_layout():
@@ -556,3 +597,26 @@ def test_single_thread_blas_nests_and_restores():
                 raise RuntimeError
         assert set(openblas_threads().values()) <= {1}
     assert openblas_threads() == before
+
+
+def test_norm_and_schur_form_do_not_depend_on_blas_threads():
+    # at n = 128 two OpenBLAS threads give other bits than one for the SVD
+    # and the Schur form of these inputs (at n = 64 they do not), so both
+    # must pin their own BLAS calls
+    G = sample(EnsembleSpec("ginibre", 128, seed=1))
+    E = sample(EnsembleSpec("elliptic", 128, seed=1, params=(("rho", 0.5),)))
+    with single_thread_blas():
+        want = schur_form(G), operator_norm(E)
+    libs = _openblas_libraries()
+    saved = [(put, int(get())) for _, get, put in libs]
+    try:
+        for _, _, put in libs:
+            put(2)
+        got = schur_form(G), operator_norm(E)
+    finally:
+        for put, count in saved:
+            put(count)
+    assert got[0].unitary.tobytes() == want[0].unitary.tobytes()
+    assert got[0].triangular.tobytes() == want[0].triangular.tobytes()
+    assert got[0].norm.hex() == want[0].norm.hex()
+    assert got[1].hex() == want[1].hex()

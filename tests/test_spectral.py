@@ -598,6 +598,28 @@ def test_decompose_memory_stays_linear_in_dense_matrices():
     assert peak < 40 * n * n * 16, peak
 
 
+def test_decompose_and_write_bundle_hold_one_temporary_at_a_time(tmp_path):
+    # in units of one n x n complex matrix, n = 128: the op returns T's copy,
+    # the table's U and R, N and Q (5).  Its peak, about 10.4, is in
+    # save_matrix: those 5, the copy of the matrix being written and about
+    # 1 MB (4 units at n = 128) of one 4096-value text block and its
+    # temporaries.  N's eigensolve peaks at about 8.7 (T's copy, U, R, N,
+    # the pencil A, eigh's copy of A, V and its workspace), before Q exists.
+    # A whole-file text, or NN* - N*N or U*QU kept past its report value,
+    # would add 3 to 4 more.
+    n = 128
+    T = sample(EnsembleSpec("ginibre", n, seed=1))
+    curve = parse_curve("hilbert:depth=32", operator_norm(T))
+    write_bundle(decompose(T, curve), tmp_path)  # warm the lazily built tables
+    tracemalloc.start()
+    try:
+        write_bundle(decompose(T, curve), tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n * n * 16, peak / (n * n * 16)
+
+
 @pytest.mark.parametrize("spec", ["lex", "hilbert:depth=32"])
 def test_cluster_columns_carry_their_members(spec):
     T = CHAIN.astype(complex)
