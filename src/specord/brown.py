@@ -376,9 +376,8 @@ def brown_density_grid(
 # ---------------------------------------------------------------------------
 # file output
 
-# both CSVs stream their `%.17g` blocks (`core.write_output` takes chunks);
-# the values are computed before the file is created and `%.17g` of a double
-# cannot fail, so a writer leaves no partial file behind
+# both CSVs stream their `%.17g` blocks; the values exist before the file
+# does and `%.17g` cannot fail, so no partial file is left behind
 
 def write_atoms_csv(m: PointMeasure, path) -> None:
     values = [v for z, w in m.atoms for v in (z.real, z.imag, w)]

@@ -333,9 +333,8 @@ def write_bundle(dec: Decomposition, outdir) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     # T's text as the digests and the CLI's config.json read it, when they
-    # have; otherwise each matrix streams to its file one `%.17g` block at a
-    # time (`core.save_matrix`), so no whole text (the size of three n x n
-    # matrices) is held.  Streaming keeps the CLI's no-file-on-exit-2
+    # have; otherwise each matrix streams to its file (`core.save_matrix`),
+    # so no whole text is held.  That keeps the CLI's no-file-on-exit-2
     # contract: a bundle is written only after `decompose` (and the CLI's
     # self-check) returned, and `%.17g` of a finite double cannot fail.
     form = dec.table.form

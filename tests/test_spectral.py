@@ -603,8 +603,9 @@ def test_decompose_and_write_bundle_hold_one_temporary_at_a_time(tmp_path):
     # the table's U and R, N and Q (5).  Its peak, about 10.4, is in
     # save_matrix: those 5, the copy of the matrix being written and about
     # 1 MB (4 units at n = 128) of one 4096-value text block and its
-    # temporaries.  N's eigensolve peaks at about 8.7 (T's copy, U, R, N,
-    # the pencil A, eigh's copy of A, V and its workspace), before Q exists.
+    # temporaries.  N's eigensolve, before Q exists, peaks at about 8.7
+    # (T's copy, U, R, N, V, NV and the residual's temporaries; eigh's own
+    # buffers are malloc'd, which tracemalloc does not see).
     # A whole-file text, or NN* - N*N or U*QU kept past its report value,
     # would add 3 to 4 more.
     n = 128
