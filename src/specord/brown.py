@@ -228,6 +228,8 @@ _GRID_SCALE_EXP = 500
 # worker count, so a point's bits depend only on the OpenBLAS kernel behind
 # scipy and on numpy's dispatch of `np.log` (see `brown_density_grid`)
 _CHUNK = 16
+# batches whose coefficient rows a worker forms at a time: 1,024 points, 32 KB
+_BLOCK = 64
 
 _double_p = ctypes.POINTER(ctypes.c_double)
 _d_ptr = "__pyx_t_5scipy_6linalg_11cython_blas_d *"  # cython_blas's double *
@@ -257,15 +259,32 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _log_potential(phi, coef, starts, basis) -> None:
-    """phi[s : s + _CHUNK] for every s in `starts`, with a buffer of its own.
+def _coefficient_rows(xs, ys, eps2: float, lo: int, hi: int) -> np.ndarray:
+    """Rows lo, ..., hi - 1 of the grid's coefficient table, C-ordered.
 
-    Row p of `coef` holds point p's coefficients [1, -x, -y, x*x + y*y + eps^2]
-    over the four n x n slices of `basis`, the transposes of T*T, T + T*,
-    i(T* - T) and I.  Read as float64, a batch's coefficients are a b x 4
-    matrix and the basis is 4 x 2n^2, so one dgemm writes every C-ordered
-    slice of M as (T - l)*(T - l) + eps^2 in Fortran order, which zpotrf
-    factors in place.
+    Point p = r (g + 2) + c, row-major over the grid, lies at x = xs[c],
+    y = ys[r] and has the row [1, -x, -y, x*x + y*y + eps2]: the same
+    operations on each element as a table of the whole grid would take.
+    """
+    r, c = np.divmod(np.arange(lo, hi), xs.size)
+    x, y = xs[c], ys[r]
+    rows = np.empty((hi - lo, 4))
+    rows[:, 0] = 1.0
+    np.negative(x, out=rows[:, 1])
+    np.negative(y, out=rows[:, 2])
+    rows[:, 3] = x * x + y * y + eps2
+    return rows
+
+
+def _log_potential(phi, xs, ys, eps2: float, starts, basis) -> None:
+    """phi[s : s + _CHUNK] for every s in `starts`, with buffers of its own.
+
+    Each point's coefficients [1, -x, -y, x*x + y*y + eps2] (see
+    `_coefficient_rows`, formed for _BLOCK batches at a time) weigh the four
+    n x n slices of `basis`, the transposes of T*T, T + T*, i(T* - T) and I.
+    Read as float64, a batch's coefficients are a b x 4 matrix and the basis
+    is 4 x 2n^2, so one dgemm writes every C-ordered slice of M as
+    (T - l)*(T - l) + eps^2 in Fortran order, which zpotrf factors in place.
     """
     n = basis.shape[1]
     M = np.empty((_CHUNK, n, n), dtype=np.complex128)
@@ -273,18 +292,36 @@ def _log_potential(phi, coef, starts, basis) -> None:
     order, info = ctypes.c_int(n), ctypes.c_int(0)
     size, terms = ctypes.c_int(2 * n * n), ctypes.c_int(4)
     one, zero = ctypes.c_double(1.0), ctypes.c_double(0.0)
-    base, stride = M.ctypes.data, M.strides[0]
-    basis_p, coef_p, coef_stride = basis.ctypes.data, coef.ctypes.data, coef.strides[0]
-    for s in starts:
-        b = min(_CHUNK, phi.size - s)
-        # column-major, M[:b] is (2n^2 x b) = basis (2n^2 x 4) @ coef[s : s + b] (4 x b)
-        _dgemm(b"N", b"N", size, ctypes.c_int(b), terms, one, basis_p, size,
-               coef_p + s * coef_stride, terms, zero, base, size)
-        for k in range(b):
-            _zpotrf(b"L", order, base + k * stride, order, info)
-            if info.value != 0:  # a pivot <= 0: no factor, no potential
-                diag[k, 0] = np.nan
-        phi[s : s + b] = np.log(diag[:b].real).mean(axis=1)
+    base, stride, basis_p = M.ctypes.data, M.strides[0], basis.ctypes.data
+    for i in range(0, len(starts), _BLOCK):
+        block = starts[i : i + _BLOCK]
+        lo = block[0]
+        coef = _coefficient_rows(xs, ys, eps2, lo, min(block[-1] + _CHUNK, phi.size))
+        coef_p, coef_stride = coef.ctypes.data, coef.strides[0]
+        for s in block:
+            b = min(_CHUNK, phi.size - s)
+            # column-major, M[:b] is (2n^2 x b) = basis (2n^2 x 4) @ rows s..s+b-1 (4 x b)
+            _dgemm(b"N", b"N", size, ctypes.c_int(b), terms, one, basis_p, size,
+                   coef_p + (s - lo) * coef_stride, terms, zero, base, size)
+            for k in range(b):
+                _zpotrf(b"L", order, base + k * stride, order, info)
+                if info.value != 0:  # a pivot <= 0: no factor, no potential
+                    diag[k, 0] = np.nan
+            phi[s : s + b] = np.log(diag[:b].real).mean(axis=1)
+
+
+def _stencil(phi: np.ndarray) -> np.ndarray:
+    """Cell masses of the 5-point stencil on the (g+2) x (g+2) potential,
+    ((((a + b) + c) + d) - 4 phi) / (2 pi) in that order, in one new g x g
+    array.  phi's centre is scaled by 4 in place, which is exact."""
+    masses = np.add(phi[:-2, 1:-1], phi[2:, 1:-1])
+    masses += phi[1:-1, :-2]
+    masses += phi[1:-1, 2:]
+    centre = phi[1:-1, 1:-1]
+    centre *= 4.0
+    masses -= centre
+    masses /= 2.0 * math.pi
+    return masses
 
 
 def brown_density_grid(
@@ -300,8 +337,13 @@ def brown_density_grid(
     applies the 5-point stencil; eps defaults to 1e-3 max(1, ||T||).
     With x = Re l and y = Im l, each point's matrix is the real combination
     T*T - x (T + T*) - y i(T* - T) + (x*x + y*y + eps^2) I of four fixed
-    matrices, so one float64 dgemm forms a batch of 16 points and zpotrf
-    factors each in place, both from scipy's `cython_blas`/`cython_lapack`.
+    matrices, so one float64 dgemm forms a batch of 16 points from their
+    coefficient rows and zpotrf factors each in place, both from scipy's
+    `cython_blas`/`cython_lapack`.  Each worker forms the coefficient rows
+    of 64 batches at a time, so the grid holds about two grids of float64
+    values, the potential and the masses (the 5-point stencil runs in
+    place on the potential), plus one batch per worker and the four
+    matrices.
     The batches are split into one contiguous range per available CPU,
     with every OpenBLAS library pinned to one thread
     (`core.single_thread_blas`; one range if none can be pinned).  Grids
@@ -338,11 +380,7 @@ def brown_density_grid(
     h = square.side / g
     xs = square.x0 + (np.arange(-1, g + 1) + 0.5) * h
     ys = square.y1 - (np.arange(-1, g + 1) + 0.5) * h  # row 0 on top
-    x, y = np.meshgrid(xs, ys)
-    # one row per point, row-major over the grid
-    coef = np.stack([np.ones_like(x), -x, -y, x * x + y * y + eps * eps], axis=-1).reshape(-1, 4)
-
-    phi = np.empty(coef.shape[0], dtype=np.float64)
+    phi = np.empty((g + 2) ** 2, dtype=np.float64)  # row-major over the grid
     starts = range(0, phi.size, _CHUNK)
     with single_thread_blas() as pinned:
         # the transposes of T*T (by scipy's BLAS, in Fortran order), T + T*, i(T* - T) and I
@@ -355,7 +393,7 @@ def brown_density_grid(
         cuts = [len(starts) * w // workers for w in range(workers + 1)]
         with _GRID_WORKERS, ThreadPoolExecutor(workers) as pool:
             futures = [
-                pool.submit(_log_potential, phi, coef, starts[lo:hi], basis)
+                pool.submit(_log_potential, phi, xs, ys, eps * eps, starts[lo:hi], basis)
                 for lo, hi in zip(cuts, cuts[1:])
             ]
             for f in futures:
@@ -365,11 +403,7 @@ def brown_density_grid(
     if bad:
         raise ValueError(f"density grid: the log potential is not finite at {bad} of "
                          f"{phi.size} points (input digest {matrix_digest(T_in)})")
-    phi = phi.reshape(g + 2, g + 2)
-    masses = (
-        phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:]
-        - 4.0 * phi[1:-1, 1:-1]
-    ) / (2.0 * math.pi)
+    masses = _stencil(phi.reshape(g + 2, g + 2))
     return DensityGrid(square=grid_square, resolution=g, eps=float(grid_eps), masses=masses)
 
 
@@ -391,10 +425,12 @@ def write_density_csv(grid: DensityGrid, path) -> None:
 
 def write_density_pgm(grid: DensityGrid, path) -> None:
     """8-bit binary PGM of the clamped, max-normalized masses."""
-    img = grid.clamped()
+    img = grid.clamped()  # the one copy, scaled and rounded in place
     peak = img.max()
     if peak > 0:
-        img = img / peak
-    pix = np.round(255.0 * img).astype(np.uint8)
+        img /= peak
+    img *= 255.0
+    pix = np.round(img, out=img).astype(np.uint8)
+    del img
     g = grid.resolution
-    write_output(path, f"P5\n{g} {g}\n255\n".encode("ascii") + pix.tobytes())
+    write_output(path, (f"P5\n{g} {g}\n255\n".encode("ascii"), pix))

@@ -28,6 +28,7 @@ import sys
 import types
 import typing
 from dataclasses import dataclass, field, fields
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,6 @@ from .core import (
     SchurForm,
     json_int,
     load_matrix,
-    matrix_digest,
     matrix_from_dict,
     matrix_json_bytes,
     save_matrix,
@@ -175,13 +175,15 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _write_config(cfg: RunConfig, outdir: Path,
-                  T: np.ndarray | SchurForm | None = None) -> None:
+                  T: np.ndarray | SchurForm | bytes | None = None) -> None:
     """Write config.json; the input T is inlined when it came from a matrix
-    file or from a config's matrix_data.  A Schur form of T lends its text."""
+    file or from a config's matrix_data.  A Schur form of T lends its text,
+    and bytes are taken as T's text itself."""
     outdir.mkdir(parents=True, exist_ok=True)
     text = None
     if T is not None and (cfg.matrix_data is not None or cfg.matrix_path is not None):
-        text = T.json_text if isinstance(T, SchurForm) else matrix_json_bytes(T)
+        text = (T if isinstance(T, bytes) else
+                T.json_text if isinstance(T, SchurForm) else matrix_json_bytes(T))
     write_output(outdir / "config.json", cfg.to_json(text).encode("ascii"))
 
 
@@ -207,12 +209,13 @@ def _run_brown(cfg: RunConfig, outdir: Path) -> int:
     # compute before writing, so a grid that raises leaves no partial bundle
     measure = empirical_brown(T)
     grid = brown_density_grid(T, g=cfg.grid)
-    _write_config(cfg, outdir, T)
+    text = matrix_json_bytes(T)  # T's one text: config.json and the digest
+    _write_config(cfg, outdir, text)
     write_atoms_csv(measure, outdir / "atoms.csv")
     write_density_csv(grid, outdir / "density.csv")
     write_density_pgm(grid, outdir / "density.pgm")
     info = {
-        "input_digest": matrix_digest(T),
+        "input_digest": sha256(text).hexdigest(),
         "atoms": len(measure.atoms),
         "grid": cfg.grid,
         "eps": grid.eps,

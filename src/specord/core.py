@@ -113,7 +113,11 @@ class SchurConvergenceError(RuntimeError):
 
 def as_matrix(obj) -> np.ndarray:
     """Validate `obj` as a square matrix and return a complex128 copy."""
-    A = np.array(obj, dtype=np.complex128)
+    return _checked_matrix(np.array(obj, dtype=np.complex128))
+
+
+def _checked_matrix(A: np.ndarray) -> np.ndarray:
+    """`A` itself, once it is found to be a nonempty, square and finite matrix."""
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
@@ -743,10 +747,12 @@ def _g17_blocks(values, seps: Sequence[bytes]) -> Iterator[bytearray]:
 
 def _matrix_json_chunks(T) -> Iterator[bytes]:
     """The text of `matrix_json_bytes(T)` in pieces: the header, the
-    `%.17g` blocks (the last one without its trailing `],[`) and the footer."""
-    T = as_matrix(T)
+    `%.17g` blocks (the last one without its trailing `],[`) and the footer.
+    T is validated as `as_matrix` does, but copied only when it is not
+    complex128 already or not row-major."""
+    T = _checked_matrix(np.asarray(T, dtype=np.complex128))
     yield b'{"n":%d,"entries":[[' % T.shape[0]
-    # ravel() first: it makes the row-major copy that .view needs
+    # ravel() first: it makes the row-major copy that .view needs, if any
     blocks = _g17_blocks(T.ravel().view(np.float64), (b",", b"],["))
     last = next(blocks)  # T is nonempty, so there is at least one block
     for block in blocks:

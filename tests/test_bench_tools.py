@@ -1,5 +1,6 @@
 """`tools/bench_decompose.py` and `tools/bench_cli_decompose.py` name every
-side they measure, the committed CLI sweeps hold their recorded claims, and
+side they measure and run their children with a fixed mmap threshold, the
+committed sweeps hold their recorded claims, and
 `tools/report_diff.py` counts what moved between two reports."""
 
 import importlib.util
@@ -92,6 +93,24 @@ def test_sweep_reverses_the_side_order_on_every_other_repeat(tmp_path, monkeypat
     assert order == [(side, n) for n in (16, 32) for side in sides]
 
 
+MALLOC_CHILD = r"""
+import json, os, resource
+import numpy as np, scipy
+from specord import core
+stage = {"threshold": float(os.environ.get("MALLOC_MMAP_THRESHOLD_", "nan")),
+         "peak_rss_mb": 1.5}
+extra = {}
+"""
+
+
+def test_children_hold_the_mmap_threshold_and_may_read_their_own_peak():
+    tool = load_tool()
+    row = tool.measure(ROOT, 16, MALLOC_CHILD)
+    assert row["threshold"] == 131072
+    # a peak read by the child before a later stage is the one reported
+    assert row["peak_rss_mb"] == 1.5
+
+
 def test_committed_cli_sweep_records_the_self_check_claims():
     doc = json.loads((ROOT / "BENCH_cli_decompose.json").read_text())
     parent, change = (doc["sides"][label] for label in ("parent", "change"))
@@ -103,6 +122,20 @@ def test_committed_cli_sweep_records_the_self_check_claims():
     assert big["change"]["median_peak_rss_mb"] <= 130
     assert (big["change"]["median_hyperinvariance_s"]
             <= big["parent"]["median_hyperinvariance_s"] / 3)
+
+
+def test_committed_brown_sweep_records_the_memory_claim():
+    tool = load_tool("bench_brown")
+    doc = json.loads((ROOT / "BENCH_brown_memory.json").read_text())
+    parent, change = (doc["sides"][label] for label in ("parent", "change"))
+    for side in (parent, change):
+        assert [row["g"] for row in side["rows"]] == [256, 512, 1024]
+        assert all(len(row["runs"]) == doc["repeats"] == 3 for row in side["rows"])
+        assert all(set(run) == set(tool.METRICS) for row in side["rows"] for run in row["runs"])
+    old, new = parent["rows"][-1], change["rows"][-1]
+    # grid and writers in two grids of working memory: at g = 1024 the
+    # parent's ten grids (80 MB) set the peak
+    assert new["median_peak_rss_mb"] <= 0.65 * old["median_peak_rss_mb"]
 
 
 def test_committed_compression_sweep_records_the_certificate_claims():

@@ -1,9 +1,11 @@
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -280,6 +282,101 @@ def percent_density_csv(grid) -> bytes:
     rows, cols = grid.masses.shape
     line = ",".join(["%.17g"] * cols) + "\n"
     return ((line * rows) % tuple(grid.masses.ravel().tolist())).encode("ascii")
+
+
+def whole_grid_table(T, g: int, grid) -> np.ndarray:
+    """Reference: the coefficient rows of every grid point at once, from
+    np.meshgrid and np.stack, on the square and eps the grid evaluates."""
+    square, eps = grid.square, grid.eps
+    size = max(operator_norm(T), eps, abs(square.cx) + abs(square.cy) + square.side)
+    if size > 2.0**brown._GRID_SCALE_EXP:
+        c = math.ldexp(1.0, -math.frexp(size)[1])
+        eps, square = eps * c, Square(cx=square.cx * c, cy=square.cy * c, side=square.side * c)
+    h = square.side / g
+    xs = square.x0 + (np.arange(-1, g + 1) + 0.5) * h
+    ys = square.y1 - (np.arange(-1, g + 1) + 0.5) * h
+    x, y = np.meshgrid(xs, ys)
+    return np.stack([np.ones_like(x), -x, -y, x * x + y * y + eps * eps], axis=-1).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("case", ["unscaled", "scaled"])
+def test_coefficient_blocks_equal_the_whole_grid_table(monkeypatch, case):
+    # g = 127: 129^2 points, 1,041 batches, the last of one point, so every
+    # worker count up to 16 forms full blocks and a partial last one
+    g, T = 127, sample(EnsembleSpec("ginibre", 4, seed=1))
+    if case == "scaled":
+        g, T = 47, T * 2.0**200
+        monkeypatch.setattr(brown, "_GRID_SCALE_EXP", 150)
+    assert (g + 2) ** 2 % brown._CHUNK != 0
+    rows, blocks = brown._coefficient_rows, []
+
+    def recorded(xs, ys, eps2, lo, hi):
+        out = rows(xs, ys, eps2, lo, hi)
+        blocks.append((lo, hi, out.copy()))
+        return out
+
+    monkeypatch.setattr(brown, "_coefficient_rows", recorded)
+    grid = brown_density_grid(T, g=g)
+    table = whole_grid_table(T, g, grid)
+    blocks.sort(key=lambda b: b[0])
+    assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+    assert blocks[-1][1] == table.shape[0] == (g + 2) ** 2
+    for lo, hi, out in blocks:
+        assert out.flags.c_contiguous and np.array_equal(out, table[lo:hi]), (lo, hi)
+    full = brown._BLOCK * brown._CHUNK
+    sizes = {hi - lo for lo, hi, _ in blocks}
+    assert max(sizes) <= full and min(sizes) < full
+    if case == "unscaled":
+        assert full in sizes
+
+
+def test_stencil_and_pgm_match_the_whole_array_expressions(tmp_path):
+    rng = np.random.default_rng(3)
+    g = 37
+    for scale in (1e-3, 1.0, 1e3):
+        phi = rng.standard_normal((g + 2, g + 2)) * scale
+        want = (phi[:-2, 1:-1] + phi[2:, 1:-1] + phi[1:-1, :-2] + phi[1:-1, 2:]
+                - 4.0 * phi[1:-1, 1:-1]) / (2.0 * np.pi)
+        assert brown._stencil(phi.copy()).tobytes() == want.tobytes()
+
+    square = Square(cx=0.0, cy=0.0, side=1.0)
+    cases = {
+        "mixed": rng.standard_normal((g, g)) * 1e-3,
+        "one positive": np.where(np.arange(g * g).reshape(g, g) == 5, 1e-300, -1.0),
+        "all nonpositive": -np.abs(rng.standard_normal((g, g))) * (rng.random((g, g)) < 0.7),
+    }
+    for name, masses in cases.items():
+        write_density_pgm(brown.DensityGrid(square, g, 1e-3, masses.copy()), tmp_path / "d.pgm")
+        img = np.clip(masses, 0.0, None)
+        peak = img.max()
+        if peak > 0:
+            img = img / peak
+        pix = np.round(255.0 * img).astype(np.uint8)
+        assert (tmp_path / "d.pgm").read_bytes() == b"P5\n37 37\n255\n" + pix.tobytes(), name
+        if name == "all nonpositive":
+            assert not pix.any()
+
+
+def test_density_grid_and_writers_hold_about_two_grids(tmp_path):
+    # live at the peak: phi ((g+2)^2 values) and the masses (g^2) while the
+    # stencil runs, then the masses, the PGM's one clipped copy and its g^2
+    # bytes of pixels.  A whole-grid coefficient table (4 (g+2)^2 values,
+    # and as much again while it is built) with the stencil's and the PGM's
+    # whole-array temporaries takes it to about 10 g^2.  At n = 4 each
+    # worker's batch is 4 KB, and the CSV's 4,096-value blocks are small
+    # against g^2
+    g, T = 384, sample(EnsembleSpec("ginibre", 4, seed=1))
+    warm = brown_density_grid(T, g=16)  # the formatter's tables, built once
+    write_density_csv(warm, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        grid = brown_density_grid(T, g=g)
+        write_density_csv(grid, tmp_path / "density.csv")
+        write_density_pgm(grid, tmp_path / "density.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * g * g
 
 
 def fstring_atoms_csv(m) -> bytes:

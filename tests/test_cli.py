@@ -689,6 +689,29 @@ def test_decompose_factors_and_formats_the_matrix_once(tmp_path, monkeypatch):
     assert_same_files(want, got)
 
 
+def test_brown_formats_the_matrix_once(tmp_path, monkeypatch):
+    src = tmp_path / "T.json"
+    save_matrix(sample(parse_ensemble("ginibre:n=12,seed=4")), src)
+    want = tmp_path / "want"
+    assert main(["brown", "--matrix", str(src), "--grid", "16", "--out", str(want)]) == 0
+    calls = []
+
+    def counted(T):
+        calls.append(1)
+        return matrix_json_bytes(T)
+
+    monkeypatch.setattr("specord.core.matrix_json_bytes", counted)
+    monkeypatch.setattr("specord.cli.matrix_json_bytes", counted)
+    got = tmp_path / "got"
+    assert main(["brown", "--matrix", str(src), "--grid", "16", "--out", str(got)]) == 0
+    # one text of T serves config.json and the report's input digest
+    assert len(calls) == 1
+    assert_same_files(want, got)
+    replayed = tmp_path / "replayed"
+    assert main(["replay", str(got / "config.json"), "--out", str(replayed)]) == 0
+    assert_same_files(want, replayed)
+
+
 DISPATCH_CHILD = """
 import json, sys
 from specord.cli import main

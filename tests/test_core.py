@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -503,6 +504,24 @@ def test_save_matrix_of_an_invalid_matrix_creates_no_file(tmp_path):
     with pytest.raises(ValueError):
         save_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]), tmp_path / "m.json")
     assert not (tmp_path / "m.json").exists()
+
+
+def test_save_matrix_writes_a_complex_row_major_matrix_without_a_copy(tmp_path):
+    # the writer's own work is a fixed 4,096-value block at a time, so the
+    # peak does not grow with n once n^2 exceeds a block; a validating copy
+    # of T would add one n x n matrix (16 n^2 bytes) to it
+    peaks = {}
+    for n in (64, 128):
+        T = sample(EnsembleSpec("ginibre", n, seed=1))
+        save_matrix(T, tmp_path / "warm.json")  # the formatter's tables, built once
+        tracemalloc.start()
+        try:
+            save_matrix(T, tmp_path / f"{n}.json")
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / f"{n}.json").read_bytes() == matrix_json_bytes(T) + b"\n"
+    assert peaks[128] - peaks[64] <= 0.25 * 16 * 128**2
 
 
 def test_matrix_json_bytes_matches_per_entry_format_in_every_layout():

@@ -19,9 +19,14 @@ stages of `decompose` read by wrapping the module globals that
 * `write_bundle_s`: `spectral.write_bundle` into a temporary directory;
 * `format_s`: `core.matrix_json_bytes` of T, N and Q, the text that
   `write_bundle` writes, timed again on its own;
-* `peak_rss_mb`: the child's peak resident set;
+* `peak_rss_mb`: the child's peak resident set once `write_bundle` has
+  returned, read before the `format_s` stage, so it is the op's own;
 * `blas_threads`: `core.openblas_threads()` outside `decompose`, and
   `blas_threads_in_reorder` as seen inside the reorder.
+
+Children run with `MALLOC_MMAP_THRESHOLD_=131072`, glibc's default mmap
+threshold held fixed as in the perfbench workers, so that freed large
+arrays go back to the system and the peak follows the live data.
 
 Per (side, n) the file keeps every repeat and the median of each time;
 `ratios` divides the last side's medians by the first's (null where the
@@ -79,6 +84,7 @@ def run(n):
         t = perf_counter()
         spectral.write_bundle(dec, out)
         stage["write_bundle_s"] = perf_counter() - t
+    stage["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     t = perf_counter()
     for M in (dec.T, dec.N, dec.Q):
         core.matrix_json_bytes(M)
@@ -89,16 +95,17 @@ run(int(sys.argv[1]))
 extra = {"blas_threads_in_reorder": dict(inside)}
 """
 
-# the end of every child: one JSON line of its `stage` dict, its peak RSS,
-# BLAS builds and thread counts, and its own `extra` dict
+# the end of every child: one JSON line of its `stage` dict, its peak RSS
+# (unless `stage` holds one read earlier), BLAS builds and thread counts, and
+# its own `extra` dict
 CHILD_REPORT = r"""
 def blas_build(module):
     return module.__config__.CONFIG["Build Dependencies"]["blas"].get(
         "openblas configuration")
 
 print(json.dumps({
-    **stage,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    **stage,
     "blas_threads": core.openblas_threads(),
     "numpy": np.__version__,
     "scipy": scipy.__version__,
@@ -108,6 +115,7 @@ print(json.dumps({
 }))
 """
 
+CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 TIMES = ("schur_s", "reorder_s", "total_s", "write_bundle_s", "format_s", "peak_rss_mb")
 SIZES = (128, 256, 512, 1024)
 REPEATS = 3
@@ -134,8 +142,9 @@ def source_sha256(root: Path) -> str:
 
 def measure(root: Path, n: int, child: str) -> dict:
     """Run `child` (a script ending in CHILD_REPORT) at size n on the
-    specord of `root`, in a fresh process; its JSON line."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    specord of `root`, in a fresh process with glibc's mmap threshold held
+    fixed (see the module docstring); its JSON line."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), **CHILD_ENV}
     proc = subprocess.run([sys.executable, "-c", child + CHILD_REPORT, str(n)], env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
@@ -154,11 +163,12 @@ def cpu_model() -> str:
 
 
 def sweep(argv, *, doc: str, child: str, sizes, repeats: int, metrics, extra,
-          workload: str, out: str) -> int:
+          workload: str, out: str, size_name: str = "n") -> int:
     """Measure `child` on every `--side` at each size, sides alternating
     and their order reversed on every other repeat, and write the medians
     of `metrics`, the `extra` keys of the first repeat and the ratios of
-    the last side to the first to `--out`."""
+    the last side to the first to `--out`; rows name their size
+    `size_name`."""
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--side", action="append", required=True,
                     help="LABEL=ROOT of a checkout; repeat for each side")
@@ -178,7 +188,7 @@ def sweep(argv, *, doc: str, child: str, sizes, repeats: int, metrics, extra,
             for label, root in order:
                 row = measure(root, n, child)
                 runs[label][n].append(row)
-                print(f"{label} n={n} rep={rep}: "
+                print(f"{label} {size_name}={n} rep={rep}: "
                       + ", ".join(f"{k} {row[k]:.3f}" for k in metrics), file=sys.stderr)
 
     result = {
@@ -193,7 +203,7 @@ def sweep(argv, *, doc: str, child: str, sizes, repeats: int, metrics, extra,
         for n in sizes:
             reps = runs[label][n]
             rows.append({
-                "n": n,
+                size_name: n,
                 **{f"median_{k}": round(statistics.median(r[k] for r in reps), 4)
                    for k in metrics},
                 "runs": [{k: round(r[k], 4) for k in metrics} for r in reps],
@@ -212,7 +222,7 @@ def sweep(argv, *, doc: str, child: str, sizes, repeats: int, metrics, extra,
         base, new = result["sides"][labels[0]]["rows"], result["sides"][labels[-1]]["rows"]
         result["ratios"] = {
             f"{labels[-1]}/{labels[0]}": [
-                {"n": a["n"],
+                {size_name: a[size_name],
                  **{k: round(b[f"median_{k}"] / a[f"median_{k}"], 3) if a[f"median_{k}"]
                     else None for k in metrics}}
                 for a, b in zip(base, new)
