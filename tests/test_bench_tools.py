@@ -133,8 +133,9 @@ def test_committed_brown_sweep_records_the_memory_claim():
         assert all(len(row["runs"]) == doc["repeats"] == 3 for row in side["rows"])
         assert all(set(run) == set(tool.METRICS) for row in side["rows"] for run in row["runs"])
     old, new = parent["rows"][-1], change["rows"][-1]
-    # grid and writers in two grids of working memory: at g = 1024 the
-    # parent's ten grids (80 MB) set the peak
+    # grid and writers in about two grids of working memory; at g = 1024 a
+    # whole-grid coefficient table and its temporaries (about ten grids,
+    # 80 MB) set the first side's peak
     assert new["median_peak_rss_mb"] <= 0.65 * old["median_peak_rss_mb"]
 
 
