@@ -26,7 +26,6 @@ from specord.verify import (
     KNOWN_CHECKS,
     _certified_flags,
     _cluster_sum_norm,
-    _commuting_input,
     _compression_snaps,
     _disc_snaps,
     _snap_atoms,
@@ -202,6 +201,48 @@ def test_run_suite_and_summary():
     # a repeated curve would emit each of its check ids twice
     with pytest.raises(ValueError, match=r"^curve specs repeat: \['lex'\]$"):
         run_suite(mats, curve_specs=("lex", "hilbert:depth=32", "lex"))
+
+
+def report_text(reports):
+    """The documents of `reports_to_json`, in its order, by json's C encoder:
+    the same text but for the indentation, which takes 3x longer."""
+    docs = [r.to_dict() for r in sorted(reports, key=lambda r: r.check_id)]
+    return json.dumps(docs, sort_keys=True)
+
+
+def test_a_single_check_reports_what_the_full_suite_reports():
+    small = [(label, T) for label, T in corpus_matrices() if T.shape[0] <= 8]
+    assert len(small) == 22
+    full = run_suite(small)
+    for cid in KNOWN_CHECKS:
+        want = [r for r in full if r.check_id.split("@")[0] == cid]
+        assert len(want) == 3 * len(small), cid
+        assert report_text(run_suite(small, checks=(cid,))) == report_text(want), cid
+
+
+def test_flag_invariance_alone_runs_no_other_check(monkeypatch):
+    from specord import verify
+    from specord.spectral import SpectralTable
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check other than flag-invariance ran")
+
+    monkeypatch.setattr(verify, "hyperinvariance_check", refuse)
+    monkeypatch.setattr(verify, "fk_determinant", refuse)
+    monkeypatch.setattr(SpectralTable, "expectation", refuse)
+    mats = [("g", sample(EnsembleSpec("ginibre", 12, seed=3)))]
+    reports = run_suite(mats, checks=("flag-invariance",))
+    assert len(reports) == 3 and all(r.verdict == "pass" for r in reports)
+    # the ids and their order, which the CLI's --check help lists
+    assert KNOWN_CHECKS == (
+        "spectral-trace-law", "spectral-intersection-law", "spectral-additivity-law",
+        "flag-spectral-agreement", "flag-trace-law", "flag-invariance", "flag-monotonicity",
+        "flag-compression-inside", "flag-compression-outside", "flag-hyperinvariance",
+        "commutant-compression-support", "blockdiag-determinant-agreement",
+        "normal-part-normality", "normal-part-measure", "residual-quasinilpotence",
+        "grid-expectation-rate", "grid-residual-radius", "grid-power-bound",
+        "grid-residual-squared-radius", "corner-determinant-product", "corner-measure-split",
+    )
 
 
 def test_known_checks_cover_suite_ids():
@@ -442,7 +483,7 @@ def test_verify_decomposition_formats_the_matrix_once(monkeypatch):
 def scaled_operators(dec, levels):
     """Qs and each level's Dn of the commuting input X scaled to norm 1/2,
     read off X's table: (X - N) / (2 ||X||) and (X - E_{D_n}(X)) / (2 ||X||)."""
-    xtable, _ = _commuting_input(dec)
+    xtable = dec.commuting_table
     X = xtable.matrix
     xnorm = operator_norm(X)
     Qs = (X - dec.N) / (2.0 * xnorm)
@@ -452,7 +493,7 @@ def scaled_operators(dec, levels):
 def rescaled_rebuild_operators(dec, levels):
     """Qs and Dn from a table of S = X / (2 ||X||) built again along the curve
     scaled alike: the derivation `scaled_operators` replaces."""
-    xtable, _ = _commuting_input(dec)
+    xtable = dec.commuting_table
     X, curve = xtable.matrix, dec.table.curve
     xnorm = operator_norm(X)
     S = X / (2.0 * xnorm)
@@ -641,6 +682,12 @@ def flag_sides_holding(table, clusters):
     return flags >= max(clusters), flags < min(clusters)
 
 
+def self_check_snaps(calls):
+    """The calls in `calls` made by the checks of `verify_decomposition`: the
+    flag sides and the commutant corners."""
+    return calls["_flag_sides"] + calls["_commutant_support"]
+
+
 def decomposition_checks(dec):
     return reports_to_json(verify_decomposition(dec, seed=2))
 
@@ -656,7 +703,7 @@ def test_a_jordan_block_falls_back_to_eigvals_and_keeps_its_verdict(monkeypatch)
     assert inside.any() and outside.any()
     calls = snap_eigvals_by_caller(monkeypatch)
     got = decomposition_checks(dec)
-    assert calls["verify_decomposition"] > 0
+    assert self_check_snaps(calls) > 0
     without_certificates(monkeypatch)
     assert got == decomposition_checks(dec)
 
@@ -684,7 +731,7 @@ def test_a_close_pair_falls_back_to_eigvals_and_keeps_its_verdict(monkeypatch):
     assert np.array_equal(outside[:-1], ~held_out[:-1]) and not outside[-1]
     calls = snap_eigvals_by_caller(monkeypatch)
     got = decomposition_checks(dec)
-    assert calls["verify_decomposition"] > 0
+    assert self_check_snaps(calls) > 0
     for doc in json.loads(got):
         if doc["check_id"].startswith("flag-compression"):
             assert doc["verdict"] == "pass"
@@ -731,7 +778,7 @@ def test_ginibre_self_check_solves_no_compression_spectrum(monkeypatch):
     without_certificates(monkeypatch)
     assert got == decomposition_checks(dec)
     # both flag sides of every flag but the two single-cluster ones
-    assert calls["verify_decomposition"] >= 2 * len(dec.table.clusters) - 3
+    assert self_check_snaps(calls) >= 2 * len(dec.table.clusters) - 3
 
 
 @pytest.mark.parametrize("spec", ["ginibre:n=16,seed=4", "normal_plus_nilpotent:n=12,seed=9",
