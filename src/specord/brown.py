@@ -146,11 +146,14 @@ def region_mass(m: PointMeasure, B: Region) -> float:
     return float(sum(w for z, w in m.atoms if B.contains(z)))
 
 
-def measure_distance(m1: PointMeasure, m2: PointMeasure, weight_tol: float = 1e-9) -> float:
+_WEIGHT_TOL = 1e-9  # atom weights closer than this are equal in `measure_distance`
+
+
+def measure_distance(m1: PointMeasure, m2: PointMeasure) -> float:
     """Optimal-matching distance between two atomic measures.
 
     Atoms are grouped into equal-weight classes (weights compared within
-    `weight_tol`); within each class the bottleneck matching distance of the
+    `_WEIGHT_TOL`); within each class the bottleneck matching distance of the
     locations is taken, and the maximum over classes is returned.  If the
     weight profiles disagree the measures are incomparable and the result
     is infinity.
@@ -159,13 +162,13 @@ def measure_distance(m1: PointMeasure, m2: PointMeasure, weight_tol: float = 1e-
     w2 = sorted(m2.weights)
     if len(w1) != len(w2):
         return float("inf")
-    if any(abs(x - y) > weight_tol for x, y in zip(w1, w2)):
+    if any(abs(x - y) > _WEIGHT_TOL for x, y in zip(w1, w2)):
         return float("inf")
     # group both atom lists by weight class
     all_weights = sorted(set(w1) | set(w2))
     classes: list[float] = []
     for w in all_weights:
-        if not classes or w - classes[-1] > weight_tol:
+        if not classes or w - classes[-1] > _WEIGHT_TOL:
             classes.append(w)
 
     def klass(w: float) -> int:
@@ -324,17 +327,12 @@ def _stencil(phi: np.ndarray) -> np.ndarray:
     return masses
 
 
-def brown_density_grid(
-    T,
-    g: int = 256,
-    eps: float | None = None,
-    square: Square | None = None,
-) -> DensityGrid:
+def brown_density_grid(T, g: int = 256) -> DensityGrid:
     """Discrete-Laplacian density of the regularized log potential.
 
     Evaluates the potential at the centers of a (g+2)^2 grid covering the
-    working square (by default that of ||T||) plus one guard ring, then
-    applies the 5-point stencil; eps defaults to 1e-3 max(1, ||T||).
+    working square of ||T|| plus one guard ring, then applies the 5-point
+    stencil, at the regularization eps = 1e-3 max(1, ||T||).
     With x = Re l and y = Im l, each point's matrix is the real combination
     T*T - x (T + T*) - y i(T* - T) + (x*x + y*y + eps^2) I of four fixed
     matrices, so one float64 dgemm forms a batch of 16 points from their
@@ -364,12 +362,7 @@ def brown_density_grid(
     if g < 16:
         raise ValueError("grid resolution must be >= 16")
     norm = operator_norm(T)
-    if eps is None:
-        eps = 1e-3 * max(1.0, norm)
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if square is None:
-        square = ambient_square(norm)
+    eps, square = 1e-3 * max(1.0, norm), ambient_square(norm)
     # the result carries the input's own square and eps
     T_in, grid_square, grid_eps = T, square, eps
     size = max(norm, eps, abs(square.cx) + abs(square.cy) + square.side)

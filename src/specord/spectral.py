@@ -32,20 +32,11 @@ from .brown import (  # noqa: F401
     empirical_brown,
     measure_distance,
 )
-from .core import (
-    Cluster,
-    SchurForm,
-    cluster_labels,
-    operator_norm,
-    save_matrix,
-    schur_form,
-    single_thread_blas,
-    write_output,
-    _reorder_by_keys,
-)
+from .core import (Cluster, SchurForm, _reorder_by_keys, cluster_labels, operator_norm,
+                   save_matrix, schur_form, single_thread_blas, write_output)
 from .curves import OrderingCurve, ordered_preimages, param_to_bits
 from .projections import Projection, projection_from_columns
-from .regions import Region, decide_cluster
+from .regions import Region, decide_cluster, locate_cell
 
 
 class CurveValidationError(ValueError):
@@ -129,8 +120,6 @@ class SpectralTable:
 
     def cell_assignment(self, level: int) -> dict[int, list[int]]:
         """Cell index -> cluster indices, by representative location."""
-        from .regions import locate_cell
-
         square = self.curve.square
         out: dict[int, list[int]] = {}
         for i, c in enumerate(self.clusters):
@@ -245,17 +234,64 @@ def build_table(T, curve: OrderingCurve, *,
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """T = N + Q with N normal and Q quasinilpotent."""
+    """T = N + Q with N normal and Q quasinilpotent: a table, whose N, Q,
+    `normal_measure` and `report` are each computed once, when first read,
+    with every OpenBLAS library pinned to one thread
+    (`core.single_thread_blas`), so their bits depend neither on the BLAS
+    thread count nor on the order of the reads.
 
-    N: np.ndarray
-    Q: np.ndarray
+    N is assembled from exact cluster atoms (sum of z E({z})); Q = T - N by
+    subtraction, so T = N + Q holds exactly.  `normal_measure` counts N's
+    eigenvalues at the table's tolerance, from one Hermitian eigensolve
+    (`brown._normal_eigvals`).  The report records the normality defect of
+    N, the matching distance between the counting measures of N and T
+    (T's from the table's clusters), and the structural quasinilpotence of
+    Q (diagonal magnitude and strictly-lower residual in the joint ordered
+    basis).
+
+    Besides T and the table's U and R, a decomposition holds N and Q once
+    read, and `report` one working temporary at a time: N's eigensolve
+    runs before Q exists, and the products NN* - N*N and G = U*QU are each
+    dropped once reduced to their report values.
+    """
+
     table: SpectralTable
-    report: dict
-    normal_measure: PointMeasure  # counting measure of N's eigenvalues, at table.tol
 
     @property
     def T(self) -> np.ndarray:
         return self.table.matrix
+
+    N = cached_property(single_thread_blas()(lambda d: d.table.normal_part()))
+    Q = cached_property(single_thread_blas()(lambda d: d.table.matrix - d.N))
+
+    @cached_property
+    @single_thread_blas()
+    def normal_measure(self) -> PointMeasure:
+        tol = self.table.tol
+        return _measure_from_values(_normal_eigvals(self.N, tol).tolist(), tol)
+
+    @cached_property
+    @single_thread_blas()
+    def report(self) -> dict:
+        table, N, nu = self.table, self.N, self.normal_measure
+        nn = N @ N.conj().T
+        nn -= N.conj().T @ N
+        normality_defect = float(np.linalg.norm(nn))
+        del nn
+        G = table.unitary.conj().T @ self.Q @ table.unitary
+        diag_mag = float(np.abs(np.diag(G)).max())
+        lower = float(np.linalg.norm(np.tril(G, -1)))
+        del G
+        return {
+            "normality_defect": normality_defect,
+            "normal_fro_sq": float(np.linalg.norm(N) ** 2),
+            "measure_distance": measure_distance(
+                nu, _measure_from_clusters(table.clusters, table.n),
+            ),
+            "quasinilpotent_diag": diag_mag,
+            "quasinilpotent_lower": lower,
+            "cluster_count": len(table.clusters),
+        }
 
     @cached_property
     def commuting_table(self) -> SpectralTable:
@@ -279,64 +315,24 @@ class Decomposition:
         return replace(table, form=form, clusters=clusters)
 
 
-@single_thread_blas()
 def decompose(T, curve: OrderingCurve, *,
               form: SchurForm | None = None) -> Decomposition:
-    """Split T into its curve-ordered normal part and the residual.
-
-    N is assembled from exact cluster atoms (sum of z E({z})); Q = T - N by
-    subtraction, so T = N + Q holds exactly.  The report records the
-    normality defect of N, the matching distance between the counting
-    measures of N and T, and the structural quasinilpotence of Q (diagonal
-    magnitude and strictly-lower residual in the joint ordered basis).
-    N's eigenvalues come from one Hermitian eigensolve (`brown._normal_eigvals`),
-    T's from the table's clusters of its Schur spectrum.
-
-    `form`, when given, must be `schur_form(T)` and is passed to
-    `build_table`.  Runs with every OpenBLAS library pinned to one thread
-    (`core.single_thread_blas`), so the bits do not depend on the BLAS
-    thread count.
-
-    Besides T and the table's U and R, the op holds N and Q, which it
-    returns, and one working temporary at a time: N's eigensolve runs
-    before Q exists, and the products NN* - N*N and G = U*QU are each
-    dropped once reduced to their report values.
-    """
-    table = build_table(T, curve, form=form)
-    N = table.normal_part()
-    normal_measure = _measure_from_values(_normal_eigvals(N, table.tol).tolist(), table.tol)
-    nn = N @ N.conj().T
-    nn -= N.conj().T @ N
-    normality_defect = float(np.linalg.norm(nn))
-    del nn
-    Q = table.matrix - N
-    G = table.unitary.conj().T @ Q @ table.unitary
-    diag_mag = float(np.abs(np.diag(G)).max()) if table.n else 0.0
-    lower = float(np.linalg.norm(np.tril(G, -1)))
-    del G
-    report = {
-        "normality_defect": normality_defect,
-        "normal_fro_sq": float(np.linalg.norm(N) ** 2),
-        "measure_distance": measure_distance(
-            normal_measure, _measure_from_clusters(table.clusters, table.n),
-        ),
-        "quasinilpotent_diag": diag_mag,
-        "quasinilpotent_lower": lower,
-        "cluster_count": len(table.clusters),
-    }
-    return Decomposition(N=N, Q=Q, table=table, report=report,
-                         normal_measure=normal_measure)
+    """Split T into its curve-ordered normal part and the residual: the
+    table of `build_table(T, curve, form=form)`, whose N, Q and report are
+    computed when first read (`Decomposition`)."""
+    return Decomposition(build_table(T, curve, form=form))
 
 
 def write_bundle(dec: Decomposition, outdir) -> None:
     """Write T.json, N.json, Q.json and table.json into `outdir`."""
+    report = dec.report  # N, Q and the report, computed before the directory exists
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     # T's text as the digests and the CLI's config.json read it, when they
     # have; otherwise each matrix streams to its file (`core.save_matrix`),
-    # so no whole text is held.  That keeps the CLI's no-file-on-exit-2
-    # contract: a bundle is written only after `decompose` (and the CLI's
-    # self-check) returned, and `%.17g` of a finite double cannot fail.
+    # so no whole text is held.  Every value exists before the directory
+    # does, and `%.17g` of a finite double cannot fail, so a run that
+    # raises leaves no partial bundle (the CLI's exit-2 contract).
     form = dec.table.form
     text = vars(form).get("json_text")
     if text is None:
@@ -346,10 +342,7 @@ def write_bundle(dec: Decomposition, outdir) -> None:
     for name, M in (("N", dec.N), ("Q", dec.Q)):
         save_matrix(M, out / f"{name}.json")
     doc = dec.table.to_json_dict()
-    doc["report"] = {
-        k: (v if not isinstance(v, float) else float(f"{v:.17g}"))
-        for k, v in dec.report.items()
-    }
+    doc["report"] = report
     write_output(
         out / "table.json",
         (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode("ascii"),

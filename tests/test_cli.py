@@ -632,6 +632,19 @@ def test_curve_compare_distance_equals_measures_of_both_normal_parts(tmp_path):
     assert abs(doc["normal_parts_equal_measure"] - by_eigvals) <= 2 * bound
 
 
+def test_curve_compare_computes_no_report(tmp_path, monkeypatch):
+    # compare reads N and its measure; the report's matching distance of N
+    # against T is the one place spectral calls measure_distance
+    def refuse(*args, **kwargs):
+        raise AssertionError("curve compare computed a decomposition report")
+
+    monkeypatch.setattr("specord.spectral.measure_distance", refuse)
+    assert main(["curve", "compare", "--ensemble", "normal_plus_nilpotent:n=10,scale=0.5,seed=3",
+                 "--curve", "hilbert:depth=32", "--curve2", "lex",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "c" / "compare.json").exists()
+
+
 def test_project_and_compare_factor_the_matrix_once(tmp_path, monkeypatch):
     counts = Counter()
 

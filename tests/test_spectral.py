@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import specord
+from specord import spectral
 from specord.brown import _measure_from_values, empirical_brown, measure_distance, mixture
 from specord.core import (
     SchurForm,
@@ -24,7 +26,7 @@ from specord.core import (
 )
 from specord.projections import hs_projection, invariance_leak
 from specord.curves import CurveSegment, LexicographicCurve, parse_curve
-from specord.ensembles import EnsembleSpec, sample
+from specord.ensembles import EnsembleSpec, parse_ensemble, sample
 from specord.regions import CellUnion, EmptyRegion, FullPlane, ambient_square, disk
 from specord.spectral import (
     CurveValidationError,
@@ -642,6 +644,42 @@ def test_cluster_columns_carry_their_members(spec):
     P = hs_projection(T, disk(singleton.location.real, 0.0, 0.5e-8))
     assert P.rank == 1
     np.testing.assert_allclose(P.matrix, np.diag([0, 0, 0, 0, 1.0]), atol=1e-14)
+
+
+READS = ("report", "Q", "N", "normal_measure")
+
+
+@pytest.mark.parametrize("spec", ["ginibre:n=24,seed=1", "jordan:n=4,lam=2",
+                                  "normal_plus_nilpotent:n=10,scale=0.5,seed=3"])
+def test_a_decomposition_computes_its_parts_once_in_any_read_order(spec, monkeypatch):
+    T = sample(parse_ensemble(spec))
+    form = schur_form(T)
+    curve = parse_curve("hilbert:depth=32", form.norm)
+    dec = decompose(T, curve, form=form)
+    assert set(vars(dec)) == {"table"}   # the table alone, until a part is read
+    want = {name: getattr(dec, name) for name in READS}
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SpectralTable, "normal_part",
+                        counted("normal_part", SpectralTable.normal_part))
+    monkeypatch.setattr(spectral, "_normal_eigvals",
+                        counted("eigvals", spectral._normal_eigvals))
+    for order in itertools.permutations(READS):
+        calls.clear()
+        dec = decompose(T, curve, form=form)
+        for name in order + order:
+            getattr(dec, name)
+        assert calls == {"normal_part": 1, "eigvals": 1}, order
+        assert dec.N.tobytes() == want["N"].tobytes(), order
+        assert dec.Q.tobytes() == want["Q"].tobytes(), order
+        assert repr(dec.report) == repr(want["report"]), order
+        assert repr(dec.normal_measure) == repr(want["normal_measure"]), order
 
 
 def decomposition_bits(T):

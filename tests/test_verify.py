@@ -220,6 +220,54 @@ def test_a_single_check_reports_what_the_full_suite_reports():
         assert report_text(run_suite(small, checks=(cid,))) == report_text(want), cid
 
 
+# the ids whose values and draws read only the table and G = U*TU, and the
+# ids whose draws or values read N but never N's measure, Q or the report
+TABLE_CHECKS = tuple(cid for cid in KNOWN_CHECKS
+                     if cid.startswith(("spectral-", "flag-", "corner-")))
+NORMAL_PART_CHECKS = ("commutant-compression-support", "blockdiag-determinant-agreement",
+                      *(cid for cid in KNOWN_CHECKS if cid.startswith("grid-")))
+
+
+def refuse_part(*args, **kwargs):
+    raise AssertionError("a check computed a part of the decomposition it does not read")
+
+
+@pytest.mark.parametrize("patched, ids", [
+    ("specord.spectral.SpectralTable.normal_part", TABLE_CHECKS),
+    ("specord.spectral._normal_eigvals", NORMAL_PART_CHECKS),
+])
+def test_a_check_computes_only_the_parts_of_the_decomposition_it_reads(monkeypatch,
+                                                                       patched, ids):
+    assert len(TABLE_CHECKS) == 12 and len(NORMAL_PART_CHECKS) == 6
+    small = [(label, T) for label, T in corpus_matrices() if T.shape[0] <= 8]
+    monkeypatch.setattr(patched, refuse_part)
+    for cid in ids:
+        reports = run_suite(small, checks=(cid,))
+        assert len(reports) == 3 * len(small), cid
+        assert suite_summary(reports)["failed"] == 0, cid
+
+
+def test_a_full_suite_assembles_each_normal_part_once(monkeypatch):
+    from specord.spectral import SpectralTable
+
+    calls = []
+    normal_part = SpectralTable.normal_part
+
+    def counted(table):
+        calls.append(table)
+        return normal_part(table)
+
+    monkeypatch.setattr(SpectralTable, "normal_part", counted)
+    # a non-normal input reads N for its commuting table, its grid checks
+    # and its report, a normal one for its grid checks and its report
+    mats = [("g", sample(EnsembleSpec("ginibre", 6, seed=3))),
+            ("j", sample(parse_ensemble("jordan:n=4,lam=2"))),
+            ("d", np.diag([1.0, 2.0, 1j]))]
+    curves = ("hilbert:depth=32", "lex")
+    assert suite_summary(run_suite(mats, curve_specs=curves, n_max=2))["failed"] == 0
+    assert len(calls) == len(mats) * len(curves)
+
+
 def test_flag_invariance_alone_runs_no_other_check(monkeypatch):
     from specord import verify
     from specord.spectral import SpectralTable

@@ -12,7 +12,9 @@ command factors T, decomposes it along `hilbert:depth=32`, runs the
 by wrapping the names the CLI and the verifier call:
 
 * `wall_s`: the whole command;
-* `verify_s`: `verify_decomposition`;
+* `verify_s`: `verify_decomposition`.  A decomposition computes N, Q and
+  its report when first read, so the child reads `report` as soon as the
+  CLI's `decompose` returns, and `verify_s` holds the self-check alone;
 * `hyperinvariance_s`: `hyperinvariance_check`, inside `verify_s`;
 * `eigvals_s`: `np.linalg.eigvals` called from `verify_decomposition` or
   from `_compression_snaps`, through which the self-check tests every
@@ -77,6 +79,14 @@ def outermost(name, fn):
     return wrapper
 
 cli.verify_decomposition = timed("verify_s", cli.verify_decomposition, probe=True)
+decompose = cli.decompose
+
+def decompose_and_report(*args, **kwargs):
+    dec = decompose(*args, **kwargs)
+    dec.report  # computed when first read: here, not inside the self-check
+    return dec
+
+cli.decompose = decompose_and_report
 wrapped = [(module, name) for module in (verify, core)
            for name in ("_compression_snaps", "_certified_flags", "_disc_radii",
                         "_disc_snaps", "_block_norms") if hasattr(module, name)]
