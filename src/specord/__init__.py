@@ -43,12 +43,7 @@ from .projections import (
     hs_projection,
     hyperinvariance_check,
 )
-from .spectral import (
-    Decomposition,
-    SpectralTable,
-    build_table,
-    decompose,
-)
+from .spectral import SpectralTable, build_table, decompose
 from .ensembles import EnsembleSpec, corpus, parse_ensemble, sample
 
 __version__ = "0.1.0"

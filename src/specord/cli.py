@@ -193,10 +193,10 @@ def _run_decompose(cfg: RunConfig, outdir: Path) -> int:
     # one form gives ||T|| to the curve and the table's form gives T's text
     # to the digests, config.json and T.json
     form = schur_form(T)
-    dec = decompose(T, parse_curve(cfg.curve, form.norm), form=form)
-    reports = verify_decomposition(dec, seed=cfg.seed)
-    _write_config(cfg, outdir, dec.table.form)
-    write_bundle(dec, outdir)
+    table = decompose(form, parse_curve(cfg.curve, form.norm))
+    reports = verify_decomposition(table, seed=cfg.seed)
+    _write_config(cfg, outdir, table.form)
+    write_bundle(table, outdir)
     write_output(outdir / "report.json", reports_to_json(reports).encode("ascii"))
     summary = suite_summary(reports)
     print(f"decompose: {summary['passed']} passed, {summary['failed']} failed, "
@@ -236,7 +236,7 @@ def _run_project(cfg: RunConfig, outdir: Path) -> int:
     # one Schur form, with its norm and tolerance, serves every region
     form = schur_form(T)
     square = ambient_square(form.norm)
-    projections = [hs_projection(T, parse_region(spec, square), form=form)
+    projections = [hs_projection(form, parse_region(spec, square))
                    for spec in cfg.regions]
     _write_config(cfg, outdir, T)
     results = []
@@ -298,7 +298,7 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
     if mode == "order":
         from .spectral import build_table
 
-        table = build_table(T, curve, form=form)
+        table = build_table(form, curve)
         doc = table.to_json_dict()
         _write_config(cfg, outdir, T)
         _write_json(outdir / "order.json", doc)
@@ -310,8 +310,8 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
             raise ValueError("curve compare needs --curve2")
         from .brown import measure_distance
 
-        da = decompose(T, curve, form=form)
-        db = decompose(T, parse_curve(cfg.curve2, form.norm), form=form)
+        da = decompose(form, curve)
+        db = decompose(form, parse_curve(cfg.curve2, form.norm))
         dist = measure_distance(da.normal_measure, db.normal_measure)
         doc = {
             "curve_a": cfg.curve,
@@ -319,9 +319,9 @@ def _run_curve(cfg: RunConfig, outdir: Path, mode: str) -> int:
             "normal_parts_equal_measure": dist,
             "normal_part_difference": float(np.linalg.norm(da.N - db.N)),
             "order_a": [f"{c.location.real:.17g}{c.location.imag:+.17g}j"
-                        for c in da.table.clusters],
+                        for c in da.clusters],
             "order_b": [f"{c.location.real:.17g}{c.location.imag:+.17g}j"
-                        for c in db.table.clusters],
+                        for c in db.clusters],
         }
         _write_config(cfg, outdir, T)
         _write_json(outdir / "compare.json", doc)

@@ -322,6 +322,13 @@ class SchurForm:
         return _tolerance_at(self.norm)
 
     @cached_property
+    def diag_clusters(self) -> tuple[tuple[Cluster, ...], tuple[int, ...]]:
+        """`cluster_labels` of the diagonal at the form's tolerance: the
+        clusters and each diagonal entry's cluster, in R's order."""
+        clusters, labels = cluster_labels(self.diag_order, self.tol)
+        return tuple(clusters), tuple(labels)
+
+    @cached_property
     def compression(self) -> np.ndarray:
         """G = U* T U, formed fresh from `matrix` (unlike `triangular`): T's
         compression to any span of the form's columns is a block of G."""
@@ -438,7 +445,8 @@ def _reorder_by_keys(form: SchurForm, keys: Sequence[int]) -> SchurForm:
 
 def _reordered(form: SchurForm, U: np.ndarray, R: np.ndarray) -> SchurForm:
     """`form` with the factors (U, R), keeping the cached `eigvals` and
-    `json_text`, which depend on T alone; V, W and the radii depend on R."""
+    `json_text`, which depend on T alone; V, W, the radii and the diagonal's
+    cluster labels depend on R."""
     out = replace(form, unitary=U, triangular=R)
     vars(out).update({k: v for k, v in vars(form).items() if k in ("eigvals", "json_text")})
     return out

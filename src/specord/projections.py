@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     SchurForm,
-    cluster_labels,
     operator_norm,
     schur_form,
     single_thread_blas,
@@ -65,19 +64,18 @@ def projection_from_columns(cols: np.ndarray, n: int) -> Projection:
 
 
 @single_thread_blas()
-def hs_projection(T, B: Region, *, form: SchurForm | None = None) -> Projection:
+def hs_projection(T, B: Region) -> Projection:
     """Orthogonal projection onto the invariant subspace of the spectrum in B.
 
+    T is a matrix or its `SchurForm`, which a caller projecting onto
+    several regions of one matrix factors once; a form is not mutated.
     Eigenvalue clusters must be decidably inside or outside B; a straddling
     cluster raises AmbiguousRegionError naming the offending eigenvalue.
-    `form`, when given, must be `schur_form(T)`; a caller projecting onto
-    several regions of one matrix factors it once.  It is not mutated.
     Clusters are taken at the form's tolerance.  Runs with every OpenBLAS
     library on one thread (`core.single_thread_blas`).
     """
-    if form is None:
-        form = schur_form(T)
-    clusters, labels = cluster_labels(form.diag_order, form.tol)
+    form = T if isinstance(T, SchurForm) else schur_form(T)
+    clusters, labels = form.diag_clusters
     member = [decide_cluster(B, c.members) for c in clusters]
     keys = [0 if member[ci] else 1 for ci in labels]
     ordered = _reorder_by_keys(form, keys)
@@ -138,7 +136,7 @@ def _eigenvector_factors(form: SchurForm):
         norms = np.linalg.norm(Z, axis=0)
     if not np.isfinite(norms).all() or np.linalg.cond(Z / norms) >= 1e8:
         return None
-    clusters, labels = cluster_labels(form.diag_order, form.tol)
+    clusters, labels = form.diag_clusters
     return Z, form.inverse_eigenvectors @ form.unitary.conj().T, np.array(labels), len(clusters)
 
 

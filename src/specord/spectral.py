@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -32,8 +31,8 @@ from .brown import (  # noqa: F401
     empirical_brown,
     measure_distance,
 )
-from .core import (Cluster, SchurForm, _reorder_by_keys, cluster_labels, operator_norm,
-                   save_matrix, schur_form, single_thread_blas, write_output)
+from .core import (Cluster, SchurForm, _reorder_by_keys, operator_norm, save_matrix,
+                   schur_form, single_thread_blas, write_output)
 from .curves import OrderingCurve, ordered_preimages, param_to_bits
 from .projections import Projection, projection_from_columns
 from .regions import Region, decide_cluster, locate_cell
@@ -56,7 +55,27 @@ class SpectralTable:
     counts the eigenvalues in the first i clusters, so columns
     ranks[i]:ranks[i+1] of `unitary` span the range of cluster i,
     `range_projection(i, i + 1)`, and the leading ranks[i+1] columns span
-    the range of flag i, `range_projection(0, i + 1)`.
+    the range of flag i, `range_projection(0, i + 1)`; the curve segment up
+    to cell-visit index k holds the first `bisect_right(params, k)` clusters.
+
+    The table is also the decomposition T = N + Q, N normal and Q
+    quasinilpotent, whose N, Q, `normal_measure` and `report` are each
+    computed once, when first read, with every OpenBLAS library pinned to
+    one thread (`core.single_thread_blas`), so their bits depend neither
+    on the BLAS thread count nor on the order of the reads.  N is
+    assembled from exact cluster atoms (sum of z E({z})); Q = T - N by
+    subtraction, so T = N + Q holds exactly.  `normal_measure` counts N's
+    eigenvalues at the table's tolerance, from one Hermitian eigensolve
+    (`brown._normal_eigvals`).  The report records the normality defect of
+    N, the matching distance between the counting measures of N and T
+    (T's from the clusters), and the structural quasinilpotence of Q
+    (diagonal magnitude and strictly-lower residual in the joint ordered
+    basis).
+
+    Besides T, U and R, a table holds N and Q once read, and `report` one
+    working temporary at a time: N's eigensolve runs before Q exists, and
+    the products NN* - N*N and G = U*QU are each dropped once reduced to
+    their report values.
     """
 
     form: SchurForm
@@ -92,15 +111,6 @@ class SpectralTable:
         cols = self.unitary[:, self.ranks[lo] : self.ranks[hi]]
         return projection_from_columns(cols, self.n)
 
-    def flag_at(self, k: int) -> Projection:
-        """P_T of the curve segment up to cell-visit index k."""
-        return self.range_projection(0, bisect_right(self.params, k))
-
-    def cluster_columns(self, idxs) -> np.ndarray:
-        """The columns of clusters `idxs`, concatenated in the given order."""
-        blocks = [self.unitary[:, self.ranks[i] : self.ranks[i + 1]] for i in idxs]
-        return np.concatenate([self.unitary[:, :0], *blocks], axis=1)
-
     def member_clusters(self, B: Region) -> list[int]:
         """Indices of clusters decidably inside B (unanimous membership)."""
         return [i for i, c in enumerate(self.clusters)
@@ -112,8 +122,10 @@ class SpectralTable:
         The cluster parameters are distinct, so an open cover of B's
         parameters narrower than their smallest gap holds no other cluster.
         """
+        blocks = [self.unitary[:, self.ranks[i] : self.ranks[i + 1]]
+                  for i in self.member_clusters(B)]
         return projection_from_columns(
-            self.cluster_columns(self.member_clusters(B)), self.n
+            np.concatenate([self.unitary[:, :0], *blocks], axis=1), self.n
         )
 
     # -- dyadic grid machinery ----------------------------------------------
@@ -178,6 +190,64 @@ class SpectralTable:
                 return False
         return True
 
+    # -- the decomposition T = N + Q -----------------------------------------
+
+    N = cached_property(single_thread_blas()(lambda t: t.normal_part()))
+    Q = cached_property(single_thread_blas()(lambda t: t.matrix - t.N))
+
+    @cached_property
+    @single_thread_blas()
+    def normal_measure(self) -> PointMeasure:
+        return _measure_from_values(_normal_eigvals(self.N, self.tol).tolist(), self.tol)
+
+    @cached_property
+    @single_thread_blas()
+    def report(self) -> dict:
+        N, nu = self.N, self.normal_measure
+        nn = N @ N.conj().T
+        nn -= N.conj().T @ N
+        normality_defect = float(np.linalg.norm(nn))
+        del nn
+        G = self.unitary.conj().T @ self.Q @ self.unitary
+        diag_mag = float(np.abs(np.diag(G)).max())
+        lower = float(np.linalg.norm(np.tril(G, -1)))
+        del G
+        return {
+            "normality_defect": normality_defect,
+            "normal_fro_sq": float(np.linalg.norm(N) ** 2),
+            "measure_distance": measure_distance(
+                nu, _measure_from_clusters(self.clusters, self.n),
+            ),
+            "quasinilpotent_diag": diag_mag,
+            "quasinilpotent_lower": lower,
+            "cluster_count": len(self.clusters),
+        }
+
+    @property
+    def commuting_table(self) -> SpectralTable:
+        """This table if T commutes with its cluster projections, else N's.
+
+        N commutes with its cluster projections by construction.  Checks
+        whose bounds assume a commuting input run on this table.  N is
+        U diag(d) U* with U T's ordered unitary and d the cluster locations,
+        so N's table is T's flag with diag(d) as its triangular factor:
+        T's params and ranks, one point cluster per location, and nothing
+        factored again.  Its `normal_part()` has the bits of `N`.  The test
+        and N's table are each computed once; a table does not cache itself,
+        a reference cycle that only the garbage collector would free.
+        """
+        return self if self._commutes else self._normal_table
+
+    _commutes = cached_property(lambda t: t.commutes_with_cluster_projs())
+
+    @cached_property
+    def _normal_table(self) -> SpectralTable:
+        form = SchurForm(matrix=self.N, norm=operator_norm(self.N),
+                         unitary=self.unitary, triangular=np.diag(self._locations()))
+        clusters = tuple(Cluster(c.location, (c.location,) * c.multiplicity)
+                         for c in self.clusters)
+        return replace(self, form=form, clusters=clusters)
+
     def to_json_dict(self) -> dict:
         bits = 2 * self.curve.depth
         return {
@@ -196,18 +266,16 @@ class SpectralTable:
 
 
 @single_thread_blas()
-def build_table(T, curve: OrderingCurve, *,
-                form: SchurForm | None = None) -> SpectralTable:
+def build_table(T, curve: OrderingCurve) -> SpectralTable:
     """Order the spectrum of T along the curve in a reordered Schur form.
 
-    `form`, when given, must be `schur_form(T)`; a caller that orders one
-    matrix along several curves factors it once.  It is not mutated.
-    Clusters are taken at the form's tolerance.  Runs with every OpenBLAS
-    library on one thread, like `decompose`.
+    T is a matrix or its `SchurForm`, which a caller that orders one matrix
+    along several curves factors once; a form is not mutated.  Clusters
+    are taken at the form's tolerance.  Runs with every OpenBLAS library
+    on one thread.
     """
-    if form is None:
-        form = schur_form(T)
-    clusters, labels = cluster_labels(form.diag_order, form.tol)
+    form = T if isinstance(T, SchurForm) else schur_form(T)
+    clusters, labels = form.diag_clusters
     entries, problems = ordered_preimages(curve, [c.location for c in clusters])
     if problems:
         raise CurveValidationError("; ".join(problems))
@@ -229,103 +297,16 @@ def build_table(T, curve: OrderingCurve, *,
     )
 
 
-# ---------------------------------------------------------------------------
-# the decomposition
-
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """T = N + Q with N normal and Q quasinilpotent: a table, whose N, Q,
-    `normal_measure` and `report` are each computed once, when first read,
-    with every OpenBLAS library pinned to one thread
-    (`core.single_thread_blas`), so their bits depend neither on the BLAS
-    thread count nor on the order of the reads.
-
-    N is assembled from exact cluster atoms (sum of z E({z})); Q = T - N by
-    subtraction, so T = N + Q holds exactly.  `normal_measure` counts N's
-    eigenvalues at the table's tolerance, from one Hermitian eigensolve
-    (`brown._normal_eigvals`).  The report records the normality defect of
-    N, the matching distance between the counting measures of N and T
-    (T's from the table's clusters), and the structural quasinilpotence of
-    Q (diagonal magnitude and strictly-lower residual in the joint ordered
-    basis).
-
-    Besides T and the table's U and R, a decomposition holds N and Q once
-    read, and `report` one working temporary at a time: N's eigensolve
-    runs before Q exists, and the products NN* - N*N and G = U*QU are each
-    dropped once reduced to their report values.
-    """
-
-    table: SpectralTable
-
-    @property
-    def T(self) -> np.ndarray:
-        return self.table.matrix
-
-    N = cached_property(single_thread_blas()(lambda d: d.table.normal_part()))
-    Q = cached_property(single_thread_blas()(lambda d: d.table.matrix - d.N))
-
-    @cached_property
-    @single_thread_blas()
-    def normal_measure(self) -> PointMeasure:
-        tol = self.table.tol
-        return _measure_from_values(_normal_eigvals(self.N, tol).tolist(), tol)
-
-    @cached_property
-    @single_thread_blas()
-    def report(self) -> dict:
-        table, N, nu = self.table, self.N, self.normal_measure
-        nn = N @ N.conj().T
-        nn -= N.conj().T @ N
-        normality_defect = float(np.linalg.norm(nn))
-        del nn
-        G = table.unitary.conj().T @ self.Q @ table.unitary
-        diag_mag = float(np.abs(np.diag(G)).max())
-        lower = float(np.linalg.norm(np.tril(G, -1)))
-        del G
-        return {
-            "normality_defect": normality_defect,
-            "normal_fro_sq": float(np.linalg.norm(N) ** 2),
-            "measure_distance": measure_distance(
-                nu, _measure_from_clusters(table.clusters, table.n),
-            ),
-            "quasinilpotent_diag": diag_mag,
-            "quasinilpotent_lower": lower,
-            "cluster_count": len(table.clusters),
-        }
-
-    @cached_property
-    def commuting_table(self) -> SpectralTable:
-        """The table of T if T commutes with its cluster projections, else of N.
-
-        N commutes with its cluster projections by construction.  Checks
-        whose bounds assume a commuting input run on this table.  N is
-        U diag(d) U* with U T's ordered unitary and d the cluster locations,
-        so N's table is T's flag with diag(d) as its triangular factor:
-        T's params and ranks, one point cluster per location, and nothing
-        factored again.  Its `normal_part()` has the bits of `N`.
-        """
-        table = self.table
-        if table.commutes_with_cluster_projs():
-            return table
-        d = table._locations()
-        form = SchurForm(matrix=self.N, norm=operator_norm(self.N),
-                         unitary=table.unitary, triangular=np.diag(d))
-        clusters = tuple(Cluster(c.location, (c.location,) * c.multiplicity)
-                         for c in table.clusters)
-        return replace(table, form=form, clusters=clusters)
+def decompose(T, curve: OrderingCurve) -> SpectralTable:
+    """Split T, a matrix or its `SchurForm`, into its curve-ordered normal
+    part and the residual: the table of `build_table(T, curve)`, whose N,
+    Q and report are computed when first read."""
+    return build_table(T, curve)
 
 
-def decompose(T, curve: OrderingCurve, *,
-              form: SchurForm | None = None) -> Decomposition:
-    """Split T into its curve-ordered normal part and the residual: the
-    table of `build_table(T, curve, form=form)`, whose N, Q and report are
-    computed when first read (`Decomposition`)."""
-    return Decomposition(build_table(T, curve, form=form))
-
-
-def write_bundle(dec: Decomposition, outdir) -> None:
+def write_bundle(table: SpectralTable, outdir) -> None:
     """Write T.json, N.json, Q.json and table.json into `outdir`."""
-    report = dec.report  # N, Q and the report, computed before the directory exists
+    report = table.report  # N, Q and the report, computed before the directory exists
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     # T's text as the digests and the CLI's config.json read it, when they
@@ -333,15 +314,15 @@ def write_bundle(dec: Decomposition, outdir) -> None:
     # so no whole text is held.  Every value exists before the directory
     # does, and `%.17g` of a finite double cannot fail, so a run that
     # raises leaves no partial bundle (the CLI's exit-2 contract).
-    form = dec.table.form
+    form = table.form
     text = vars(form).get("json_text")
     if text is None:
         save_matrix(form.matrix, out / "T.json")
     else:
         write_output(out / "T.json", (text, b"\n"))
-    for name, M in (("N", dec.N), ("Q", dec.Q)):
+    for name, M in (("N", table.N), ("Q", table.Q)):
         save_matrix(M, out / f"{name}.json")
-    doc = dec.table.to_json_dict()
+    doc = table.to_json_dict()
     doc["report"] = report
     write_output(
         out / "table.json",

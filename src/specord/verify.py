@@ -43,7 +43,7 @@ from .regions import (
 )
 # build_table and empirical_brown are unused here but stay importable from
 # this module: the benchmark's traced run (perfbench/spans.py) wraps them here
-from .spectral import Decomposition, SpectralTable, build_table, decompose  # noqa: F401
+from .spectral import SpectralTable, build_table, decompose  # noqa: F401
 
 TOL_STRUCTURAL = 1e-9
 TOL_DETERMINANT = 1e-10
@@ -222,14 +222,13 @@ class _Context:
     order: a member reads the draws before it first, so a check's values do
     not depend on which other checks run.  Replaying a draw decides regions
     and solves nothing, though the commutant regions are drawn on the
-    commuting table, which the decomposition forms once.  The grid members
+    commuting table, which each table forms once.  The grid members
     hold the one level `lvl`.
     """
 
     form: SchurForm
     seed: int
     table: SpectralTable | None = None
-    dec: Decomposition | None = None
     trials: int = 0   # measure-law region pairs
     k: int = 0        # block-split rank
     lvl: int = 0      # grid level
@@ -240,7 +239,7 @@ class _Context:
     @cached_property
     def precond(self) -> str:
         """The note a report adds when its check runs on N's table."""
-        if self.dec.commuting_table is self.table:
+        if self.table.commuting_table is self.table:
             return ""
         return " (preconditioned to the commuting normal part)"
 
@@ -273,7 +272,7 @@ class _Context:
         """The random regions of `commutant-compression-support` and their
         clusters on the commuting table, drawn next."""
         self.segment_params
-        return [_random_region(self.rng, self.dec.commuting_table) for _ in range(5)]
+        return [_random_region(self.rng, self.table.commuting_table) for _ in range(5)]
 
     @cached_property
     def shifts(self) -> list[complex]:
@@ -301,14 +300,14 @@ class _Context:
     @cached_property
     def residual(self) -> np.ndarray:
         """X - E_{D_lvl}(X) for the commuting input X."""
-        x = self.dec.commuting_table
+        x = self.table.commuting_table
         return x.matrix - (self.expectation if x is self.table else x.expectation(self.lvl))
 
     @cached_property
     def scaled_normal_residual(self) -> np.ndarray:
         """(X - N) / (2 ||X||): X scaled to norm 1/2, less its normal part."""
-        x = self.dec.commuting_table
-        return (x.matrix - self.dec.N) / (2.0 * x.norm)
+        x = self.table.commuting_table
+        return (x.matrix - self.table.N) / (2.0 * x.norm)
 
     @cached_property
     def squared_radius(self) -> float:
@@ -386,12 +385,12 @@ def _additivity_law(c: _Context) -> list[CheckValue]:
 
 def _rate(c: _Context) -> list[CheckValue]:
     bound = 3.0 * math.sqrt(2.0) * c.table.norm / (1 << c.lvl)
-    return [CheckValue(f"rate[n={c.lvl}]", float(np.linalg.norm(c.dec.N - c.expectation, 2)),
+    return [CheckValue(f"rate[n={c.lvl}]", float(np.linalg.norm(c.table.N - c.expectation, 2)),
                        bound + 1e-12)]
 
 
 def _radius(c: _Context) -> list[CheckValue]:
-    bound = 6.0 * math.sqrt(2.0) * c.dec.commuting_table.norm / (1 << c.lvl)
+    bound = 6.0 * math.sqrt(2.0) * c.table.commuting_table.norm / (1 << c.lvl)
     return [CheckValue(f"radius[n={c.lvl}]", float(np.abs(np.linalg.eigvals(c.residual)).max()),
                        bound + 1e-12)]
 
@@ -404,7 +403,7 @@ def _power_bound(c: _Context) -> list[CheckValue]:
         return []
     Qs = c.scaled_normal_residual
     delta = 3.0 * math.sqrt(2.0) * 0.5 / (1 << lvl)
-    Dn = c.residual / (2.0 * c.dec.commuting_table.norm)
+    Dn = c.residual / (2.0 * c.table.commuting_table.norm)
     n_dim, trials, steps = Qs.shape[0], 20, 20
     V = np.empty((n_dim, trials), dtype=np.complex128)
     for trial in range(trials):
@@ -641,7 +640,7 @@ def _flag_hyperinvariance(c: _Context):
 def _commutant_support(c: _Context):
     """Corner compressions of the commuting input over random regions B,
     snapped onto their clusters' locations, which must lie in B."""
-    xtable = c.dec.commuting_table
+    xtable = c.table.commuting_table
     GX = xtable.form.compression
     # N's triangular factor is diag(d), so V = I and the disc radius of a
     # finite corner C is ||C - diag(d)||_F
@@ -677,7 +676,7 @@ def _blockdiag_determinants(c: _Context) -> list[CheckValue]:
 
 
 def _quasinilpotence(c: _Context) -> list[CheckValue]:
-    report, norm = c.dec.report, c.table.norm
+    report, norm = c.table.report, c.table.norm
     return [CheckValue("diagonal", report["quasinilpotent_diag"], 1e-8 * max(1.0, norm)),
             CheckValue("lower-residual", report["quasinilpotent_lower"],
                        TOL_STRUCTURAL * max(1.0, norm))]
@@ -728,11 +727,11 @@ _CHECKS = {
         1e-8, _blockdiag_determinants),
     "normal-part-normality": (
         "decomposition", "N N* = N* N", TOL_STRUCTURAL,
-        lambda c: [CheckValue("defect", c.dec.report["normality_defect"],
-                              TOL_STRUCTURAL * max(c.dec.report["normal_fro_sq"], 1e-30))]),
+        lambda c: [CheckValue("defect", c.table.report["normality_defect"],
+                              TOL_STRUCTURAL * max(c.table.report["normal_fro_sq"], 1e-30))]),
     "normal-part-measure": (
         "decomposition", "the counting measures of N and T coincide", 1e-8,
-        lambda c: [CheckValue("matching-distance", c.dec.report["measure_distance"], 1e-8)]),
+        lambda c: [CheckValue("matching-distance", c.table.report["measure_distance"], 1e-8)]),
     "residual-quasinilpotence": (
         "decomposition",
         "in the ordered basis Q is strictly upper triangular with vanishing diagonal",
@@ -801,14 +800,14 @@ def verify_measure_laws(table: SpectralTable, trials: int = 100, seed: int = 0,
                     digest)
 
 
-def verify_decomposition(dec: Decomposition, seed: int = 0, checks=None) -> list[CheckReport]:
+def verify_decomposition(table: SpectralTable, seed: int = 0,
+                         checks=None) -> list[CheckReport]:
     """End-to-end checks of the decomposition pipeline for one input."""
-    table = dec.table
     digest = _context_digest(table.form, table.curve, f"decomposition:{seed}")
-    return _reports(_Context(table.form, seed, table, dec), "decomposition", checks, digest)
+    return _reports(_Context(table.form, seed, table), "decomposition", checks, digest)
 
 
-def verify_convergence(dec: Decomposition, n_max: int = 8, seed: int = 0,
+def verify_convergence(table: SpectralTable, n_max: int = 8, seed: int = 0,
                        checks=None) -> list[CheckReport]:
     """Grid expectation rate, residual support radii, and the power bound,
     for the levels 1..n_max, one level at a time.
@@ -817,11 +816,10 @@ def verify_convergence(dec: Decomposition, n_max: int = 8, seed: int = 0,
     commuting input, whose reports note a substitution; a zero commuting
     input skips the power and squared-radius bounds.
     """
-    table = dec.table
     digest = _context_digest(table.form, table.curve, f"convergence:{n_max}:{seed}")
-    c = _Context(table.form, seed, table, dec)
+    c = _Context(table.form, seed, table)
     ids = _requested("convergence", checks)
-    zero = [cid for cid in ids if cid in _ZERO_SKIPS and dec.commuting_table.norm == 0.0]
+    zero = [cid for cid in ids if cid in _ZERO_SKIPS and table.commuting_table.norm == 0.0]
     ids = [cid for cid in ids if cid not in zero]
     values = {cid: [] for cid in ids}
     for lvl in range(1, n_max + 1):
@@ -895,16 +893,15 @@ def run_suite(
         form = schur_form(T)
         form.json_text   # T's text, once per matrix: every curve's form carries it
         for cspec in curve_specs:
-            dec = decompose(T, parse_curve(cspec, form.norm), form=form)
-            table = dec.table
+            table = decompose(form, parse_curve(cspec, form.norm))
             batch = []
             if "decomposition" in families:
-                batch += verify_decomposition(dec, seed=seed, checks=wanted)
+                batch += verify_decomposition(table, seed=seed, checks=wanted)
             if "measure-laws" in families:
                 batch += verify_measure_laws(table, trials=measure_trials, seed=seed,
                                              checks=wanted)
             if "convergence" in families:
-                batch += verify_convergence(dec, n_max=n_max, seed=seed, checks=wanted)
+                batch += verify_convergence(table, n_max=n_max, seed=seed, checks=wanted)
             if "block-split" in families:
                 batch += verify_block_split(table.form, table.ranks[len(table.clusters) // 2 + 1],
                                             seed, checks=wanted)

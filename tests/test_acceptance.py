@@ -8,6 +8,7 @@ and the lexicographic sweep at depth 32.
 
 import math
 import time
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ CURVES = ("hilbert:depth=32", "morton:depth=32", "lex:depth=32")
 
 _matrices = None
 _tables: dict = {}
-_decs: dict = {}
 
 
 def corpus_items():
@@ -59,13 +59,6 @@ def table_for(name, T, cspec):
     return _tables[key]
 
 
-def dec_for(name, T, cspec):
-    key = (name, cspec)
-    if key not in _decs:
-        curve = parse_curve(cspec, operator_norm(T))
-        _decs[key] = decompose(T, curve)
-    return _decs[key]
-
 
 def announce(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -82,17 +75,17 @@ def test_criterion_1_decomposition_suite():
         norm = operator_norm(T)
         eig_T = np.linalg.eigvals(T)
         for cspec in CURVES:
-            dec = dec_for(name, T, cspec)
-            assert np.array_equal(dec.Q, T - dec.N)
-            nfro2 = float(np.linalg.norm(dec.N)) ** 2
-            defect = dec.report["normality_defect"]
+            table = table_for(name, T, cspec)
+            assert np.array_equal(table.Q, T - table.N)
+            nfro2 = float(np.linalg.norm(table.N)) ** 2
+            defect = table.report["normality_defect"]
             assert defect <= 1e-9 * max(nfro2, 1e-30), (name, cspec)
             worst_normality = max(worst_normality,
                                   defect / max(nfro2, 1e-30))
-            d = eigenvalue_matching_distance(np.linalg.eigvals(dec.N), eig_T)
+            d = eigenvalue_matching_distance(np.linalg.eigvals(table.N), eig_T)
             assert d <= 1e-8, (name, cspec, d)
             worst_measure = max(worst_measure, d)
-            qn = dec.report["quasinilpotent_diag"] + dec.report["quasinilpotent_lower"]
+            qn = table.report["quasinilpotent_diag"] + table.report["quasinilpotent_lower"]
             assert qn <= 1e-8 * max(1.0, norm), (name, cspec, qn)
             worst_qn = max(worst_qn, qn / max(1.0, norm))
     dt = time.time() - t0
@@ -115,7 +108,7 @@ def test_criterion_2_segment_projections_agree():
             ts = [_random_param(rng, bits) for _ in range(50)]
             for t in ts:
                 E = table.spectral_projection(CurveSegment(table.curve, t))
-                P = table.flag_at(t)
+                P = table.range_projection(0, bisect_right(table.params, t))
                 worst = max(worst, float(np.linalg.norm(E.matrix - P.matrix)))
             assert worst <= 1e-9, (name, cspec, worst)
     announce("criterion-2 segment-flag-agreement", worst <= 1e-9,

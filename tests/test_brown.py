@@ -547,5 +547,5 @@ def test_normal_part_spectra_need_no_fallback(monkeypatch):
         T = sample(parse_ensemble(spec))
         form = core.schur_form(T)
         for curve in ("hilbert:depth=32", "morton:depth=32", "lex"):
-            decompose(T, curve_for_matrix(curve, T), form=form)
+            decompose(form, curve_for_matrix(curve, T))
     assert calls == []

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 import specord
-from specord import cli
+from specord import cli, core
 from specord.brown import empirical_brown, measure_distance
 from specord.cli import RunConfig, main
 from specord.core import (
@@ -445,19 +445,19 @@ def test_failed_runs_leave_no_files(tmp_path, capsys):
 
 
 def test_decompose_verifies_the_decomposition_it_wrote(tmp_path, monkeypatch):
-    decs = []
+    tables = []
     original = cli.decompose
 
     def recorded(*args, **kwargs):
-        decs.append(original(*args, **kwargs))
-        return decs[-1]
+        tables.append(original(*args, **kwargs))
+        return tables[-1]
 
     monkeypatch.setattr(cli, "decompose", recorded)
     out = tmp_path / "d"
     assert main(["decompose", "--ensemble", "ginibre:n=6,seed=3", "--out", str(out)]) == 0
-    assert len(decs) == 1
+    assert len(tables) == 1
     assert (out / "report.json").read_text() == reports_to_json(
-        verify_decomposition(decs[0]))
+        verify_decomposition(tables[0]))
 
 
 def test_library_failures_exit_2(tmp_path, monkeypatch, capsys):
@@ -626,8 +626,8 @@ def test_curve_compare_distance_equals_measures_of_both_normal_parts(tmp_path):
     assert repr(doc["normal_parts_equal_measure"]) == repr(want)
     # cross-check: from each N's eigvals the distance moves by at most the
     # pencil's matching error, 1e-12 max(1, ||N||) per side
-    by_eigvals = measure_distance(empirical_brown(da.N, tol=da.table.tol),
-                                  empirical_brown(db.N, tol=db.table.tol))
+    by_eigvals = measure_distance(empirical_brown(da.N, tol=da.tol),
+                                  empirical_brown(db.N, tol=db.tol))
     bound = 1e-12 * max(1.0, operator_norm(da.N), operator_norm(db.N))
     assert abs(doc["normal_parts_equal_measure"] - by_eigvals) <= 2 * bound
 
@@ -657,18 +657,21 @@ def test_project_and_compare_factor_the_matrix_once(tmp_path, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", counted("schur", scipy.linalg.schur))
     monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    # the clustering of the form's diagonal (`SchurForm.diag_clusters`)
+    monkeypatch.setattr(core, "cluster_labels", counted("cluster", core.cluster_labels))
     src = tmp_path / "T.json"
     save_matrix(sample(parse_ensemble("ginibre:n=12,seed=4")), src)
     assert main(["project", "--matrix", str(src), "--region", "disk:0,0,0.5",
                  "--region", "halfplane:1,0,0", "--region", "disk:0,0,1&!disk:0,0,0.5",
                  "--out", str(tmp_path / "p")]) == 0
-    assert counts == {"schur": 1}
+    assert counts == {"schur": 1, "cluster": 1}
     counts.clear()
     assert main(["curve", "compare", "--matrix", str(src), "--curve", "hilbert:depth=32",
                  "--curve2", "morton:depth=32", "--out", str(tmp_path / "c")]) == 0
-    # one form for both curves; one Hermitian eigensolve of N's pencil per
-    # decomposition, for its report, and no fallback to eigvals(N)
-    assert counts == {"schur": 1, "eigh": 2}
+    # one form and one clustering for both curves; one Hermitian eigensolve
+    # of N's pencil per decomposition, for its report, and no fallback to
+    # eigvals(N)
+    assert counts == {"schur": 1, "cluster": 1, "eigh": 2}
 
 
 def test_decompose_factors_and_formats_the_matrix_once(tmp_path, monkeypatch):

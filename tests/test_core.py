@@ -466,8 +466,8 @@ def test_matrix_json_bytes_matches_percent_on_a_decomposition():
     from specord.spectral import decompose
 
     T = sample(EnsembleSpec("ginibre", 64, seed=1))
-    dec = decompose(T, curve_for_matrix("hilbert:depth=32", T))
-    for M in (dec.T, dec.N, dec.Q, dec.table.unitary):
+    table = decompose(T, curve_for_matrix("hilbert:depth=32", T))
+    for M in (table.matrix, table.N, table.Q, table.unitary):
         assert matrix_json_bytes(M) == percent_matrix_json_bytes(M)
 
 

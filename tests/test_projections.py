@@ -112,18 +112,6 @@ def test_hs_independent_of_interior_ordering():
         assert np.linalg.norm(P.matrix - P_ref.matrix) <= 1e-9
 
 
-def test_hs_projection_with_shared_form_keeps_bits():
-    T = sample(EnsembleSpec("ginibre", 16, seed=9))
-    form = schur_form(T)
-    before = (form.unitary.tobytes(), form.triangular.tobytes())
-    for B in (disk(0, 0, 0.5), halfplane(1, 0, 0), halfplane(0, 1, 0),
-              EmptyRegion(), FullPlane()):
-        want, got = hs_projection(T, B), hs_projection(T, B, form=form)
-        assert got.basis.shape == want.basis.shape
-        assert got.basis.tobytes() == want.basis.tobytes()
-    assert (form.unitary.tobytes(), form.triangular.tobytes()) == before
-
-
 def test_hyperinvariance():
     T = sample(EnsembleSpec("ginibre", 8, seed=20))
     P = hs_projection(T, halfplane(1, 0, 0))
@@ -149,7 +137,7 @@ def test_commutator_filter_takes_an_svd_only_above_the_frobenius_bound(spec, mon
 
     T = sample(parse_ensemble(spec))
     form = schur_form(T)
-    P = hs_projection(T, halfplane(1, 0, 0), form=form)
+    P = hs_projection(form, halfplane(1, 0, 0))
     used, max_leak = 0, 0.0
     for S in _commutant_samples(form, _eigenvector_factors(form), 12, 0):
         nS = operator_norm(S)
@@ -181,7 +169,7 @@ def test_a_non_finite_eigenvector_matrix_counts_as_defective(spec):
     assert not np.isfinite(norms).all()
     assert np.linalg.cond(np.linalg.eig(T)[1]) >= 1e8
     assert _eigenvector_factors(form) is None
-    P = hs_projection(T, halfplane(1, 0, 0), form=form)
+    P = hs_projection(form, halfplane(1, 0, 0))
     rep = hyperinvariance_check(form, P, samples=6, seed=0)
     assert rep.polynomials_only and rep.samples > 0 and rep.verdict == "pass"
 
@@ -312,7 +300,7 @@ def test_commutant_samples_match_stored_idempotents_and_power_sums(n, kind, seed
         bound = 1e-12 if same_draws else 1e-12 + 2.0**-50 * cond**2
         for S, R in zip(got, want):
             assert np.linalg.norm(S - R, 2) <= bound * np.linalg.norm(R, 2)
-    P = hs_projection(form.matrix, halfplane(1, 0, 0), form=form)
+    P = hs_projection(form, halfplane(1, 0, 0))
     rep = hyperinvariance_check(form, P, samples=12, seed=draw_seed)
     used, polys, verdict, max_leak = reference_check(form, P, 12, draw_seed)
     assert rep.verdict == verdict
@@ -340,7 +328,7 @@ def test_hyperinvariance_memory_is_quadratic():
     n = 96
     T = sample(EnsembleSpec("ginibre", n, seed=2))
     form = schur_form(T)
-    P = hs_projection(T, halfplane(1, 0, 0), form=form)
+    P = hs_projection(form, halfplane(1, 0, 0))
     tracemalloc.start()
     try:
         rep = hyperinvariance_check(form, P, samples=12, seed=1)

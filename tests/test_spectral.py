@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -73,18 +74,23 @@ class CrowdedLex(LexicographicCurve):
         return {k2: k1 + 1, k1 + 1: k2}.get(k, k)
 
 
+def flag(table, k):
+    """P_T of the curve segment up to cell-visit index k."""
+    return table.range_projection(0, bisect_right(table.params, k))
+
+
 def test_flag_projection_examples():
     c = lex_curve_for(T12)
     table = build_table(T12, c)
-    assert np.allclose(table.flag_at((1 << 2 * c.depth) - 1).matrix, np.eye(2))
-    assert table.flag_at(0).rank == 0
+    assert np.allclose(flag(table, (1 << 2 * c.depth) - 1).matrix, np.eye(2))
+    assert flag(table, 0).rank == 0
     t1 = c.min_preimage(1 + 0j)
-    P = table.flag_at(t1)
+    P = flag(table, t1)
     assert np.allclose(P.matrix, np.diag([1.0, 0.0]), atol=1e-12)
     # right-continuity: constant between consecutive cluster parameters
     t2 = c.min_preimage(2 + 0j)
     mid = t1 + (t2 - t1) // 2
-    assert np.array_equal(table.flag_at(mid).matrix, P.matrix)
+    assert np.array_equal(flag(table, mid).matrix, P.matrix)
 
 
 def test_spectral_projection_examples():
@@ -116,7 +122,7 @@ def test_spectral_projection_matches_flags_at_random_params():
         ts.append(num)
     for t in ts:
         E = table.spectral_projection(CurveSegment(c, t))
-        P = table.flag_at(t)
+        P = flag(table, t)
         assert np.linalg.norm(E.matrix - P.matrix) <= 1e-9
 
 
@@ -222,20 +228,20 @@ def test_binomial_power_bound_verbatim():
 
 def test_decompose_worked_example_forward_order():
     c = lex_curve_for(T12)
-    dec = decompose(T12, c)
-    assert np.allclose(dec.N, np.diag([1.0, 2.0]), atol=1e-10)
-    assert np.allclose(dec.Q, np.array([[0, 1], [0, 0]]), atol=1e-10)
-    assert np.array_equal(dec.N + dec.Q, T12)
+    table = decompose(T12, c)
+    assert np.allclose(table.N, np.diag([1.0, 2.0]), atol=1e-10)
+    assert np.allclose(table.Q, np.array([[0, 1], [0, 0]]), atol=1e-10)
+    assert np.array_equal(table.N + table.Q, T12)
 
 
 def test_decompose_worked_example_reversed_order():
     c = ReversedLex(square=ambient_square(operator_norm(T12)), depth=32)
-    dec = decompose(T12, c)
+    table = decompose(T12, c)
     want_N = np.array([[1.5, 0.5], [0.5, 1.5]])
     want_Q = np.array([[-0.5, 0.5], [-0.5, 0.5]])
-    assert np.allclose(dec.N, want_N, atol=1e-10)
-    assert np.allclose(dec.Q, want_Q, atol=1e-10)
-    assert np.linalg.norm(dec.Q @ dec.Q) <= 1e-12
+    assert np.allclose(table.N, want_N, atol=1e-10)
+    assert np.allclose(table.Q, want_Q, atol=1e-10)
+    assert np.linalg.norm(table.Q @ table.Q) <= 1e-12
 
 
 def test_ordering_sensitivity_operator_differs_measure_does_not():
@@ -254,17 +260,17 @@ def test_decompose_normal_input_is_fixed():
     G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     U, _ = np.linalg.qr(G)
     T = U @ np.diag(d) @ U.conj().T
-    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
-    assert np.linalg.norm(dec.Q) <= 1e-9 * operator_norm(T)
-    assert np.linalg.norm(dec.N - T) <= 1e-9 * operator_norm(T)
+    table = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+    assert np.linalg.norm(table.Q) <= 1e-9 * operator_norm(T)
+    assert np.linalg.norm(table.N - T) <= 1e-9 * operator_norm(T)
 
 
 def test_decompose_jordan_single_cluster():
     J = np.diag(np.full(4, 2.0 + 0j)) + np.diag(np.ones(3), 1)
-    dec = decompose(J, parse_curve("hilbert:depth=32", operator_norm(J)))
-    assert np.allclose(dec.N, 2.0 * np.eye(4), atol=1e-12)
-    assert np.allclose(dec.Q, np.diag(np.ones(3), 1), atol=1e-12)
-    qn = dec.report["quasinilpotent_diag"] + dec.report["quasinilpotent_lower"]
+    table = decompose(J, parse_curve("hilbert:depth=32", operator_norm(J)))
+    assert np.allclose(table.N, 2.0 * np.eye(4), atol=1e-12)
+    assert np.allclose(table.Q, np.diag(np.ones(3), 1), atol=1e-12)
+    qn = table.report["quasinilpotent_diag"] + table.report["quasinilpotent_lower"]
     assert qn <= 1e-8
 
 
@@ -273,44 +279,63 @@ def test_decompose_properties_on_samples():
                   EnsembleSpec("strict_upper", 12, seed=14),
                   EnsembleSpec("elliptic", 10, seed=15, params=(("rho", 0.5),))):
         T = sample(spec)
-        dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
-        assert np.array_equal(dec.Q, T - dec.N)  # exact by construction
-        assert np.abs(dec.N + dec.Q - T).max() <= 4 * np.finfo(float).eps * max(
+        table = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+        assert np.array_equal(table.Q, T - table.N)  # exact by construction
+        assert np.abs(table.N + table.Q - T).max() <= 4 * np.finfo(float).eps * max(
             1.0, operator_norm(T)
         )
-        nfro2 = np.linalg.norm(dec.N) ** 2
-        assert dec.report["normality_defect"] <= 1e-9 * max(nfro2, 1e-30)
-        assert dec.report["measure_distance"] <= 1e-8
-        qn = dec.report["quasinilpotent_diag"] + dec.report["quasinilpotent_lower"]
+        nfro2 = np.linalg.norm(table.N) ** 2
+        assert table.report["normality_defect"] <= 1e-9 * max(nfro2, 1e-30)
+        assert table.report["measure_distance"] <= 1e-8
+        qn = table.report["quasinilpotent_diag"] + table.report["quasinilpotent_lower"]
         assert qn <= 1e-8 * max(1.0, operator_norm(T))
 
 
-def test_decompose_with_shared_form_keeps_bits():
-    # one form passed to several decompositions gives the bits each one
-    # computes from its own form, and is left as it was
+def test_a_schur_form_stands_for_its_matrix(monkeypatch):
+    # decompose and hs_projection take T or its form: one form passed to
+    # several calls gives the bits each call computes from its own form,
+    # factors nothing, and is left as it was
+    from specord import projections
+    from specord.regions import halfplane
+
+    regions = (disk(0, 0, 0.5), halfplane(1, 0, 0), halfplane(0, 1, 0),
+               EmptyRegion(), FullPlane())
+    factored = []
     for spec in (EnsembleSpec("ginibre", 24, seed=4),
+                 EnsembleSpec("ginibre", 16, seed=9),
                  EnsembleSpec("normal_plus_nilpotent", 12, seed=3,
                               params=(("scale", 0.5),)),
                  EnsembleSpec("jordan", 4, params=(("lam", 2.0),))):
         T = sample(spec)
+        curves = [parse_curve(s, operator_norm(T))
+                  for s in ("hilbert:depth=32", "morton:depth=32", "lex")]
+        wants = [decompose(T, c) for c in curves]
+        bases = [hs_projection(T, B).basis for B in regions]
         form = schur_form(T)
         before = (form.unitary.tobytes(), form.triangular.tobytes(), form.diag_order)
-        for curve_spec in ("hilbert:depth=32", "morton:depth=32", "lex"):
-            c = parse_curve(curve_spec, operator_norm(T))
-            want, got = decompose(T, c), decompose(T, c, form=form)
+        for module in (spectral, projections):
+            monkeypatch.setattr(module, "schur_form",
+                                lambda A, f=module.schur_form: factored.append(A) or f(A))
+        for c, want in zip(curves, wants):
+            got = decompose(form, c)
             for name in ("N", "Q"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-            assert got.table.unitary.tobytes() == want.table.unitary.tobytes()
-            assert got.table.form.triangular.tobytes() == want.table.form.triangular.tobytes()
+            assert got.unitary.tobytes() == want.unitary.tobytes()
+            assert got.form.triangular.tobytes() == want.form.triangular.tobytes()
             assert repr(got.report) == repr(want.report)
             assert got.normal_measure == want.normal_measure
             # N's measure from its pencil is within 1e-12 max(1, ||N||) of
             # the one from eigvals(N)
             assert measure_distance(got.normal_measure,
-                                    empirical_brown(want.N, tol=want.table.tol)) \
+                                    empirical_brown(want.N, tol=want.tol)) \
                 <= 1e-12 * max(1.0, operator_norm(want.N))
+        for B, want in zip(regions, bases):
+            got = hs_projection(form, B).basis
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        monkeypatch.undo()
         assert (form.unitary.tobytes(), form.triangular.tobytes(),
                 form.diag_order) == before
+    assert factored == []
 
 
 def test_table_invariants():
@@ -374,10 +399,10 @@ def jordan_beside_simple():
                          ids=["ginibre-12", "jordan-beside-simple"])
 def test_commuting_table_matches_a_table_built_from_n(T):
     # N's table is read off T's; a fresh Schur form of N is the reference
-    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
-    got = dec.commuting_table
-    assert got is not dec.table and got.matrix is dec.N
-    want = build_table(dec.N, dec.table.curve)
+    table = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+    got = table.commuting_table
+    assert got is not table and got.matrix is table.N
+    want = build_table(table.N, table.curve)
     assert (got.params, got.ranks) == (want.params, want.ranks)
     assert [c.multiplicity for c in got.clusters] == [c.multiplicity for c in want.clusters]
     assert got.norm == want.norm
@@ -389,7 +414,7 @@ def test_commuting_table_matches_a_table_built_from_n(T):
     for lvl in range(1, 7):
         diff = np.linalg.norm(got.expectation(lvl) - want.expectation(lvl))
         assert diff <= 1e-12 * got.norm, lvl
-    assert got.normal_part().tobytes() == dec.N.tobytes()
+    assert got.normal_part().tobytes() == table.N.tobytes()
     assert sum(c.multiplicity for c in got.clusters) == T.shape[0]
 
 
@@ -412,7 +437,7 @@ def sandwich_expectation(table, level):
     T = table.matrix
     out = np.zeros_like(T)
     for _, idxs in sorted(table.cell_assignment(level).items()):
-        cols = table.cluster_columns(idxs)
+        cols = np.concatenate([table.range_projection(i, i + 1).basis for i in idxs], axis=1)
         scalar = np.trace(cols.conj().T @ T @ cols) / cols.shape[1]
         out += scalar * (cols @ cols.conj().T)
     return out
@@ -450,14 +475,13 @@ def sandwich_block_split(form, k):
 def test_compression_blocks_match_the_sandwich_formulas(T):
     # expectations, the commutation test and the block split read blocks of
     # G = U* T U; forming each compression from U's columns is the reference
-    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
-    table = dec.table
+    table = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
     scale = 1e-12 * max(1.0, table.norm)
     for lvl in range(7):
         diff = np.linalg.norm(table.expectation(lvl) - sandwich_expectation(table, lvl))
         assert diff <= scale, lvl
     assert table.commutes_with_cluster_projs() == leak_commutes(table)
-    xtable = dec.commuting_table
+    xtable = table.commuting_table
     assert xtable.commutes_with_cluster_projs() and leak_commutes(xtable)
     k = table.ranks[len(table.clusters) // 2 + 1]
     leak, det_err, dist = sandwich_block_split(table.form, k)
@@ -491,16 +515,16 @@ def test_each_form_is_compressed_once(monkeypatch, T):
         return expectation(table, level)
 
     monkeypatch.setattr(SpectralTable, "expectation", counted_expectation)
-    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+    table = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
     assert compressed == []
-    verify_decomposition(dec, seed=1)
-    verify_convergence(dec, n_max=3)
-    verify_block_split(dec.table.form, dec.table.ranks[len(dec.table.clusters) // 2 + 1])
-    xtable = dec.commuting_table
-    forms = [dec.table.form] + ([] if xtable is dec.table else [xtable.form])
+    verify_decomposition(table, seed=1)
+    verify_convergence(table, n_max=3)
+    verify_block_split(table.form, table.ranks[len(table.clusters) // 2 + 1])
+    xtable = table.commuting_table
+    forms = [table.form] + ([] if xtable is table else [xtable.form])
     assert compressed == forms
     # the radius loop reuses the rate loop's E_n when X is T
-    assert expectations == Counter({(id(t), lvl): 1 for t in {dec.table, xtable}
+    assert expectations == Counter({(id(t), lvl): 1 for t in {table, xtable}
                                     for lvl in (1, 2, 3)})
 
 
@@ -515,8 +539,8 @@ def test_curve_validation_failure_raises():
 
 
 def test_bundle_roundtrip(tmp_path):
-    dec = decompose(T12, lex_curve_for(T12))
-    write_bundle(dec, tmp_path)
+    table = decompose(T12, lex_curve_for(T12))
+    write_bundle(table, tmp_path)
     from specord.core import load_matrix
 
     assert np.array_equal(load_matrix(tmp_path / "T.json"), T12)
@@ -578,11 +602,11 @@ def test_all_curve_kinds_handle_edge_spectra():
 
     for name, T in curve_stress_matrices():
         for kind in ("hilbert:depth=32", "morton:depth=32", "lex", "radial"):
-            dec = decompose(T, parse_curve(kind, operator_norm(T)))
-            assert dec.report["measure_distance"] <= 1e-10, (name, kind)
-            qn = dec.report["quasinilpotent_diag"] + dec.report["quasinilpotent_lower"]
+            table = decompose(T, parse_curve(kind, operator_norm(T)))
+            assert table.report["measure_distance"] <= 1e-10, (name, kind)
+            qn = table.report["quasinilpotent_diag"] + table.report["quasinilpotent_lower"]
             assert qn <= 1e-10, (name, kind)
-            assert np.linalg.norm(dec.Q) <= 1e-10, (name, kind)  # normal inputs
+            assert np.linalg.norm(table.Q) <= 1e-10, (name, kind)  # normal inputs
 
 
 def test_decompose_memory_stays_linear_in_dense_matrices():
@@ -602,12 +626,13 @@ def test_decompose_memory_stays_linear_in_dense_matrices():
 
 def test_decompose_and_write_bundle_hold_one_temporary_at_a_time(tmp_path):
     # in units of one n x n complex matrix, n = 128: the op returns T's copy,
-    # the table's U and R, N and Q (5).  Its peak, about 10.4, is in
-    # save_matrix: those 5, the copy of the matrix being written and about
-    # 1 MB (4 units at n = 128) of one 4096-value text block and its
-    # temporaries.  N's eigensolve, before Q exists, peaks at about 8.7
-    # (T's copy, U, R, N, V, NV and the residual's temporaries; eigh's own
-    # buffers are malloc'd, which tracemalloc does not see).
+    # the table's U and R, N and Q (5).  Its peak, about 9.0, is in
+    # save_matrix, alike for each of the three files: those 5 and about
+    # 1 MB (3.8 units at n = 128) of one 4096-value text block and its
+    # temporaries; the matrix being written is read in place.  N's
+    # eigensolve, before Q exists, peaks at about 8.65 (T's copy, U, R, N,
+    # V, NV and the residual's temporaries; eigh's own buffers are
+    # malloc'd, which tracemalloc does not see).
     # A whole-file text, or NN* - N*N or U*QU kept past its report value,
     # would add 3 to 4 more.
     n = 128
@@ -636,8 +661,7 @@ def test_cluster_columns_carry_their_members(spec):
                                    rtol=0, atol=1e-14)
     # Q's diagonal is each member minus its own cluster's location
     spread = max(abs(z - c.location) for c in table.clusters for z in c.members)
-    dec = decompose(T, parse_curve(spec, operator_norm(T)))
-    assert dec.report["quasinilpotent_diag"] == pytest.approx(spread, abs=1e-15)
+    assert table.report["quasinilpotent_diag"] == pytest.approx(spread, abs=1e-15)
 
     singleton = min(table.clusters, key=lambda c: c.location.real)
     assert singleton.multiplicity == 1
@@ -655,9 +679,10 @@ def test_a_decomposition_computes_its_parts_once_in_any_read_order(spec, monkeyp
     T = sample(parse_ensemble(spec))
     form = schur_form(T)
     curve = parse_curve("hilbert:depth=32", form.norm)
-    dec = decompose(T, curve, form=form)
-    assert set(vars(dec)) == {"table"}   # the table alone, until a part is read
-    want = {name: getattr(dec, name) for name in READS}
+    table = decompose(form, curve)
+    # the table's fields alone, until a part is read
+    assert set(vars(table)) == {"form", "curve", "clusters", "params", "ranks"}
+    want = {name: getattr(table, name) for name in READS}
     calls = Counter()
 
     def counted(name, fn):
@@ -672,20 +697,20 @@ def test_a_decomposition_computes_its_parts_once_in_any_read_order(spec, monkeyp
                         counted("eigvals", spectral._normal_eigvals))
     for order in itertools.permutations(READS):
         calls.clear()
-        dec = decompose(T, curve, form=form)
+        table = decompose(form, curve)
         for name in order + order:
-            getattr(dec, name)
+            getattr(table, name)
         assert calls == {"normal_part": 1, "eigvals": 1}, order
-        assert dec.N.tobytes() == want["N"].tobytes(), order
-        assert dec.Q.tobytes() == want["Q"].tobytes(), order
-        assert repr(dec.report) == repr(want["report"]), order
-        assert repr(dec.normal_measure) == repr(want["normal_measure"]), order
+        assert table.N.tobytes() == want["N"].tobytes(), order
+        assert table.Q.tobytes() == want["Q"].tobytes(), order
+        assert repr(table.report) == repr(want["report"]), order
+        assert repr(table.normal_measure) == repr(want["normal_measure"]), order
 
 
 def decomposition_bits(T):
-    dec = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
-    return hashlib.sha256(dec.N.tobytes() + dec.Q.tobytes() + dec.table.unitary.tobytes()
-                          + repr(dec.report).encode()).hexdigest()
+    table = decompose(T, parse_curve("hilbert:depth=32", operator_norm(T)))
+    return hashlib.sha256(table.N.tobytes() + table.Q.tobytes() + table.unitary.tobytes()
+                          + repr(table.report).encode()).hexdigest()
 
 
 def test_concurrent_decompositions_match_serial():

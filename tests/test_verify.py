@@ -404,9 +404,8 @@ def test_run_suite_solves_each_form_once(monkeypatch):
 def test_flag_invariance_matches_the_leak_of_each_flag_basis(spec):
     # every value is ||G[r:, :r]||_F of one G = U* T U, for each flag rank r
     T = sample(parse_ensemble(spec))
-    dec = decompose(T, curve_for(T))
-    table = dec.table
-    (rep,) = [r for r in verify_decomposition(dec, seed=2)
+    table = decompose(T, curve_for(T))
+    (rep,) = [r for r in verify_decomposition(table, seed=2)
               if r.check_id == "flag-invariance"]
     ranks = table.ranks[1:]
     assert [v.name for v in rep.values] == [f"invariance[{i}]" for i in range(len(ranks))]
@@ -422,13 +421,12 @@ def test_flag_spectral_agreement_counts_the_columns_a_segment_misses(monkeypatch
 
     T = np.diag([0.5, 0.5, 0.5, -0.4 + 0.3j, 0.2 - 0.6j]).astype(complex)
     T[0, 1] = T[1, 2] = 1.0
-    dec = decompose(T, curve_for(T))
-    table = dec.table
+    table = decompose(T, curve_for(T))
     (j,) = [i for i, c in enumerate(table.clusters) if c.multiplicity == 3]
     member_clusters = SpectralTable.member_clusters
     monkeypatch.setattr(SpectralTable, "member_clusters",
                         lambda self, B: [i for i in member_clusters(self, B) if i != j])
-    (rep,) = [r for r in verify_decomposition(dec, seed=4)
+    (rep,) = [r for r in verify_decomposition(table, seed=4)
               if r.check_id == "flag-spectral-agreement"]
     assert rep.verdict == "fail"
     # the cluster parameters come first: segment i holds clusters 0..i
@@ -509,40 +507,40 @@ def test_projection_identities_build_no_dense_matrix(monkeypatch):
     reads = []
     monkeypatch.setattr(Projection, "matrix", property(lambda P: reads.append(P)))
     for T in (sample(EnsembleSpec("ginibre", 12, seed=3)), jordan_beside_two_simple()):
-        dec = decompose(T, curve_for(T))
-        verify_measure_laws(dec.table, trials=20, seed=1)
-        verify_decomposition(dec, seed=1)
+        table = decompose(T, curve_for(T))
+        verify_measure_laws(table, trials=20, seed=1)
+        verify_decomposition(table, seed=1)
     assert reads == []
 
 
 def test_verify_decomposition_formats_the_matrix_once(monkeypatch):
     T = sample(EnsembleSpec("ginibre", 6, seed=3))
-    dec = decompose(T, curve_for(T))
+    table = decompose(T, curve_for(T))
     counts = count_input_calls(monkeypatch, [T])
-    verify_decomposition(dec, seed=1)
+    verify_decomposition(table, seed=1)
     assert counts == {"json": 1}
     # the other families digest the same table from the text hashed above
-    verify_measure_laws(dec.table, trials=2)
-    verify_convergence(dec, n_max=2)
-    verify_block_split(dec.table.form, dec.table.ranks[1])
+    verify_measure_laws(table, trials=2)
+    verify_convergence(table, n_max=2)
+    verify_block_split(table.form, table.ranks[1])
     assert counts == {"json": 1}
 
 
-def scaled_operators(dec, levels):
+def scaled_operators(table, levels):
     """Qs and each level's Dn of the commuting input X scaled to norm 1/2,
     read off X's table: (X - N) / (2 ||X||) and (X - E_{D_n}(X)) / (2 ||X||)."""
-    xtable = dec.commuting_table
+    xtable = table.commuting_table
     X = xtable.matrix
     xnorm = operator_norm(X)
-    Qs = (X - dec.N) / (2.0 * xnorm)
+    Qs = (X - table.N) / (2.0 * xnorm)
     return Qs, [(X - xtable.expectation(lvl)) / (2.0 * xnorm) for lvl in levels]
 
 
-def rescaled_rebuild_operators(dec, levels):
+def rescaled_rebuild_operators(table, levels):
     """Qs and Dn from a table of S = X / (2 ||X||) built again along the curve
     scaled alike: the derivation `scaled_operators` replaces."""
-    xtable = dec.commuting_table
-    X, curve = xtable.matrix, dec.table.curve
+    xtable = table.commuting_table
+    X, curve = xtable.matrix, table.curve
     xnorm = operator_norm(X)
     S = X / (2.0 * xnorm)
     f, sq = 0.5 / xnorm, curve.square
@@ -551,10 +549,10 @@ def rescaled_rebuild_operators(dec, levels):
     return S - stable.normal_part(), [S - stable.expectation(lvl) for lvl in levels]
 
 
-def power_bound_oracle(dec, n_max, seed):
+def power_bound_oracle(table, n_max, seed):
     """(name, measured, bound) of grid-power-bound, one eta at a time."""
     levels = range(1, min(n_max, 6) + 1)
-    Qs, Dns = scaled_operators(dec, levels)
+    Qs, Dns = scaled_operators(table, levels)
     rng = np.random.default_rng(seed)
     out = []
     for lvl, Dn in zip(levels, Dns):
@@ -580,18 +578,18 @@ def power_bound_oracle(dec, n_max, seed):
 ])
 def test_power_bound_block_matches_one_vector_at_a_time(spec):
     T = sample(spec)
-    dec = decompose(T, curve_for(T))
-    reports = verify_convergence(dec, n_max=4, seed=3)
+    table = decompose(T, curve_for(T))
+    reports = verify_convergence(table, n_max=4, seed=3)
     (power,) = [r for r in reports if r.check_id == "grid-power-bound"]
-    expected = power_bound_oracle(dec, n_max=4, seed=3)
+    expected = power_bound_oracle(table, n_max=4, seed=3)
     assert [v.name for v in power.values] == [name for name, _, _ in expected]
     for v, (_, measured, bound) in zip(power.values, expected):
         assert v.measured == pytest.approx(measured, rel=1e-13, abs=1e-300)
         assert v.bound == pytest.approx(bound, rel=1e-13, abs=1e-300)
     # the operators read off X's table are those of the rescaled rebuild
     levels = range(1, 5)
-    Qs, Dns = scaled_operators(dec, levels)
-    Qs_old, Dns_old = rescaled_rebuild_operators(dec, levels)
+    Qs, Dns = scaled_operators(table, levels)
+    Qs_old, Dns_old = rescaled_rebuild_operators(table, levels)
     assert np.linalg.norm(Qs - Qs_old, 2) <= 1e-12
     for Dn, Dn_old in zip(Dns, Dns_old):
         assert np.linalg.norm(Dn - Dn_old, 2) <= 1e-12
@@ -736,24 +734,24 @@ def self_check_snaps(calls):
     return calls["_flag_sides"] + calls["_commutant_support"]
 
 
-def decomposition_checks(dec):
-    return reports_to_json(verify_decomposition(dec, seed=2))
+def decomposition_checks(table):
+    return reports_to_json(verify_decomposition(table, seed=2))
 
 
 def test_a_jordan_block_falls_back_to_eigvals_and_keeps_its_verdict(monkeypatch):
     T = jordan_beside_two_simple()
-    dec = decompose(T, curve_for(T))
-    (jordan,) = [i for i, c in enumerate(dec.table.clusters) if c.multiplicity == 3]
-    inside, outside = _certified_flags(dec.table)
-    held_in, held_out = flag_sides_holding(dec.table, [jordan])
+    table = decompose(T, curve_for(T))
+    (jordan,) = [i for i, c in enumerate(table.clusters) if c.multiplicity == 3]
+    inside, outside = _certified_flags(table)
+    held_in, held_out = flag_sides_holding(table, [jordan])
     # a block that holds the defective cluster has no disc bound
     assert not inside[held_in].any() and not outside[held_out].any()
     assert inside.any() and outside.any()
     calls = snap_eigvals_by_caller(monkeypatch)
-    got = decomposition_checks(dec)
+    got = decomposition_checks(table)
     assert self_check_snaps(calls) > 0
     without_certificates(monkeypatch)
-    assert got == decomposition_checks(dec)
+    assert got == decomposition_checks(table)
 
 
 def close_pair_beside_three_simple():
@@ -767,8 +765,7 @@ def close_pair_beside_three_simple():
 
 def test_a_close_pair_falls_back_to_eigvals_and_keeps_its_verdict(monkeypatch):
     T = close_pair_beside_three_simple()
-    dec = decompose(T, curve_for(T))
-    table = dec.table
+    table = decompose(T, curve_for(T))
     pair = [i for i, c in enumerate(table.clusters) if abs(c.location - 0.5) < 1e-5]
     assert len(pair) == 2
     inside, outside = _certified_flags(table)
@@ -778,13 +775,13 @@ def test_a_close_pair_falls_back_to_eigvals_and_keeps_its_verdict(monkeypatch):
     assert np.array_equal(inside, ~held_in)
     assert np.array_equal(outside[:-1], ~held_out[:-1]) and not outside[-1]
     calls = snap_eigvals_by_caller(monkeypatch)
-    got = decomposition_checks(dec)
+    got = decomposition_checks(table)
     assert self_check_snaps(calls) > 0
     for doc in json.loads(got):
         if doc["check_id"].startswith("flag-compression"):
             assert doc["verdict"] == "pass"
     without_certificates(monkeypatch)
-    assert got == decomposition_checks(dec)
+    assert got == decomposition_checks(table)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -795,7 +792,7 @@ def test_a_close_pair_falls_back_to_eigvals_and_keeps_its_verdict(monkeypatch):
        n=st.integers(2, 12), seed=st.integers(0, 2**31 - 1))
 def test_every_certified_compression_spectrum_snaps(kind, n, seed):
     T = sample(EnsembleSpec(kind[0], n, seed=seed, params=kind[1]))
-    table = decompose(T, curve_for(T)).table
+    table = build_table(T, curve_for(T))
     G = table.form.compression
     locs = [c.location for c in table.clusters]
     inside, outside = _certified_flags(table)
@@ -819,14 +816,14 @@ def test_every_certified_compression_spectrum_snaps(kind, n, seed):
 
 def test_ginibre_self_check_solves_no_compression_spectrum(monkeypatch):
     T = sample(parse_ensemble("ginibre:n=32,seed=1"))
-    dec = decompose(T, curve_for(T))
+    table = decompose(T, curve_for(T))
     calls = snap_eigvals_by_caller(monkeypatch)
-    got = decomposition_checks(dec)
+    got = decomposition_checks(table)
     assert calls == {}
     without_certificates(monkeypatch)
-    assert got == decomposition_checks(dec)
+    assert got == decomposition_checks(table)
     # both flag sides of every flag but the two single-cluster ones
-    assert self_check_snaps(calls) >= 2 * len(dec.table.clusters) - 3
+    assert self_check_snaps(calls) >= 2 * len(table.clusters) - 3
 
 
 @pytest.mark.parametrize("spec", ["ginibre:n=16,seed=4", "normal_plus_nilpotent:n=12,seed=9",
@@ -850,7 +847,7 @@ def test_a_non_finite_compression_is_never_certified_or_shortcut():
         with pytest.raises(np.linalg.LinAlgError):
             _compression_snaps(block, targets)
     T = sample(EnsembleSpec("ginibre", 6, seed=2))
-    table = decompose(T, curve_for(T)).table
+    table = build_table(T, curve_for(T))
     inside, outside = _certified_flags(table)
     assert inside.all() and outside[:-1].all()   # the last flag has no outside
     bad = T.copy()

@@ -88,7 +88,7 @@ def run(n):
         stage["write_bundle_s"] = perf_counter() - t
     stage["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     t = perf_counter()
-    for M in (dec.T, dec.N, dec.Q):
+    for M in (T, dec.N, dec.Q):
         core.matrix_json_bytes(M)
     stage["format_s"] = perf_counter() - t
 
