@@ -112,6 +112,30 @@ def test_hs_independent_of_interior_ordering():
         assert np.linalg.norm(P.matrix - P_ref.matrix) <= 1e-9
 
 
+def test_hs_projection_with_shared_form_keeps_bits(monkeypatch):
+    # hs_projection takes T or its form: the form gives the basis T gives,
+    # factors nothing, and is left as it was
+    from specord import projections
+
+    T = sample(EnsembleSpec("ginibre", 16, seed=9))
+    regions = (disk(0, 0, 0.5), halfplane(1, 0, 0), halfplane(0, 1, 0),
+               EmptyRegion(), FullPlane())
+    wants = [hs_projection(T, B).basis for B in regions]
+    form = schur_form(T)
+    before = (form.unitary.tobytes(), form.triangular.tobytes(), form.diag_order)
+    factored = []
+    monkeypatch.setattr(projections, "schur_form",
+                        lambda A, f=projections.schur_form: factored.append(A) or f(A))
+    for B, want in zip(regions, wants):
+        got = hs_projection(form, B).basis
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    monkeypatch.undo()
+    assert factored == []
+    assert (form.unitary.tobytes(), form.triangular.tobytes(),
+            form.diag_order) == before
+
+
 def test_hyperinvariance():
     T = sample(EnsembleSpec("ginibre", 8, seed=20))
     P = hs_projection(T, halfplane(1, 0, 0))
